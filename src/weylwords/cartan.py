@@ -153,6 +153,28 @@ def _positive_definite(gram: tuple[tuple[Fraction, ...], ...]) -> bool:
     return True
 
 
+def cartan_adjugate(rs: RootSystem, indices) -> tuple[int, list[list[int]]]:
+    """Determinant d and adjugate d*A^-1 of the Cartan submatrix A on indices.
+
+    Positive definiteness keeps every pivot positive, so no rows are swapped.
+    For a connected index set every adjugate entry is positive (Lusztig-Tits).
+    """
+    idx = [i - 1 for i in indices]
+    n = len(idx)
+    m = [[Fraction(rs.cartan[i][j]) for j in idx] + [Fraction(r == c) for c in range(n)]
+         for r, i in enumerate(idx)]
+    det = Fraction(1)
+    for k in range(n):
+        pivot = m[k][k]
+        det *= pivot
+        m[k] = [x / pivot for x in m[k]]
+        for r in range(n):
+            factor = m[r][k]
+            if r != k and factor:
+                m[r] = [x - factor * y for x, y in zip(m[r], m[k])]
+    return int(det), [[int(det * x) for x in row[n:]] for row in m]
+
+
 def height(root: Root) -> int:
     """Sum of the simple-root coefficients."""
     return sum(root)

@@ -8,7 +8,7 @@ both the acceptance tests and the command-line ``verify`` subcommand.
 from __future__ import annotations
 
 import random
-import time
+from time import perf_counter
 from dataclasses import dataclass, field
 
 from .cartan import build_root_system, complement_roots, sub_system
@@ -76,7 +76,7 @@ def _result(name, start, checked, failures, detail) -> CheckResult:
         passed=not failures,
         checked=checked,
         detail=detail,
-        seconds=time.time() - start,
+        seconds=perf_counter() - start,
         counterexamples=failures[:20],
     )
 
@@ -103,7 +103,7 @@ def check_finite_bijection(
     labels=("A1", "A2", "C2"), max_length=5, cutoff=6, brute_size=5, brute_level=2
 ) -> CheckResult:
     """Finite biconvex sets are exactly the inversion sets, injectively."""
-    start = time.time()
+    start = perf_counter()
     checked = 0
     failures = []
     for label in labels:
@@ -143,7 +143,7 @@ def check_finite_bijection(
 
 def check_subset_classification(labels=("A2", "B2", "C2")) -> CheckResult:
     """Exhaustive subset scan: factorization, parabolic shape, parts."""
-    start = time.time()
+    start = perf_counter()
     checked = 0
     failures = []
     for label in labels:
@@ -195,7 +195,7 @@ def check_subset_classification(labels=("A2", "B2", "C2")) -> CheckResult:
 
 def check_parametrization_roundtrip(labels=("A1", "A2"), max_y=4) -> CheckResult:
     """parametrize inverts realize; every view window is biconvex."""
-    start = time.time()
+    start = perf_counter()
     checked = 0
     failures = []
     for label in labels:
@@ -230,7 +230,7 @@ def check_parametrization_roundtrip(labels=("A1", "A2"), max_y=4) -> CheckResult
 
 def check_word_diagram(labels=("A1", "A2"), max_y=4) -> CheckResult:
     """The standard word of each parameter inverts exactly its view."""
-    start = time.time()
+    start = perf_counter()
     checked = 0
     failures = []
     for label in labels:
@@ -259,7 +259,7 @@ def check_word_diagram(labels=("A1", "A2"), max_y=4) -> CheckResult:
 
 def check_translation_words(labels=("A1", "A2", "C2"), cutoff=6) -> CheckResult:
     """Base words: positive distinct inversions; limit equals the tail."""
-    start = time.time()
+    start = perf_counter()
     checked = 0
     failures = []
     for label in labels:
@@ -311,7 +311,7 @@ def check_action_laws(
     labels=("A1", "A2"), samples=200, max_x=3, cutoff=6, seed=2024
 ) -> CheckResult:
     """Random actions match the inversion-set formula and compose."""
-    start = time.time()
+    start = perf_counter()
     rng = random.Random(seed)
     checked = 0
     failures = []
@@ -345,7 +345,7 @@ def check_action_laws(
 
 def check_orbit_decomposition(labels=("A1", "A2"), samples=100, seed=77) -> CheckResult:
     """K is constant along orbits and separates them; A1 has two classes."""
-    start = time.time()
+    start = perf_counter()
     rng = random.Random(seed)
     checked = 0
     failures = []
@@ -395,7 +395,7 @@ def check_orbit_decomposition(labels=("A1", "A2"), samples=100, seed=77) -> Chec
 
 def check_length_bfs(labels=("A1", "A2", "C2"), max_length=6) -> CheckResult:
     """Closed-form length equals graph distance in the Cayley graph."""
-    start = time.time()
+    start = perf_counter()
     checked = 0
     failures = []
     for label in labels:
@@ -414,7 +414,7 @@ def check_length_bfs(labels=("A1", "A2", "C2"), max_length=6) -> CheckResult:
 
 def check_four_cases(labels=("A1", "A2"), cutoff=4, max_y=3) -> CheckResult:
     """Every window built from the four structural cases classifies back."""
-    start = time.time()
+    start = perf_counter()
     checked = 0
     failures = []
     for label in labels:

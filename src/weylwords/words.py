@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as iter_product
 
-from .cartan import RootSystem, SubSystem, sub_system
+from .cartan import RootSystem, SubSystem, cartan_adjugate, sub_system
 from .affine import (
     AffineElement,
     AffineRoot,
     Letter,
+    _coroot_pairing,
     affine_identity,
     affine_inversion_set,
     affine_reduced_word,
@@ -128,7 +128,7 @@ class InfiniteWord:
         slopes = []
         for r in range(1, n + 1):
             c_r = rho.act(letter_root(sub, period[r - 1]))
-            slope = -_pairing(sub.rs, c_r.classical, nu)
+            slope = -_coroot_pairing(sub.rs, c_r.classical, nu)
             if slope < 1:
                 raise ValueError(
                     "not an infinite reduced word: a periodic inversion"
@@ -159,14 +159,6 @@ class InfiniteWord:
             progressions=progressions,
             heads=tuple(phis[:H]),
         )
-
-
-def _pairing(rs: RootSystem, eps, coords) -> int:
-    total = 0
-    for i, c in enumerate(coords, start=1):
-        if c:
-            total += c * rs.simple_coroot_pairing(eps, i)
-    return total
 
 
 def prefix_element(word: InfiniteWord, p: int) -> AffineElement:
@@ -226,37 +218,54 @@ def translation_word(sub: SubSystem, K) -> InfiniteWord:
     """The purely periodic word repeating a reduced word of a translation
     that is orthogonal to K and pairs positively with the rest of J.
 
-    The translation vector is the smallest qualifying one (by maximum
-    coefficient, then lexicographically) with non-negative coroot
-    coordinates supported on J.
+    The translation is the smallest qualifying one (by maximum coefficient,
+    then lexicographically) with coroot coordinates c supported on J.  Per
+    component of J, with Cartan submatrix A of determinant d, its pairings
+    p with the simple roots give c = adj(A)^T p / d, and adj(A) > 0.  A
+    p_j > d lowered by d keeps c integral and lowers all of it, so the
+    optimum has p = 0 on K and p_j in [1, d] elsewhere.  That box is
+    searched in integers, its last coordinate solved from the integrality
+    congruence: d^(m-1) candidates for a component with m indices outside K.
     """
+    period = affine_reduced_word(translation(sub.rs, _translation_lambda(sub, K)), sub)
+    return InfiniteWord(sub=sub, head=(), period=period)
+
+
+def _translation_lambda(sub: SubSystem, K) -> tuple[int, ...]:
+    """The translation vector of ``translation_word(sub, K)``."""
     K = tuple(sorted(set(K)))
     if not set(K) <= set(sub.J):
         raise ValueError(f"K={K} is not a subset of J={sub.J}")
     if set(K) == set(sub.J):
         raise ValueError("K must be a proper subset of J")
-    rs = sub.rs
-    J = sub.J
-    lam = None
-    bound = 0
-    while lam is None:
-        bound += 1
-        if bound > 64:
-            raise RuntimeError("translation search bound exceeded")
-        for coeffs in iter_product(range(bound + 1), repeat=len(J)):
-            if max(coeffs) != bound:
-                continue
-            full = [0] * rs.rank
-            for j, c in zip(J, coeffs):
-                full[j - 1] = c
-            pair = {j: _pairing(rs, rs.simple_root(j), full) for j in J}
-            if all(pair[k] == 0 for k in K) and all(
-                pair[j] > 0 for j in J if j not in K
-            ):
-                lam = tuple(full)
-                break
-    period = affine_reduced_word(translation(rs, lam), sub)
-    return InfiniteWord(sub=sub, head=(), period=period)
+    # Components inside K keep c = 0.  The least overall maximum is the largest
+    # per-component one; under it, lexicographic order splits by component.
+    comps = [comp for comp in sub.components if set(comp) - set(K)]
+    boxes = [_box_candidates(sub.rs, comp, K) for comp in comps]
+    top = max(min(max(c) for c in box) for box in boxes)
+    lam = [0] * sub.rs.rank
+    for comp, box in zip(comps, boxes):
+        for j, c in zip(comp, min(c for c in box if max(c) <= top)):
+            lam[j - 1] = c
+    return tuple(lam)
+
+
+def _box_candidates(rs: RootSystem, comp, K) -> list[tuple[int, ...]]:
+    """Coordinates over a component meeting J minus K of each box candidate."""
+    *rest, last = [x for x, j in enumerate(comp) if j not in K]
+    d, adj = cartan_adjugate(rs, comp)
+    # d*c sums p_j * adj[j]; the last p_j is the least t in [1, d] making it 0 mod d.
+    solve = {tuple(-t * a % d for a in adj[last]): t for t in range(d, 0, -1)}
+    nums = [(0,) * len(comp)]
+    for x in rest:
+        nums = [tuple(v + p * a for v, a in zip(num, adj[x]))
+                for num in nums for p in range(1, d + 1)]
+    box = []
+    for num in nums:
+        t = solve.get(tuple(v % d for v in num))
+        if t is not None:
+            box.append(tuple((v + t * a) // d for v, a in zip(num, adj[last])))
+    return box
 
 
 def act_on_word(x: AffineElement, word: InfiniteWord) -> InfiniteWord:

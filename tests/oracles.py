@@ -117,3 +117,35 @@ def truncated_action_formula(x, word, cutoff):
     second = {b for b in moved - omega}
     assert not (first & second), "formula parts must be disjoint"
     return frozenset(b for b in first | second if b.level <= cutoff)
+
+
+def bounded_translation_search(cartan, J, K):
+    """The translation of the base word for K, by the original search.
+
+    Tries every coefficient tuple over J with maximum 1, 2, ... in
+    lexicographic order and returns the first lambda (over the simple
+    coroots) with <alpha_k, lambda> = 0 on K and > 0 on J minus K.  The
+    pairing is read off the Cartan matrix, cartan[i][j] = <alpha_j, alpha_i-check>.
+    Its cost grows like bound^|J|, so it only serves as a reference.
+    """
+    bound = 0
+    while True:
+        bound += 1
+        for coeffs in product(range(bound + 1), repeat=len(J)):
+            if max(coeffs) != bound:
+                continue
+            lam = [0] * len(cartan)
+            for j, c in zip(J, coeffs):
+                lam[j - 1] = c
+            pair = {j: sum(c * cartan[i][j - 1] for i, c in enumerate(lam)) for j in J}
+            if all(pair[k] == 0 for k in K) and all(pair[j] > 0 for j in J if j not in K):
+                return tuple(lam)
+
+
+def proper_pairs(rank):
+    """Every non-empty J in 1..rank with every proper subset K of J, sorted."""
+    for J in sorted(map(sorted, subsets(range(1, rank + 1))), key=lambda s: (len(s), s)):
+        if J:
+            for K in sorted(map(sorted, subsets(J)), key=lambda s: (len(s), s)):
+                if len(K) < len(J):
+                    yield tuple(J), tuple(K)

@@ -5,6 +5,7 @@ import pytest
 from weylwords.cartan import (
     add,
     build_root_system,
+    cartan_adjugate,
     complement_roots,
     height,
     negate,
@@ -271,3 +272,27 @@ def test_simple_reflect_matches_reflect():
         for i in rs.index_set:
             for r in rs.roots:
                 assert rs.simple_reflect(i, r) == rs.reflect(rs.simple_root(i), r)
+
+
+@pytest.mark.parametrize(
+    "label,det",
+    [("A1", 2), ("A4", 5), ("B3", 2), ("C4", 2), ("D5", 4), ("E6", 3),
+     ("E7", 2), ("E8", 1), ("F4", 1), ("G2", 1)],
+)
+def test_cartan_adjugate_inverts_with_positive_entries(label, det):
+    rs = build_root_system(label)
+    d, adj = cartan_adjugate(rs, rs.index_set)
+    assert d == det
+    n = rs.rank
+    for i in range(n):
+        for j in range(n):
+            assert sum(adj[i][k] * rs.cartan[k][j] for k in range(n)) == d * (i == j)
+    assert all(x > 0 for row in adj for x in row)
+
+
+def test_cartan_adjugate_of_sub_diagrams():
+    d4 = build_root_system("D4")
+    assert cartan_adjugate(d4, (1, 3)) == (4, [[2, 0], [0, 2]])
+    c3 = build_root_system("C3")
+    # alpha_3 long: the submatrix on {2, 3} is the Cartan matrix of C2.
+    assert cartan_adjugate(c3, (2, 3)) == (2, [[2, 2], [1, 2]])

@@ -1,0 +1,89 @@
+"""The base translation of ``translation_word`` against independent routes.
+
+The library searches a bounded box of pairing vectors; these tests hold it
+to the original bounded coefficient search (live on rank <= 3, frozen on
+rank 4), to textbook values, and to the defining pairing conditions on the
+exceptional and rank-5 systems the original search could not reach.
+"""
+
+import pytest
+
+from weylwords.affine import translation
+from weylwords.cartan import build_root_system, sub_system
+from weylwords.words import _translation_lambda, prefix_element, translation_word
+
+from oracles import bounded_translation_search, proper_pairs
+from translation_lambdas import LAMBDAS
+
+
+def _full(label):
+    rs = build_root_system(label)
+    return rs, sub_system(rs, rs.index_set)
+
+
+def _pairings(rs, lam):
+    """<alpha_j, lambda> for j = 1..rank, read off the Cartan matrix."""
+    return [sum(c * rs.cartan[i][j] for i, c in enumerate(lam)) for j in range(rs.rank)]
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2"])
+def test_word_matches_bounded_search(label):
+    rs = build_root_system(label)
+    for J, K in proper_pairs(rs.rank):
+        word = translation_word(sub_system(rs, J), K)
+        lam = bounded_translation_search(rs.cartan, J, K)
+        assert word.head == ()
+        assert prefix_element(word, len(word.period)) == translation(rs, lam), (J, K)
+
+
+@pytest.mark.parametrize("label", ["A4", "B4", "C4", "D4", "F4"])
+def test_lambda_matches_frozen_search(label):
+    rs = build_root_system(label)
+    cases = {(J, K): lam for (lb, J, K), lam in LAMBDAS.items() if lb == label}
+    assert len(cases) == 3 ** 4 - 2 ** 4
+    for (J, K), lam in cases.items():
+        assert _translation_lambda(sub_system(rs, J), K) == lam, (J, K)
+
+
+def test_e8_lambda_is_rho_check():
+    _, full = _full("E8")
+    assert _translation_lambda(full, ()) == (46, 68, 91, 135, 110, 84, 57, 29)
+
+
+HIGH_RANK = [("E6", ()), ("E7", ()), ("E8", ()), ("B5", ()), ("F4", ())] + [
+    ("D5", (k,)) for k in range(1, 6)
+]
+
+
+@pytest.mark.parametrize("label,K", HIGH_RANK)
+def test_high_rank_lambda_pairs_to_zero_on_k_and_positively_elsewhere(label, K):
+    rs, full = _full(label)
+    lam = _translation_lambda(full, K)
+    for j, p in enumerate(_pairings(rs, lam), start=1):
+        assert p == 0 if j in K else p > 0, (j, p)
+
+
+@pytest.mark.parametrize("label", ["A5", "B5", "D5", "E6", "E7", "E8", "F4", "G2"])
+def test_lambda_for_empty_k_is_rho_check_when_integral(label):
+    # Every pairing is at least 1 and the inverse Cartan matrix is
+    # non-negative, so rho-check (all pairings 1) is the least candidate
+    # whenever it lies in the coroot lattice.
+    rs, full = _full(label)
+    two_rho = [sum(col) for col in zip(*(rs.coroot_coords(r) for r in rs.positive_roots))]
+    lam = _translation_lambda(full, ())
+    if all(x % 2 == 0 for x in two_rho):
+        assert lam == tuple(x // 2 for x in two_rho)
+    else:
+        assert all(2 * c >= x for c, x in zip(lam, two_rho))
+
+
+@pytest.mark.parametrize("label", ["E6", "F4"])
+def test_full_word_period_is_the_translation_length(label):
+    rs, full = _full(label)
+    word = translation_word(full, ())
+    lam = _translation_lambda(full, ())
+    pairs = _pairings(rs, lam)
+    assert len(word.period) == sum(
+        sum(a * p for a, p in zip(alpha, pairs)) for alpha in rs.positive_roots
+    )
+    assert prefix_element(word, len(word.period)) == translation(rs, lam)
