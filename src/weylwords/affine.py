@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import takewhile
 from typing import NamedTuple
 
 from .cartan import (
@@ -161,16 +162,8 @@ class AffineElement:
         if beta.classical is None:
             return beta
         eps = self.finite.apply(beta.classical)
-        return AffineRoot(beta.level - _coroot_pairing(self.rs, eps, self.translation), eps)
-
-
-def _coroot_pairing(rs: RootSystem, eps: Root, coords: tuple[int, ...]) -> int:
-    """(eps | lambda) for lambda given over the simple coroots; an integer."""
-    total = 0
-    for i, c in enumerate(coords, start=1):
-        if c:
-            total += c * rs.simple_coroot_pairing(eps, i)
-    return total
+        pairing = self.rs.coroot_pairing(eps, self.translation)
+        return AffineRoot(beta.level - pairing, eps)
 
 
 def affine_identity(rs: RootSystem) -> AffineElement:
@@ -280,35 +273,27 @@ def affine_inversion_set(x: AffineElement, sub: SubSystem) -> frozenset[AffineRo
     iff m + (eps|lambda) < 0, or the sum is 0 and w-inverse sends eps
     negative.  Finite for every element of the subgroup.
     """
-    if not in_weyl_subgroup(x, sub):
-        raise ValueError("element is not in the subgroup for J")
-    rs = x.rs
-    w_inv = x.finite.inverse
-    out = set()
-    for eps in sub.roots:
-        c = _coroot_pairing(rs, eps, x.translation)
-        start = 0 if is_positive(eps) else 1
-        for m in range(start, -c):
-            out.add(AffineRoot(m, eps))
-        if -c >= start and not is_positive(w_inv.apply(eps)):
-            out.add(AffineRoot(-c, eps))
-    return frozenset(out)
+    return frozenset(
+        AffineRoot(m, eps) for eps, levels in _inverted_levels(x, sub) for m in levels
+    )
 
 
 def affine_length(x: AffineElement, sub: SubSystem) -> int:
     """Length over the subsystem's letters, by counting inversions."""
+    return sum(len(levels) for _, levels in _inverted_levels(x, sub))
+
+
+def _inverted_levels(x: AffineElement, sub: SubSystem):
+    """Each root eps of the subsystem with the range of levels m at which
+    m*delta + eps is an inversion of x (see ``affine_inversion_set``)."""
     if not in_weyl_subgroup(x, sub):
         raise ValueError("element is not in the subgroup for J")
-    rs = x.rs
     w_inv = x.finite.inverse
-    total = 0
     for eps in sub.roots:
-        c = _coroot_pairing(rs, eps, x.translation)
+        c = x.rs.coroot_pairing(eps, x.translation)
         start = 0 if is_positive(eps) else 1
-        total += max(0, -c - start)
-        if -c >= start and not is_positive(w_inv.apply(eps)):
-            total += 1
-    return total
+        stop = -c + (-c >= start and not is_positive(w_inv.apply(eps)))
+        yield eps, range(start, stop)
 
 
 def affine_reduced_word(x: AffineElement, sub: SubSystem) -> tuple[Letter, ...]:
@@ -366,28 +351,43 @@ def element_from_affine_inversions(F, sub: SubSystem) -> AffineElement:
     return result
 
 
+class _Ball:
+    """Breadth-first search of the Cayley graph, grown on demand.
+
+    ``dist`` gains elements in order of distance, so the elements within any
+    radius reached so far are a prefix of it.
+    """
+
+    def __init__(self, sub: SubSystem):
+        self.gens = [letter_element(sub, letter) for letter in letters_of(sub)]
+        self.dist: dict[AffineElement, int] = {affine_identity(sub.rs): 0}
+        self.frontier = list(self.dist)
+        self.radius = 0
+
+    def grow(self, radius: int) -> None:
+        while self.frontier and self.radius < radius:
+            self.radius += 1
+            new = []
+            for x in self.frontier:
+                for g in self.gens:
+                    y = x * g
+                    if y not in self.dist:
+                        self.dist[y] = self.radius
+                        new.append(y)
+            self.frontier = new
+
+
 @lru_cache(maxsize=None)
-def _bfs_cached(sub: SubSystem, max_length: int):
-    gens = [letter_element(sub, letter) for letter in letters_of(sub)]
-    dist: dict[AffineElement, int] = {affine_identity(sub.rs): 0}
-    frontier = [affine_identity(sub.rs)]
-    depth = 0
-    while frontier and depth < max_length:
-        depth += 1
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in dist:
-                    dist[y] = depth
-                    new.append(y)
-        frontier = new
-    return dist
+def _bfs_cached(sub: SubSystem) -> _Ball:
+    return _Ball(sub)
 
 
 def bfs_elements(sub: SubSystem, max_length: int) -> dict[AffineElement, int]:
     """Cayley-graph distances from the identity, out to the given radius."""
-    return dict(_bfs_cached(sub, max_length))
+    ball = _bfs_cached(sub)
+    ball.grow(max_length)
+    limit = max(max_length, 0)
+    return dict(takewhile(lambda item: item[1] <= limit, ball.dist.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -160,34 +160,49 @@ def _check_window_member(sub: SubSystem, beta: AffineRoot, cutoff: int) -> None:
 
 @lru_cache(maxsize=None)
 def _window_sum_triples(sub: SubSystem, cutoff: int):
-    """All (a, b, a+b) with every part in the level-bounded window."""
+    """The level-bounded window's root-to-index map, and every index triple
+    (i, j, k) with i <= j and window[i] + window[j] = window[k].
+
+    Pairs are formed per classical part (None for imaginary roots): only
+    parts whose sum is a root or zero meet, at every pair of levels.
+    """
     window = affine_window(sub, cutoff)
-    window_set = frozenset(window)
-    rs = sub.rs
+    index = {beta: t for t, beta in enumerate(window)}
+    levels: dict[Root | None, dict[int, int]] = {}
+    for beta, t in index.items():
+        levels.setdefault(beta.classical, {})[beta.level] = t
     triples = []
-    for i, a in enumerate(window):
-        for b in window[i:]:
-            total = affine_add(a, b, rs)
-            if total is not None and total in window_set:
-                triples.append((a, b, total))
-    return tuple(triples)
+    for a, a_levels in levels.items():
+        for b, b_levels in levels.items():
+            total = affine_add(AffineRoot(1, a), AffineRoot(0, b), sub.rs)
+            if total is None or total.classical not in levels:
+                continue
+            sums = levels[total.classical]
+            for m, i in a_levels.items():
+                for n, j in b_levels.items():
+                    if i <= j and (k := sums.get(m + n)) is not None:
+                        triples.append((i, j, k))
+    return index, tuple(triples)
 
 
 def is_biconvex_window(S, sub: SubSystem, cutoff: int) -> bool:
     """Pairwise closure test inside the level-bounded window.
 
     Checks both closure of S and closure of its complement for every pair
-    of window roots whose sum stays in the window.  Necessary at every
-    cutoff; exact for sets that agree with a tail pattern beyond it.
+    of window roots whose sum stays in the window: membership is marked in
+    a flat list by window index and the cached index triples are scanned.
+    Necessary at every cutoff; exact for sets that agree with a tail
+    pattern beyond it.
     """
-    S = frozenset(S)
+    index, triples = _window_sum_triples(sub, cutoff)
+    member = [False] * len(index)
     for beta in S:
-        _check_window_member(sub, beta, cutoff)
-    for a, b, total in _window_sum_triples(sub, cutoff):
-        in_a, in_b = a in S, b in S
-        if in_a and in_b and total not in S:
-            return False
-        if not in_a and not in_b and total in S:
+        t = index.get(beta)
+        if t is None:
+            _check_window_member(sub, beta, cutoff)  # raises: not in the window
+        member[t] = True
+    for i, j, k in triples:
+        if member[i] == member[j] != member[k]:
             return False
     return True
 
@@ -332,14 +347,9 @@ def enumerate_biconvex(
         raise ValueError(
             f"window has {len(window)} roots, above the limit {window_limit}"
         )
-    rs = sub.rs
-    index = {beta: t for t, beta in enumerate(window)}
     pair_lists: list[list[tuple[int, int]]] = [[] for _ in window]
-    for i, a in enumerate(window):
-        for j in range(i, len(window)):
-            total = affine_add(a, window[j], rs)
-            if total is not None and total in index:
-                pair_lists[index[total]].append((i, j))
+    for i, j, k in _window_sum_triples(sub, cutoff)[1]:
+        pair_lists[k].append((i, j))
 
     chosen: list[int] = []
     status = [False] * len(window)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 Root = tuple[int, ...]
 
@@ -181,7 +181,7 @@ def height(root: Root) -> int:
 
 
 def is_positive(root: Root) -> bool:
-    return any(c > 0 for c in root)
+    return max(root, default=0) > 0
 
 
 def negate(root: Root) -> Root:
@@ -221,10 +221,21 @@ class RootSystem:
     def positive_roots(self) -> tuple[Root, ...]:
         return tuple(r for r in self.roots if is_positive(r))
 
+    @cached_property
+    def simple_roots(self) -> tuple[Root, ...]:
+        return tuple(
+            tuple(int(j == i) for j in range(self.rank)) for i in range(self.rank)
+        )
+
+    @cached_property
+    def _coroots(self) -> dict[Root, tuple[int, ...]]:
+        """Root to simple-coroot coordinates, by the exact rational formula."""
+        return {root: self._rational_coroot_coords(root) for root in self.roots}
+
     def simple_root(self, i: int) -> Root:
         if not 1 <= i <= self.rank:
             raise ValueError(f"simple root index {i} out of range")
-        return tuple(int(j == i - 1) for j in range(self.rank))
+        return self.simple_roots[i - 1]
 
     def pairing(self, a, b) -> Fraction:
         """The bilinear form (a|b) on the span of the simple roots."""
@@ -236,23 +247,40 @@ class RootSystem:
                         total += Fraction(ai) * Fraction(bj) * self.gram[i][j]
         return total
 
-    def simple_coroot_pairing(self, v, i: int) -> Fraction:
+    def simple_coroot_pairing(self, v, i: int) -> int | Fraction:
         """(v | alpha_i-check) = 2(v|alpha_i)/(alpha_i|alpha_i).
 
         Integer-valued (and returned as int) whenever ``v`` is an integer
         vector, since the entries <alpha_j, alpha_i-check> are the Cartan
         entries a[i][j].
         """
-        row = self.cartan[i - 1]
-        if all(isinstance(c, int) for c in v):
-            return sum(c * aij for c, aij in zip(v, row))
-        return sum(Fraction(c) * aij for c, aij in zip(v, row))
+        return sum(c * aij for c, aij in zip(v, self.cartan[i - 1]))
+
+    def coroot_pairing(self, v, coords) -> int:
+        """<v, lambda> for lambda = sum_i coords_i alpha_i-check.
+
+        Each <v, alpha_i-check> is the Cartan row i times v, so an integer
+        vector gives integer work only.
+        """
+        return sum(
+            c * sum(x * a for x, a in zip(v, row))
+            for c, row in zip(coords, self.cartan) if c
+        )
 
     def reflect(self, root: Root, v):
-        """Image of the vector ``v`` under the reflection in ``root``."""
-        coeff = 2 * self.pairing(v, root) / self.pairing(root, root)
-        if coeff.denominator == 1:
-            coeff = int(coeff)
+        """Image of the vector ``v`` under the reflection in ``root``.
+
+        For a root of the system the coefficient <v, root-check> pairs v
+        with the table's coroot coordinates: integer work for an integer v.
+        Any other vector takes the rational formula 2(v|root)/(root|root).
+        """
+        coords = self._coroots.get(root)
+        if coords is None:
+            coeff = 2 * self.pairing(v, root) / self.pairing(root, root)
+            if coeff.denominator == 1:
+                coeff = int(coeff)
+        else:
+            coeff = self.coroot_pairing(v, coords)
         return tuple(x - coeff * r for x, r in zip(v, root))
 
     def simple_reflect(self, i: int, v):
@@ -272,9 +300,16 @@ class RootSystem:
     def coroot_coords(self, root: Root) -> tuple[int, ...]:
         """Coordinates of the coroot of ``root`` over the simple coroots.
 
-        Uses alpha_j = d_j alpha_j-check; the result is always integral
-        for crystallographic systems.
+        A lookup in the system's table, which holds every root's coordinates
+        computed once by the exact formula; any other vector is computed on
+        the spot by the same formula.
         """
+        coords = self._coroots.get(root)
+        return self._rational_coroot_coords(root) if coords is None else coords
+
+    def _rational_coroot_coords(self, root: Root) -> tuple[int, ...]:
+        """2 d_j c_j/(root|root) for each coordinate c_j, where alpha_j =
+        d_j alpha_j-check; always integral for crystallographic systems."""
         norm = self.pairing(root, root)
         coords = []
         for c, d in zip(root, self.symmetrizer):

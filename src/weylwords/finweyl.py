@@ -47,9 +47,7 @@ class WeylElement:
 
     @property
     def is_identity(self) -> bool:
-        return all(
-            img == self.rs.simple_root(i + 1) for i, img in enumerate(self.images)
-        )
+        return self.images == self.rs.simple_roots
 
     def apply(self, v):
         """Image of a lattice vector (coordinates over the simple roots)."""
@@ -65,44 +63,43 @@ class WeylElement:
             raise ValueError("cannot multiply elements over different root systems")
         return WeylElement(self.rs, tuple(self.apply(img) for img in other.images))
 
+    def _times_simple(self, i: int) -> WeylElement:
+        """self * s_i, which sends alpha_j to self(alpha_j) - a[i][j] self(alpha_i)."""
+        pivot = self.images[i - 1]
+        return WeylElement(self.rs, tuple(
+            tuple(x - a * p for x, p in zip(img, pivot)) if a else img
+            for img, a in zip(self.images, self.rs.cartan[i - 1])
+        ))
+
     @cached_property
     def inverse(self) -> WeylElement:
         w = identity(self.rs)
-        for i in self._right_greedy_suffix:
-            w = w * simple_reflection(self.rs, i)
+        for i in self._right_descents:
+            w = w._times_simple(i)
         return w
 
     @cached_property
-    def _right_greedy_suffix(self) -> tuple[int, ...]:
-        """Indices i_1, i_2, ... with self = s_{i_n} ... s_{i_1}."""
-        letters = []
+    def _right_descents(self) -> tuple[int, ...]:
+        """Indices i_1, i_2, ... with self = s_{i_n} ... s_{i_1}, each the
+        smallest right descent left; only the identity has none."""
+        letters: list[int] = []
         v = self
-        while not v.is_identity:
-            for i in self.rs.index_set:
-                if not is_positive(v.images[i - 1]):
-                    letters.append(i)
-                    v = v * simple_reflection(self.rs, i)
+        while True:
+            for i, img in enumerate(v.images, start=1):
+                if not is_positive(img):
                     break
             else:
-                raise RuntimeError("element has no descent but is not the identity")
-        return tuple(letters)
+                return tuple(letters)
+            if len(letters) == len(self.rs.roots) // 2:
+                raise RuntimeError("descents outlast the longest element")
+            letters.append(i)
+            v = v._times_simple(i)
 
     @cached_property
     def word(self) -> tuple[int, ...]:
-        """Reduced word by greedy left descent, smallest index first."""
-        word = []
-        x, x_inv = self, self.inverse
-        while not x.is_identity:
-            for i in self.rs.index_set:
-                if not is_positive(x_inv.apply(self.rs.simple_root(i))):
-                    word.append(i)
-                    s = simple_reflection(self.rs, i)
-                    x = s * x
-                    x_inv = x_inv * s
-                    break
-            else:
-                raise RuntimeError("element has no descent but is not the identity")
-        return tuple(word)
+        """Reduced word by greedy left descent, smallest index first: the
+        left descents of an element are the right descents of its inverse."""
+        return self.inverse._right_descents
 
     @property
     def length(self) -> int:
@@ -119,17 +116,27 @@ class WeylElement:
 
     @cached_property
     def _coroot_images(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            self.rs.coroot_coords(self.apply(self.rs.simple_root(i)))
-            for i in self.rs.index_set
-        )
+        return tuple(self.rs.coroot_coords(img) for img in self.images)
+
+
+@lru_cache(maxsize=None)
+def _generators(rs: RootSystem) -> tuple[WeylElement, ...]:
+    """The identity followed by s_1 .. s_rank, built once per root system."""
+    return (WeylElement(rs, rs.simple_roots),) + tuple(
+        WeylElement(rs, tuple(rs.simple_reflect(i, a) for a in rs.simple_roots))
+        for i in rs.index_set
+    )
 
 
 def identity(rs: RootSystem) -> WeylElement:
-    return WeylElement(rs, tuple(rs.simple_root(i) for i in rs.index_set))
+    return _generators(rs)[0]
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
+    if 1 <= i <= rs.rank:
+        return _generators(rs)[i]
+    # Unvalidated indices keep the plain formula's answer: the identity for
+    # 0, an IndexError past the rank.
     return WeylElement(
         rs, tuple(rs.simple_reflect(i, rs.simple_root(j)) for j in rs.index_set)
     )
@@ -140,7 +147,7 @@ def reflection(rs: RootSystem, root: Root) -> WeylElement:
     if root not in rs.root_set:
         raise ValueError(f"{root} is not a root")
     return WeylElement(
-        rs, tuple(rs.reflect(root, rs.simple_root(j)) for j in rs.index_set)
+        rs, tuple(rs.reflect(root, a) for a in rs.simple_roots)
     )
 
 
@@ -169,16 +176,14 @@ def in_subgroup(w: WeylElement, sub: SubSystem) -> bool:
 
 @lru_cache(maxsize=None)
 def _weyl_elements_cached(sub: SubSystem) -> tuple[WeylElement, ...]:
-    rs = sub.rs
-    gens = [simple_reflection(rs, j) for j in sub.J]
-    order: list[WeylElement] = [identity(rs)]
+    order: list[WeylElement] = [identity(sub.rs)]
     seen = {order[0]}
     frontier = [order[0]]
     while frontier:
         new = []
         for w in frontier:
-            for g in gens:
-                v = w * g
+            for j in sub.J:
+                v = w._times_simple(j)
                 if v not in seen:
                     seen.add(v)
                     new.append(v)

@@ -292,13 +292,9 @@ def check_translation_words(labels=("A1", "A2", "C2"), cutoff=6) -> CheckResult:
 def _action_formula(x, word, cutoff):
     sub = word.sub
     rs = sub.rs
-    shift = 0
-    for eps in sub.roots:
-        value = sum(
-            c * rs.simple_coroot_pairing(eps, i)
-            for i, c in enumerate(x.translation, start=1)
-        )
-        shift = max(shift, abs(value))
+    shift = max(
+        (abs(rs.coroot_pairing(eps, x.translation)) for eps in sub.roots), default=0
+    )
     source = limit_inversions(word, cutoff + shift)
     moved = {x.act(b) for b in source}
     omega = {b for b in moved if not b.is_positive}

@@ -25,7 +25,6 @@ from .affine import (
     AffineElement,
     AffineRoot,
     Letter,
-    _coroot_pairing,
     affine_identity,
     affine_inversion_set,
     affine_reduced_word,
@@ -128,7 +127,7 @@ class InfiniteWord:
         slopes = []
         for r in range(1, n + 1):
             c_r = rho.act(letter_root(sub, period[r - 1]))
-            slope = -_coroot_pairing(sub.rs, c_r.classical, nu)
+            slope = -sub.rs.coroot_pairing(c_r.classical, nu)
             if slope < 1:
                 raise ValueError(
                     "not an infinite reduced word: a periodic inversion"

@@ -149,3 +149,27 @@ def proper_pairs(rank):
             for K in sorted(map(sorted, subsets(J)), key=lambda s: (len(s), s)):
                 if len(K) < len(J):
                     yield tuple(J), tuple(K)
+
+
+def biconvex_by_closure(S, window):
+    """Whether S and its complement in the window are both closed under sums.
+
+    Roots are (level, classical) pairs with None for the imaginary classical
+    part; a sum of two roots counts only when the vector lands in the window.
+    Written from the definition over frozensets of vectors, with no index
+    tables.
+    """
+    def vector(beta):
+        level, classical = beta
+        return (level,) + tuple(classical or (0,) * rank)
+
+    rank = next(len(c) for _, c in window if c is not None)
+    vectors = frozenset(map(vector, window))
+    inside = frozenset(map(vector, S))
+    for part in (inside, vectors - inside):
+        for a in part:
+            for b in part:
+                total = tuple(x + y for x, y in zip(a, b))
+                if total in vectors and total not in part:
+                    return False
+    return True

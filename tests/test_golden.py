@@ -1,0 +1,38 @@
+"""Frozen outputs: CLI JSON and suite check counts must not move.
+
+The data in ``tests/golden/`` was produced by ``tests/golden_cases.py``;
+its docstring gives the command that regenerates it.
+"""
+
+import json
+
+import pytest
+
+from weylwords.verify import SUITES
+
+from golden_cases import CHECKS_FILE, CLI_FILE, run_cli
+
+CLI_RECORDS = json.loads(CLI_FILE.read_text())
+CHECKS = json.loads(CHECKS_FILE.read_text())
+
+
+def test_golden_covers_every_type_and_command():
+    seen = {(r["argv"][r["argv"].index("--type") + 1], r["argv"][0]) for r in CLI_RECORDS}
+    for label in ("A1", "A2", "A3", "B2", "C2", "G2"):
+        for command in ("weyl", "biconvex", "word"):
+            assert (label, command) in seen
+    actions = {r["argv"][1] for r in CLI_RECORDS if r["argv"][0] == "biconvex"}
+    assert actions == {"realize", "parametrize", "classify", "enumerate"}
+    assert set(CHECKS) == set(SUITES)
+
+
+@pytest.mark.parametrize("record", CLI_RECORDS, ids=lambda r: " ".join(r["argv"][:3]))
+def test_cli_output_matches_golden(record):
+    assert run_cli(record["argv"]) == (record["exit"], record["stdout"])
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_suite_check_count_matches_golden(name):
+    result = SUITES[name]()
+    assert result.passed, result.counterexamples[:3]
+    assert result.checked == CHECKS[name]

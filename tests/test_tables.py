@@ -1,0 +1,172 @@
+"""The integer root tables against the exact rational routes they replace.
+
+Each check fails if a single table entry is wrong: the coroot coordinates
+of every root of every built-in type, the integer reflection coefficient,
+the shared simple reflections, and the window test's index triples (through
+``is_biconvex_window`` against a frozenset closure test).
+"""
+
+import random
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from weylwords.affine import affine_inversion_set, affine_window, bfs_elements
+from weylwords.biconvex import is_biconvex_window
+from weylwords.cartan import build_root_system, sub_system
+from weylwords.finweyl import (
+    WeylElement,
+    from_word,
+    identity,
+    simple_reflection,
+    weyl_elements,
+)
+
+from oracles import biconvex_by_closure, subsets
+
+BUILT_IN = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 7)]
+    + [f"C{n}" for n in range(2, 7)] + ["D4", "D5", "D6", "E6", "E7", "E8", "F4", "G2"]
+)
+RANK_AT_MOST_4 = [label for label in BUILT_IN if int(label[1:]) <= 4]
+
+
+def _rational_reflect(rs, root, v, norm=None):
+    """s_root(v) = v - 2(v|root)/(root|root) root over the rational Gram matrix."""
+    coeff = 2 * rs.pairing(v, root) / (norm or rs.pairing(root, root))
+    return tuple(x - coeff * r for x, r in zip(v, root))
+
+
+@pytest.mark.parametrize("label", BUILT_IN)
+def test_coroot_coords_match_the_rational_formula(label):
+    # beta-check = 2 beta/(beta|beta) = sum_j c_j (alpha_j|alpha_j)/(beta|beta) alpha_j-check.
+    rs = build_root_system(label)
+    norms = [rs.pairing(a, a) for a in (rs.simple_root(i) for i in rs.index_set)]
+    for beta in rs.roots:
+        norm = rs.pairing(beta, beta)
+        expected = tuple(Fraction(c) * n / norm for c, n in zip(beta, norms))
+        assert rs.coroot_coords(beta) == expected, beta
+
+
+@pytest.mark.parametrize("label", BUILT_IN)
+def test_reflect_matches_the_rational_formula_on_simple_roots(label):
+    rs = build_root_system(label)
+    simples = [rs.simple_root(i) for i in rs.index_set]
+    for beta in rs.roots:
+        norm = rs.pairing(beta, beta)
+        for v in simples:
+            image = rs.reflect(beta, v)
+            assert image == _rational_reflect(rs, beta, v, norm), (beta, v)
+            assert all(type(x) is int for x in image)
+
+
+@pytest.mark.parametrize("label", RANK_AT_MOST_4)
+def test_reflect_matches_the_rational_formula_on_all_roots(label):
+    rs = build_root_system(label)
+    for beta in rs.roots:
+        norm = rs.pairing(beta, beta)
+        for v in rs.roots:
+            assert rs.reflect(beta, v) == _rational_reflect(rs, beta, v, norm), (beta, v)
+
+
+def test_reflect_outside_the_table_takes_the_rational_route():
+    rs = build_root_system("G2")
+    half = (Fraction(1, 2), Fraction(1, 3))
+    assert rs.reflect((1, 0), half) == _rational_reflect(rs, (1, 0), half)
+    assert rs.reflect((2, 0), (0, 1)) == rs.reflect((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize("label", BUILT_IN)
+def test_shared_simple_reflections_match_simple_reflect(label):
+    rs = build_root_system(label)
+    simples = tuple(rs.simple_root(i) for i in rs.index_set)
+    assert identity(rs).images == simples
+    assert identity(rs) is identity(rs)
+    for i in rs.index_set:
+        built = WeylElement(rs, tuple(rs.simple_reflect(i, a) for a in simples))
+        assert simple_reflection(rs, i) == built
+        assert simple_reflection(rs, i) is simple_reflection(rs, i)
+        assert (built * built).is_identity
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "G2"])
+def test_products_with_simple_reflections_and_inverses(label):
+    rs = build_root_system(label)
+    for w in weyl_elements(sub_system(rs, rs.index_set)):
+        for i in rs.index_set:
+            assert w._times_simple(i) == w * simple_reflection(rs, i)
+        assert (w * w.inverse).is_identity
+        assert from_word(rs, w.word) == w
+        assert w.inverse.length == w.length
+
+
+def _window(label, cutoff):
+    rs = build_root_system(label)
+    full = sub_system(rs, rs.index_set)
+    return full, affine_window(full, cutoff)
+
+
+def test_window_test_matches_closure_on_every_a1_subset():
+    full, window = _window("A1", 2)
+    assert len(window) == 7
+    verdicts = set()
+    for S in subsets(window):
+        verdict = is_biconvex_window(S, full, 2)
+        assert verdict == biconvex_by_closure(S, window), sorted(map(str, S))
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def _biconvex_seeds(label, cutoff):
+    """Inversion windows of short elements and their complements."""
+    full, window = _window(label, cutoff)
+    seeds = []
+    for x in bfs_elements(full, 3):
+        inv = frozenset(b for b in affine_inversion_set(x, full) if b.level <= cutoff)
+        seeds += [inv, frozenset(window) - inv]
+    return seeds
+
+
+WINDOW_KEYS = [(label, cutoff) for label in ("A2", "B2", "G2") for cutoff in (1, 2)]
+
+
+@lru_cache(maxsize=None)
+def _window_case(key):
+    return _window(*key), _biconvex_seeds(*key)
+
+
+@st.composite
+def window_subsets(draw):
+    key = draw(st.sampled_from(WINDOW_KEYS))
+    (full, window), seeds = _window_case(key)
+    if draw(st.booleans()):
+        S = draw(st.sets(st.sampled_from(window)))
+    else:
+        # A biconvex set with up to two roots toggled, near the boundary.
+        S = set(draw(st.sampled_from(seeds)))
+        for beta in draw(st.lists(st.sampled_from(window), max_size=2)):
+            S ^= {beta}
+    return key, full, window, frozenset(S)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(window_subsets())
+def test_window_test_matches_closure_on_random_subsets(case):
+    (label, cutoff), full, window, S = case
+    assert is_biconvex_window(S, full, cutoff) == biconvex_by_closure(S, window)
+
+
+@pytest.mark.parametrize("key", WINDOW_KEYS)
+def test_window_test_accepts_every_seed(key):
+    (full, window), seeds = _window_case(key)
+    cutoff = key[1]
+    rng = random.Random(7)
+    for S in seeds:
+        assert is_biconvex_window(S, full, cutoff) and biconvex_by_closure(S, window)
+        beta = rng.choice(window)
+        toggled = S ^ {beta}
+        assert is_biconvex_window(toggled, full, cutoff) == biconvex_by_closure(
+            toggled, window
+        )
