@@ -1,17 +1,18 @@
 """Golden data: frozen CLI outputs and verify-suite check counts.
 
-``tests/golden/cli.json`` lists fixed ``weyl``, ``biconvex`` and ``word
-make`` calls on A1, A2, A3, B2, C2 and G2 with their exit codes and JSON
-output; ``tests/golden/checks.json`` holds every verify suite's check count
+``tests/golden/cli.json`` lists fixed ``weyl``, ``biconvex`` and ``word``
+(make, act, classify, equiv) calls on A1, A2, A3, B2, C2 and G2 with their
+exit codes and JSON output; ``tests/golden/checks.json`` holds every verify suite's check count
 at its acceptance bounds (the suite defaults).  ``tests/test_golden.py``
 replays both.  A refactor must leave them unchanged; regenerate them only
 for an intended change of output, from the repository root:
 
     PYTHONPATH=src:tests python tests/golden_cases.py
 
-The call list is built here from parameters written out below; the view
-and window arguments are materialized once, while regenerating, and stored
-verbatim with each call.
+The call list is built here from parameters written out below; the view,
+window and word arguments are materialized once, while regenerating, and
+stored verbatim with each call.  The words given to ``word classify`` and
+``word equiv`` include ``word act`` outputs, which carry non-empty heads.
 """
 
 import contextlib
@@ -108,6 +109,9 @@ def calls():
         WindowSet, param_from_json, realize, view_to_json, window_of_view,
     )
     from weylwords.cartan import build_root_system, sub_system
+    from weylwords.words import (
+        act_on_word, classify_word, translation_word, word_of_param, word_to_json,
+    )
 
     out = []
     for label in WEYL_WORDS:
@@ -149,6 +153,24 @@ def calls():
             if len(data["K"]) < len(data["J"]):
                 out.append(["word", "make", "--type", label, "--param", json.dumps(data),
                             "--cutoff", "3"])
+        xs = [ELEMENTS[label], _y([0] * len(full), [1])]
+        proper = _proper_subsets(full)
+        for K in proper[:1] + proper[1:][-1:]:
+            base = translation_word(sub, K)
+            out.append(["word", "classify", "--type", label,
+                        "--word", json.dumps(word_to_json(base))])
+            for data in xs:
+                out.append(["word", "act", "--type", label, "--word",
+                            json.dumps(word_to_json(base)), "--x", json.dumps(data)])
+                acted = act_on_word(element_from_json(rs, data), base)
+                standard = word_of_param(classify_word(acted).param)
+                for word in (acted, standard):
+                    out.append(["word", "classify", "--type", label,
+                                "--word", json.dumps(word_to_json(word))])
+                for other in (base, standard):
+                    out.append(["word", "equiv", "--type", label,
+                                "--word", json.dumps(word_to_json(acted)),
+                                "--word2", json.dumps(word_to_json(other))])
     return out
 
 

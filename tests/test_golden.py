@@ -23,6 +23,11 @@ def test_golden_covers_every_type_and_command():
             assert (label, command) in seen
     actions = {r["argv"][1] for r in CLI_RECORDS if r["argv"][0] == "biconvex"}
     assert actions == {"realize", "parametrize", "classify", "enumerate"}
+    word_calls = {(r["argv"][r["argv"].index("--type") + 1], r["argv"][1])
+                  for r in CLI_RECORDS if r["argv"][0] == "word"}
+    for label in ("A1", "A2", "A3", "B2", "C2", "G2"):
+        for action in ("make", "act", "classify", "equiv"):
+            assert (label, action) in word_calls
     assert set(CHECKS) == set(SUITES)
 
 
