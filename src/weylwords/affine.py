@@ -28,7 +28,6 @@ from .cartan import (
     height,
     is_positive,
     negate,
-    sub_system,
 )
 from .finweyl import (
     WeylElement,
@@ -211,9 +210,9 @@ def in_weyl_subgroup(x: AffineElement, sub: SubSystem) -> bool:
 
 
 def delta_height(rs: RootSystem) -> int:
-    """Height of delta: one more than the height of the highest root."""
-    full = sub_system(rs, rs.index_set)
-    return height(full.highest_roots[0]) + 1
+    """Height of delta: one more than the height of the highest root, which
+    is the last of the roots sorted by (height, coordinates)."""
+    return height(rs.roots[-1]) + 1
 
 
 def affine_height(rs: RootSystem, beta: AffineRoot) -> int:
@@ -232,10 +231,7 @@ def affine_window(
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
     rs = sub.rs
-    out = []
-    for eps in sub.roots:
-        start = 0 if is_positive(eps) else 1
-        out.extend(AffineRoot(m, eps) for m in range(start, cutoff + 1))
+    out = list(tower(rs, sub.roots, cutoff))
     if include_imaginary:
         out.extend(AffineRoot(m, None) for m in range(1, cutoff + 1))
     return tuple(

@@ -18,6 +18,7 @@ from .cartan import (
     Root,
     RootSystem,
     SubSystem,
+    check_subset,
     complement_roots,
     is_positive,
     sub_system,
@@ -62,10 +63,8 @@ class BiconvexParam:
         sub = self.sub
         if not sub.J:
             raise ValueError("parameters require a non-empty J")
-        K = tuple(sorted(set(self.K)))
+        K = check_subset(sub, self.K)
         object.__setattr__(self, "K", K)
-        if not set(K) <= set(sub.J):
-            raise ValueError(f"K={K} is not a subset of J={sub.J}")
         if not in_subgroup(self.u, sub):
             raise ValueError("u is not in the finite Weyl group of J")
         if any(not is_positive(self.u.images[k - 1]) for k in K):

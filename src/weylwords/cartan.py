@@ -247,12 +247,10 @@ class RootSystem:
                         total += Fraction(ai) * Fraction(bj) * self.gram[i][j]
         return total
 
-    def simple_coroot_pairing(self, v, i: int) -> int | Fraction:
-        """(v | alpha_i-check) = 2(v|alpha_i)/(alpha_i|alpha_i).
-
-        Integer-valued (and returned as int) whenever ``v`` is an integer
-        vector, since the entries <alpha_j, alpha_i-check> are the Cartan
-        entries a[i][j].
+    def simple_coroot_pairing(self, v, i: int) -> int:
+        """(v | alpha_i-check) = 2(v|alpha_i)/(alpha_i|alpha_i), an integer
+        for an integer vector ``v``: it is v times the Cartan row i, whose
+        entries a[i][j] are <alpha_j, alpha_i-check>.
         """
         return sum(c * aij for c, aij in zip(v, self.cartan[i - 1]))
 
@@ -407,13 +405,6 @@ class SubSystem:
     def negatives(self) -> tuple[Root, ...]:
         return tuple(r for r in self.roots if not is_positive(r))
 
-    def component_of(self, j: int) -> int:
-        """1-based index of the component containing j."""
-        for c, comp in enumerate(self.components, start=1):
-            if j in comp:
-                return c
-        raise ValueError(f"index {j} not in J={self.J}")
-
 
 @lru_cache(maxsize=None)
 def _sub_system_cached(rs: RootSystem, J: tuple[int, ...]) -> SubSystem:
@@ -463,16 +454,21 @@ def sub_system(rs: RootSystem, J) -> SubSystem:
     return _sub_system_cached(rs, J)
 
 
+def check_subset(sub: SubSystem, K) -> tuple[int, ...]:
+    """K as a sorted tuple; raises ValueError unless K lies inside J."""
+    K = tuple(sorted(set(K)))
+    if not set(K) <= set(sub.J):
+        raise ValueError(f"K={K} is not a subset of J={sub.J}")
+    return K
+
+
 def complement_roots(sub: SubSystem, K, sign: int) -> tuple[Root, ...]:
     """Roots of the subsystem J whose support meets J difference K.
 
     ``sign`` selects the positive (+1) or negative (-1) half.  Empty exactly
     when K covers all of J.
     """
-    K = frozenset(K)
-    if not K <= frozenset(sub.J):
-        raise ValueError(f"K={sorted(K)} is not a subset of J={sub.J}")
-    outside = frozenset(sub.J) - K
+    outside = frozenset(sub.J) - frozenset(check_subset(sub, K))
     return tuple(
         r
         for r in sub.roots

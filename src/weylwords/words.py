@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cartan import RootSystem, SubSystem, cartan_adjugate, sub_system
+from .cartan import RootSystem, SubSystem, cartan_adjugate, check_subset, sub_system
 from .affine import (
     AffineElement,
     AffineRoot,
@@ -28,7 +28,6 @@ from .affine import (
     affine_identity,
     affine_inversion_set,
     affine_reduced_word,
-    element_from_affine_inversions,
     in_weyl_subgroup,
     letter_element,
     letter_from_json,
@@ -37,7 +36,7 @@ from .affine import (
     lift,
     translation,
 )
-from .biconvex import BiconvexParam, realize
+from .biconvex import BiconvexParam, NotBiconvexError, WindowSet, parametrize
 
 
 @dataclass(frozen=True)
@@ -208,11 +207,6 @@ def limit_inversions(word: InfiniteWord, cutoff: int) -> frozenset[AffineRoot]:
     return frozenset(out)
 
 
-def _tail_support(word: InfiniteWord) -> frozenset:
-    st = word._structure
-    return frozenset(prog.classical for row in st.progressions for prog in row)
-
-
 def translation_word(sub: SubSystem, K) -> InfiniteWord:
     """The purely periodic word repeating a reduced word of a translation
     that is orthogonal to K and pairs positively with the rest of J.
@@ -232,9 +226,7 @@ def translation_word(sub: SubSystem, K) -> InfiniteWord:
 
 def _translation_lambda(sub: SubSystem, K) -> tuple[int, ...]:
     """The translation vector of ``translation_word(sub, K)``."""
-    K = tuple(sorted(set(K)))
-    if not set(K) <= set(sub.J):
-        raise ValueError(f"K={K} is not a subset of J={sub.J}")
+    K = check_subset(sub, K)
     if set(K) == set(sub.J):
         raise ValueError("K must be a proper subset of J")
     # Components inside K keep c = 0.  The least overall maximum is the largest
@@ -314,38 +306,27 @@ class WordClass:
 def classify_word(word: InfiniteWord) -> WordClass:
     """Canonical parameters (K, u, y) of the word's inversion set.
 
-    The tail support comes from the word's periodic progressions, (K, u)
-    from its pointed-biclosed factorization, and y by peeling the finite
-    residue.  The result is validated against a truncation of the word's
-    own inversions.
+    ``parametrize`` runs on the word's window: its inversions up to a depth
+    past every head inversion and every progression's first level, with the
+    progressions' classical parts as the tail.  A certified word that fails
+    to parametrize is an internal fault, raised as RuntimeError.
     """
-    sub = word.sub
     st = word._structure
-    tail = _tail_support(word)
-    from .finweyl import factor_pointed_biclosed
-
-    try:
-        K, u = factor_pointed_biclosed(tail, sub)
-    except ValueError as exc:
-        raise RuntimeError(f"word tail is not pointed biclosed: {exc}") from exc
-    residual = [phi for phi in st.heads if phi.classical not in tail]
-    u_inv = u.inverse
-    pulled = frozenset(
-        AffineRoot(b.level, u_inv.apply(b.classical)) for b in residual
-    )
-    try:
-        y = element_from_affine_inversions(pulled, sub_system(sub.rs, K))
-    except ValueError as exc:
-        raise RuntimeError(f"word residue is not an inversion set: {exc}") from exc
-    param = BiconvexParam(sub=sub, K=K, u=u, y=y)
     depth = max(
         [b.level for b in st.heads]
         + [p.base_level for row in st.progressions for p in row]
         + [0]
     ) + 1
-    if realize(param, depth).truncate(depth) != limit_inversions(word, depth):
-        raise RuntimeError("word classification failed to round-trip")
-    return WordClass(param)
+    window = WindowSet(
+        sub=word.sub,
+        cutoff=depth,
+        elements=limit_inversions(word, depth),
+        tail=frozenset(p.classical for row in st.progressions for p in row),
+    )
+    try:
+        return WordClass(parametrize(window))
+    except NotBiconvexError as exc:
+        raise RuntimeError(f"word classification failed: {exc}") from exc
 
 
 def words_equivalent(a: InfiniteWord, b: InfiniteWord) -> bool:

@@ -91,32 +91,20 @@ def subsets(iterable):
         yield frozenset(x for x, b in zip(items, bits) if b)
 
 
-def truncated_action_formula(x, word, cutoff):
-    """The action on inversion sets, evaluated directly from the formula:
+def subgroup_by_supports(images, positives, J):
+    """Whether the element with these simple-root images lies in W_J, from
+    the definition: every root it sends negative has support inside J.
 
-        {inv(x) minus -Omega} union {x inv(word) minus Omega},
-        Omega = x inv(word) intersect negatives,
-
-    truncated to the cutoff level.  Independent of act_on_word: only the
-    word's own inversions and the one-element action are used.
+    An element and its inverse lie in W_J together, so testing the roots w
+    sends negative (the inverse's inversions) decides it.  Images apply by
+    plain linearity over the simple roots.
     """
-    from weylwords.affine import affine_inversion_set
-    from weylwords.words import limit_inversions
-
-    sub = word.sub
-    shift = max(
-        abs(sum(c * sub.rs.simple_coroot_pairing(eps, i) for i, c in
-                enumerate(x.translation, start=1)))
-        for eps in sub.roots
-    ) if sub.roots else 0
-    source = limit_inversions(word, cutoff + shift)
-    moved = {x.act(b) for b in source}
-    omega = {b for b in moved if not b.is_positive}
-    inv_x = affine_inversion_set(x, sub)
-    first = {b for b in inv_x if -b not in omega}
-    second = {b for b in moved - omega}
-    assert not (first & second), "formula parts must be disjoint"
-    return frozenset(b for b in first | second if b.level <= cutoff)
+    for beta in positives:
+        image = [sum(c * img[k] for c, img in zip(beta, images)) for k in range(len(beta))]
+        outside = any(c and k + 1 not in J for k, c in enumerate(beta))
+        if max(image) <= 0 and outside:
+            return False
+    return True
 
 
 def bounded_translation_search(cartan, J, K):

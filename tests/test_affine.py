@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from weylwords.cartan import build_root_system, sub_system
+from weylwords.cartan import build_root_system, height, sub_system
 from weylwords.finweyl import from_word, identity, inversion_set
 from weylwords.affine import (
     AffineRoot,
@@ -14,6 +14,7 @@ from weylwords.affine import (
     affine_reduced_word,
     affine_window,
     bfs_elements,
+    delta_height,
     element_from_affine_inversions,
     from_letters,
     letter_element,
@@ -285,6 +286,17 @@ def test_window_decomposability():
                 for b in window_set
             )
             assert found, f"{beta} is not decomposable"
+
+
+def test_delta_height_is_one_above_the_highest_root():
+    labels = (
+        [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 7)]
+        + [f"C{n}" for n in range(2, 7)] + ["D4", "D5", "D6", "E6", "E7", "E8", "F4", "G2"]
+    )
+    for label in labels:
+        rs = build_root_system(label)
+        top, = sub_system(rs, rs.index_set).highest_roots
+        assert delta_height(rs) == height(top) + 1
 
 
 def test_window_counts_and_order():

@@ -24,7 +24,7 @@ from weylwords.finweyl import (
     weyl_elements,
 )
 
-from oracles import bfs_word_lengths, brute_force_positivize, subsets
+from oracles import bfs_word_lengths, brute_force_positivize, subgroup_by_supports, subsets
 
 
 A2 = build_root_system("A2")
@@ -152,6 +152,19 @@ def test_coset_decompose_everywhere(label):
             assert upper in reps
             assert in_subgroup(lower, sub_system(rs, K))
             assert upper.length + lower.length == w.length
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "G2"])
+def test_in_subgroup_matches_inversion_supports(label):
+    rs = build_root_system(label)
+    elements = weyl_elements(sub_system(rs, rs.index_set))
+    for J in subsets(rs.index_set):
+        sub = sub_system(rs, J)
+        for w in elements:
+            assert in_subgroup(w, sub) == subgroup_by_supports(
+                w.images, rs.positive_roots, J
+            )
+        assert sum(in_subgroup(w, sub) for w in elements) == len(weyl_elements(sub))
 
 
 def test_minimal_coset_reps_are_shortest():

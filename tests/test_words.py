@@ -1,13 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylwords.cartan import build_root_system, sub_system
-from weylwords.finweyl import from_word, identity
+from weylwords.finweyl import from_word, identity, minimal_coset_reps
 from weylwords.affine import (
     AffineRoot,
     Letter,
     affine_identity,
+    affine_inversion_set,
     from_letters,
     letters_of,
     lift,
@@ -15,6 +17,7 @@ from weylwords.affine import (
     translation,
 )
 from weylwords.biconvex import BiconvexParam, realize
+from weylwords.verify import _action_formula
 from weylwords.words import (
     InfiniteWord,
     act_on_word,
@@ -30,7 +33,7 @@ from weylwords.words import (
     words_equivalent,
 )
 
-from oracles import truncated_action_formula
+from oracles import subsets
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -133,8 +136,6 @@ def test_translation_word_rejects_full_k():
 def test_translation_word_inversions_equal_tail(label):
     rs = build_root_system(label)
     full = sub_system(rs, rs.index_set)
-    from oracles import subsets
-
     for J in subsets(rs.index_set):
         if not J:
             continue
@@ -175,7 +176,12 @@ def test_act_matches_formula_oracle():
             word = rng.choice(base_words)
             x = from_letters(sub, [rng.choice(letters) for _ in range(rng.randint(0, 3))])
             acted = act_on_word(x, word)
-            assert limit_inversions(acted, 6) == truncated_action_formula(x, word, 6)
+            assert limit_inversions(acted, 6) == _action_formula(x, word, 6)
+            # The formula's two parts, inside inv(x) and inside x inv(word),
+            # are disjoint: x-inverse sends the first negative, the second
+            # positive.
+            moved = {x.act(b) for b in limit_inversions(word, 12)}
+            assert not affine_inversion_set(x, sub) & moved
 
 
 def test_act_is_a_group_action_on_classes():
@@ -220,7 +226,7 @@ def test_act_with_negative_overlap():
     dragged = {x.act(b) for b in limit_inversions(A1_BASE, 3)}
     assert any(not b.is_positive for b in dragged)
     moved = act_on_word(x, A1_BASE)
-    assert limit_inversions(moved, 6) == truncated_action_formula(x, A1_BASE, 6)
+    assert limit_inversions(moved, 6) == _action_formula(x, A1_BASE, 6)
     assert orbit_invariant(moved) == ()
 
 
@@ -288,6 +294,26 @@ def test_classify_round_trips_through_realize():
             assert realize(param, cutoff).truncate(cutoff) == limit_inversions(
                 acted, cutoff
             )
+        assert classify_word(word_of_param(param)).param == param
+
+
+@st.composite
+def bounded_params(draw, max_y=2):
+    """A parameter triple with K proper in J and y a product of at most
+    max_y letters of K's affine subgroup, on A1-A3, B2, C2 or G2."""
+    rs = build_root_system(draw(st.sampled_from(["A1", "A2", "A3", "B2", "C2", "G2"])))
+    J = draw(st.sampled_from([tuple(sorted(J)) for J in subsets(rs.index_set) if J]))
+    K = draw(st.sampled_from([tuple(sorted(K)) for K in subsets(J) if len(K) < len(J)]))
+    sub, K_sub = sub_system(rs, J), sub_system(rs, K)
+    u = draw(st.sampled_from(minimal_coset_reps(sub, K)))
+    letters = draw(st.lists(st.sampled_from(letters_of(K_sub)), max_size=max_y)) if K else []
+    return BiconvexParam(sub=sub, K=K, u=u, y=from_letters(K_sub, letters))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(bounded_params())
+def test_classify_inverts_word_of_param(param):
+    assert classify_word(word_of_param(param)).param == param
 
 
 def test_orbit_invariant_examples():
