@@ -69,6 +69,15 @@ PARAMS = {
     ],
 }
 
+# Parameters realized at a cutoff below the top of their finite part: the
+# view lists every finite root, the members stop at the cutoff.
+LOW_REALIZE = [
+    ("A1", {"J": [1], "K": [1], "u": [], "y": _y([1])}, "1"),
+    ("A2", {"J": [1, 2], "K": [1], "u": [], "y": _y([1, 0])}, "1"),
+    ("B2", {"J": [1, 2], "K": [1], "u": [2], "y": _y([2, 0], [1])}, "1"),
+    ("G2", {"J": [1, 2], "K": [1], "u": [2, 1, 2], "y": _y([2, 0], [1])}, "1"),
+]
+
 # Affine elements whose finite inversion windows are classified (case a/b).
 ELEMENTS = {
     "A1": _y([1], [1]),
@@ -171,6 +180,9 @@ def calls():
                     out.append(["word", "equiv", "--type", label,
                                 "--word", json.dumps(word_to_json(acted)),
                                 "--word2", json.dumps(word_to_json(other))])
+    for label, data, cutoff in LOW_REALIZE:
+        out.append(["biconvex", "realize", "--type", label, "--param", json.dumps(data),
+                    "--cutoff", cutoff])
     return out
 
 
