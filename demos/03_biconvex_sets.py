@@ -13,7 +13,6 @@ from weylwords.biconvex import (
     is_biconvex_window,
     parametrize,
     realize,
-    window_of_view,
 )
 
 rs = build_root_system("A2")
@@ -27,7 +26,7 @@ param = BiconvexParam(sub=full, K=(1,), u=from_word(rs, [2]), y=y)
 view = realize(param, cutoff=3)
 print("tail pattern over:", sorted(view.tail))
 print("finite extras:", sorted(str(b) for b in view.finite_part))
-print("members up to level 3:", sorted(str(b) for b in view.truncate()))
+print("members up to level 3:", sorted(str(b) for b in view.truncate(3)))
 
 # Membership is exact at any level, far beyond the materialized cutoff.
 from weylwords.affine import AffineRoot
@@ -35,7 +34,7 @@ print("\n50*delta applied to the tail direction is a member:",
       AffineRoot(50, (0, -1)) in view)
 
 # parametrize inverts realize, recovering the unique triple.
-print("round trip equals the original:", parametrize(window_of_view(view)) == param)
+print("round trip equals the original:", parametrize(view) == param)
 
 # Window checks and brute-force enumeration give an independent route:
 # every windowed biconvex set of bounded size is a prefix inversion set.
@@ -47,11 +46,9 @@ for s in sets:
 
 # The four structural cases: finite, cofinite, infinite real, and
 # complements of infinite real sets.
-window = window_of_view(realize(param, 4))
+window = realize(param, 4)
 print("\nclassification:", classify_biconvex(window)[0])
 print("complement classification:", classify_biconvex(window.complement())[0])
-empty = window_of_view(
-    realize(BiconvexParam(sub=full, K=(1, 2), u=identity(rs),
-                          y=affine_identity(rs)), 4)
-)
+empty = realize(BiconvexParam(sub=full, K=(1, 2), u=identity(rs),
+                             y=affine_identity(rs)), 4)
 print("empty set classifies as:", classify_biconvex(empty)[0])

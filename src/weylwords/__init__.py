@@ -17,7 +17,7 @@ from .affine import (AffineElement, AffineRoot, Letter, affine_identity,
                      affine_inversion_set, affine_length, affine_reduced_word,
                      affine_window, bfs_elements, in_weyl_subgroup, letter_element,
                      letters_of, tail_set, tower, translation)
-from .biconvex import (BiconvexParam, BiconvexView, NotBiconvexError, WindowSet,
+from .biconvex import (BiconvexParam, NotBiconvexError, WindowSet,
                        classify_biconvex, contained_mod_finite, enumerate_biconvex,
                        is_biconvex_window, parametrize, realize)
 from .words import (InfiniteWord, WordClass, act_on_word, classify_word, inversion_at,
@@ -35,7 +35,7 @@ __all__ = [
     "affine_inversion_set", "affine_length", "affine_reduced_word", "affine_window",
     "bfs_elements", "in_weyl_subgroup", "letter_element", "letters_of", "tail_set",
     "tower", "translation",
-    "BiconvexParam", "BiconvexView", "NotBiconvexError", "WindowSet",
+    "BiconvexParam", "NotBiconvexError", "WindowSet",
     "classify_biconvex", "contained_mod_finite", "enumerate_biconvex",
     "is_biconvex_window", "parametrize", "realize",
     "InfiniteWord", "WordClass", "act_on_word", "classify_word", "inversion_at",

@@ -3,16 +3,18 @@
 A biconvex set is closed under root addition and so is its complement.
 The infinite real ones are in bijection with parameter triples
 (K, u, y): K a subset of J, u a minimal coset representative, y an
-element of the subgroup attached to K.  ``realize`` materializes the set
-a triple names (a periodic "tail" pattern plus a finite part), and
-``parametrize`` inverts it.  Nothing infinite is ever stored: views keep
-the tail as a set of classical roots and answer membership at any level.
+element of the subgroup attached to K.  One class, ``WindowSet``, holds a
+set: its members up to a cutoff, plus a promise for every level beyond
+(the classical roots whose towers continue, and whether imaginary roots
+do).  Nothing infinite is stored, yet membership is answered at any
+level.  ``realize`` builds the set a triple names, with the cutoff raised
+to reach its whole finite part, and ``parametrize`` inverts it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .cartan import (
     Root,
@@ -44,14 +46,15 @@ class NotBiconvexError(ValueError):
     """Raised when an input set fails to be (or encode) a biconvex set."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BiconvexParam:
     """A triple (K, u, y) naming a biconvex set inside the subsystem J.
 
     Constraints checked on construction: K inside J, u a minimal coset
     representative for K inside the finite Weyl group of J, and y in the
     affine subgroup attached to K.  The named set is infinite exactly when
-    K is a proper subset of J.
+    K is a proper subset of J.  Equality is field by field; subsystems
+    compare by identity.
     """
 
     sub: SubSystem
@@ -72,82 +75,12 @@ class BiconvexParam:
         if not in_weyl_subgroup(self.y, sub_system(sub.rs, K)):
             raise ValueError("y is not in the subgroup attached to K")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BiconvexParam):
-            return NotImplemented
-        return (
-            self.sub is other.sub
-            and self.K == other.K
-            and self.u == other.u
-            and self.y == other.y
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.sub), self.K, self.u, self.y))
-
     def __repr__(self) -> str:
         return f"BiconvexParam(J={self.sub.J}, K={self.K}, u={self.u!r}, y={self.y!r})"
 
     @property
     def names_infinite_set(self) -> bool:
         return set(self.K) != set(self.sub.J)
-
-
-@dataclass(frozen=True, eq=False)
-class BiconvexView:
-    """A biconvex set as (tail pattern, finite part), exact at every level.
-
-    Membership of level m with classical part eps: eps in the tail (any
-    positive level), or the root is one of the finitely many extras.  The
-    cutoff only records how far ``truncate`` materializes by default.
-    """
-
-    sub: SubSystem
-    tail: frozenset[Root]
-    finite_part: frozenset[AffineRoot]
-    cutoff: int
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BiconvexView):
-            return NotImplemented
-        return (
-            self.sub is other.sub
-            and self.tail == other.tail
-            and self.finite_part == other.finite_part
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.sub), self.tail, self.finite_part))
-
-    def __contains__(self, beta: AffineRoot) -> bool:
-        if beta.classical is None or not beta.is_positive:
-            return False
-        return beta.classical in self.tail or beta in self.finite_part
-
-    @property
-    def is_infinite(self) -> bool:
-        return bool(self.tail)
-
-    def truncate(self, cutoff: int | None = None) -> frozenset[AffineRoot]:
-        if cutoff is None:
-            cutoff = self.cutoff
-        members = set(tower(self.sub.rs, self.tail, cutoff))
-        members.update(b for b in self.finite_part if b.level <= cutoff)
-        return frozenset(members)
-
-
-def realize(param: BiconvexParam, cutoff: int) -> BiconvexView:
-    """The biconvex set named by (K, u, y): tail pattern plus finite part."""
-    sub = param.sub
-    tail = frozenset(param.u.apply(r) for r in complement_roots(sub, param.K, -1))
-    finite = frozenset(
-        AffineRoot(b.level, param.u.apply(b.classical))
-        for b in affine_inversion_set(param.y, sub_system(sub.rs, param.K))
-    )
-    view = BiconvexView(sub=sub, tail=tail, finite_part=finite, cutoff=cutoff)
-    if any(not b.is_positive for b in finite):
-        raise RuntimeError("finite part left the positive roots")
-    return view
 
 
 def _check_window_member(sub: SubSystem, beta: AffineRoot, cutoff: int) -> None:
@@ -208,12 +141,13 @@ def is_biconvex_window(S, sub: SubSystem, cutoff: int) -> bool:
 
 @dataclass(frozen=True)
 class WindowSet:
-    """A level-bounded window of a set, plus its promised behavior beyond.
+    """A set of positive affine roots: its members up to a cutoff, plus a
+    promise for every level beyond.
 
     ``elements`` lists every member with level at most ``cutoff`` (real or
     imaginary); beyond the cutoff, a real root belongs iff its classical
     part is in ``tail``, and an imaginary root belongs iff
-    ``imaginary_tail``.
+    ``imaginary_tail``.  Membership is thus answered at any level.
     """
 
     sub: SubSystem
@@ -227,6 +161,24 @@ class WindowSet:
             _check_window_member(self.sub, beta, self.cutoff)
         if not self.tail <= self.sub.root_set:
             raise ValueError("tail promise contains non-roots")
+
+    def __contains__(self, beta: AffineRoot) -> bool:
+        if beta.level <= self.cutoff:
+            return beta in self.elements
+        if beta.classical is None:
+            return self.imaginary_tail
+        return beta.classical in self.tail
+
+    @cached_property
+    def finite_part(self) -> frozenset[AffineRoot]:
+        """The members outside the tower of the tail promise."""
+        return self.elements - tower(self.sub.rs, self.tail, self.cutoff)
+
+    def truncate(self, cutoff: int) -> frozenset[AffineRoot]:
+        """The members with level at most ``cutoff`` (no more than the window's)."""
+        if cutoff > self.cutoff:
+            raise ValueError(f"level {cutoff} is above the window's cutoff {self.cutoff}")
+        return frozenset(b for b in self.elements if b.level <= cutoff)
 
     def complement(self) -> "WindowSet":
         window = frozenset(affine_window(self.sub, self.cutoff))
@@ -247,26 +199,41 @@ class WindowSet:
         return not self.tail and not self.imaginary_tail
 
 
-def window_of_view(view: BiconvexView, cutoff: int | None = None) -> WindowSet:
-    if cutoff is None:
-        cutoff = view.cutoff
-    return WindowSet(
-        sub=view.sub,
-        cutoff=cutoff,
-        elements=view.truncate(cutoff),
-        tail=view.tail,
+def window_of_view(window: WindowSet) -> WindowSet:
+    return window  # perfbench/workloads.py still calls this; a view is a window now
+
+
+def _assemble(sub: SubSystem, tail, finite, cutoff: int) -> WindowSet:
+    """The set tower(tail) plus the finite roots, windowed at a cutoff raised
+    to the top finite level, so that the window alone determines the set."""
+    cutoff = max([cutoff, *(b.level for b in finite)])
+    pattern = tower(sub.rs, tail, cutoff)
+    window = WindowSet(sub=sub, cutoff=cutoff, elements=pattern | finite, tail=tail)
+    window.__dict__["finite_part"] = finite - pattern  # spare a second tower
+    return window
+
+
+def realize(param: BiconvexParam, cutoff: int) -> WindowSet:
+    """The biconvex set named by (K, u, y): the tower over the tail
+    u(negative roots of J outside K) plus the finite part u(N(y))."""
+    sub = param.sub
+    tail = frozenset(param.u.apply(r) for r in complement_roots(sub, param.K, -1))
+    finite = frozenset(
+        AffineRoot(b.level, param.u.apply(b.classical))
+        for b in affine_inversion_set(param.y, sub_system(sub.rs, param.K))
     )
+    if any(not b.is_positive for b in finite):
+        raise RuntimeError("finite part left the positive roots")
+    return _assemble(sub, tail, finite, cutoff)
 
 
-def parametrize(B: BiconvexView | WindowSet) -> BiconvexParam:
+def parametrize(B: WindowSet) -> BiconvexParam:
     """Recover the unique (K, u, y) naming a real biconvex set.
 
     The input must carry its tail support (the classical directions whose
     whole towers eventually lie inside).  The factorization is validated by
     a full round trip; anything inconsistent raises NotBiconvexError.
     """
-    if isinstance(B, BiconvexView):
-        B = window_of_view(B)
     sub = B.sub
     if not B.is_real:
         raise NotBiconvexError("parametrize expects a real set")
@@ -274,13 +241,9 @@ def parametrize(B: BiconvexView | WindowSet) -> BiconvexParam:
         K, u = factor_pointed_biclosed(B.tail, sub)
     except ValueError as exc:
         raise NotBiconvexError(f"tail support is not pointed biclosed: {exc}") from exc
-    pattern = tower(sub.rs, B.tail, B.cutoff)
-    if not pattern <= B.elements:
-        raise NotBiconvexError("window is missing part of its own tail pattern")
-    residual = B.elements - pattern
     u_inv = u.inverse
     pulled = frozenset(
-        AffineRoot(b.level, u_inv.apply(b.classical)) for b in residual
+        AffineRoot(b.level, u_inv.apply(b.classical)) for b in B.finite_part
     )
     K_sub = sub_system(sub.rs, K)
     try:
@@ -288,7 +251,7 @@ def parametrize(B: BiconvexView | WindowSet) -> BiconvexParam:
     except ValueError as exc:
         raise NotBiconvexError(f"finite part is not an inversion set: {exc}") from exc
     param = BiconvexParam(sub=sub, K=K, u=u, y=y)
-    if realize(param, B.cutoff).truncate(B.cutoff) != B.elements:
+    if realize(param, B.cutoff).elements != B.elements:
         raise NotBiconvexError("window does not round-trip through its parameters")
     return param
 
@@ -323,12 +286,8 @@ def classify_biconvex(B: WindowSet):
     comp = B.complement()
     if not comp.is_real:
         raise NotBiconvexError("neither the set nor its complement is real")
-    case, witness = classify_biconvex(comp)
-    if case == "a":
-        return "b", witness
-    if case == "c":
-        return "d", witness
-    raise NotBiconvexError("complement classification failed")
+    case, witness = classify_biconvex(comp)  # "a" or "c": the complement is real
+    return {"a": "b", "c": "d"}[case], witness
 
 
 def enumerate_biconvex(
@@ -403,23 +362,24 @@ def param_from_json(rs: RootSystem, data: dict) -> BiconvexParam:
     )
 
 
-def view_to_json(view: BiconvexView) -> dict:
+def view_to_json(window: WindowSet) -> dict:
     from .affine import affine_root_to_json
 
-    finite = sorted(view.finite_part, key=lambda b: (b.level, b.classical or ()))
+    finite = sorted(window.finite_part, key=lambda b: (b.level, b.classical or ()))
     return {
-        "tail": sorted(list(r) for r in view.tail),
+        "tail": sorted(list(r) for r in window.tail),
         "finite": [affine_root_to_json(b) for b in finite],
-        "cutoff": view.cutoff,
+        "cutoff": window.cutoff,
     }
 
 
-def view_from_json(rs: RootSystem, J, data: dict) -> BiconvexView:
+def view_from_json(rs: RootSystem, J, data: dict) -> WindowSet:
+    """A view's set; the cutoff is raised to reach every listed finite root."""
     from .affine import affine_root_from_json
 
-    return BiconvexView(
-        sub=sub_system(rs, J),
-        tail=frozenset(tuple(r) for r in data["tail"]),
-        finite_part=frozenset(affine_root_from_json(b) for b in data["finite"]),
-        cutoff=int(data["cutoff"]),
+    return _assemble(
+        sub_system(rs, J),
+        frozenset(tuple(r) for r in data["tail"]),
+        frozenset(affine_root_from_json(b) for b in data["finite"]),
+        int(data["cutoff"]),
     )

@@ -166,9 +166,11 @@ def cmd_biconvex(args) -> int:
     rs = build_root_system(args.type)
     if args.action == "realize":
         param = param_from_json(rs, _parse_json(args.param, "parameter"))
-        view = realize(param, args.cutoff if args.cutoff is not None else 3)
-        data = view_to_json(view)
-        data["members"] = [str(b) for b in sorted(view.truncate())]
+        cutoff = args.cutoff if args.cutoff is not None else 3
+        window = realize(param, cutoff)
+        data = view_to_json(window)
+        data["cutoff"] = cutoff  # the listed depth; finite roots above it stay listed
+        data["members"] = [str(b) for b in sorted(window.truncate(cutoff))]
         _emit(data, args)
         return 0
     if args.action == "parametrize":

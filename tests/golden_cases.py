@@ -115,7 +115,7 @@ def calls():
     """The fixed CLI argument lists; views and windows come from the library."""
     from weylwords.affine import affine_inversion_set, element_from_json
     from weylwords.biconvex import (
-        WindowSet, param_from_json, realize, view_to_json, window_of_view,
+        WindowSet, param_from_json, realize, view_to_json,
     )
     from weylwords.cartan import build_root_system, sub_system
     from weylwords.words import (
@@ -134,11 +134,10 @@ def calls():
             param = json.dumps(data)
             out.append(["biconvex", "realize", "--type", label, "--param", param,
                         "--cutoff", "3"])
-            view = realize(param_from_json(rs, data), 3)
+            window = realize(param_from_json(rs, data), 3)
             J = ",".join(map(str, data["J"]))
             out.append(["biconvex", "parametrize", "--type", label, "--J", J,
-                        "--view", json.dumps(view_to_json(view))])
-            window = window_of_view(view)
+                        "--view", json.dumps(view_to_json(window))])
             for w in (window, window.complement()):
                 out.append(["biconvex", "parametrize", "--type", label,
                             "--window", _window_json(w)])

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from weylwords.cartan import build_root_system, sub_system
@@ -27,8 +29,8 @@ from weylwords.biconvex import (
     realize,
     view_from_json,
     view_to_json,
-    window_of_view,
 )
+from weylwords.verify import _params_for
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -64,14 +66,14 @@ def test_realize_finite_case_is_inversion_set():
     for x, _ in bfs_elements(A2_FULL, 4).items():
         param = BiconvexParam(sub=A2_FULL, K=(1, 2), u=identity(A2), y=x)
         view = realize(param, 6)
-        assert not view.is_infinite
+        assert view.is_finite
         assert view.truncate(6) == affine_inversion_set(x, A2_FULL)
 
 
 def test_realize_tail_examples():
     low = realize(make_param(A1, (1,), (), [], (0,), []), 4)
     assert low.truncate(4) == {AffineRoot(m, (-1,)) for m in range(1, 5)}
-    assert low.is_infinite
+    assert not low.is_finite
 
     up = realize(make_param(A1, (1,), (), [1], (0,), []), 4)
     assert up.truncate(4) == {AffineRoot(m, (1,)) for m in range(0, 5)}
@@ -82,6 +84,37 @@ def test_view_membership_is_exact_beyond_cutoff():
     assert AffineRoot(100, (-1,)) in view
     assert AffineRoot(100, (1,)) not in view
     assert AffineRoot(3, None) not in view
+
+
+def test_window_reaches_its_whole_finite_part():
+    # t[1] inverts 1d-a1 and 2d-a1: asked for cutoff 1, the window keeps
+    # both, so membership, truncation and the finite part stay exact.
+    window = realize(make_param(A1, (1,), (1,), [], (1,), []), 1)
+    assert window.cutoff == 2
+    assert window.finite_part == {AffineRoot(1, (-1,)), AffineRoot(2, (-1,))}
+    assert AffineRoot(2, (-1,)) in window
+    assert AffineRoot(3, (-1,)) not in window
+    assert window.truncate(1) == {AffineRoot(1, (-1,))}
+    with pytest.raises(ValueError, match="above the window's cutoff"):
+        window.truncate(3)
+
+
+def test_finite_part_of_a_built_window_matches_realize():
+    view = realize(make_param(A2, (1, 2), (1,), [2], (0, 0), [1]), 5)
+    built = WindowSet(sub=view.sub, cutoff=view.cutoff, elements=view.elements,
+                      tail=view.tail)
+    assert "finite_part" not in vars(built)
+    assert built.finite_part == view.finite_part
+    assert built == view
+
+
+def test_complement_membership_beyond_cutoff():
+    up = realize(make_param(A1, (1,), (), [1], (0,), []), 2)
+    complement = up.complement()
+    assert AffineRoot(50, None) in complement
+    assert AffineRoot(50, (-1,)) in complement
+    assert AffineRoot(50, (1,)) not in complement
+    assert AffineRoot(-1, (1,)) not in complement
 
 
 def test_param_validation():
@@ -300,7 +333,7 @@ def test_classify_complement_of_up_tail():
     # Everything except {m*delta + alpha1 : m >= 0} is the complement of
     # the (empty-K, s1) view.
     up = realize(make_param(A1, (1,), (), [1], (0,), []), 4)
-    complement = window_of_view(up, 4).complement()
+    complement = up.complement()
     case, witness = classify_biconvex(complement)
     assert case == "d"
     assert witness.K == () and witness.u == from_word(A1, [1])
@@ -309,7 +342,7 @@ def test_classify_complement_of_up_tail():
 
 def test_classify_infinite_real():
     view = realize(make_param(A2, (1, 2), (1,), [2], (0, 0), [1]), 6)
-    case, witness = classify_biconvex(window_of_view(view))
+    case, witness = classify_biconvex(view)
     assert case == "c"
     assert realize(witness, 6) == view
 
@@ -380,3 +413,20 @@ def test_json_round_trips():
     vdata = view_to_json(view)
     again = view_from_json(A2, (1, 2), vdata)
     assert again == view
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2"])
+def test_view_listed_below_its_finite_part_parametrizes(label):
+    # A view lists its whole finite part, also the roots above its cutoff;
+    # reading it back must keep them.  Every parameter with l(y) <= 3.
+    rs = build_root_system(label)
+    above = 0
+    for size in range(1, rs.rank + 1):
+        for J in combinations(rs.index_set, size):
+            for param in _params_for(rs, J, 3):
+                for cutoff in (0, 1):
+                    data = view_to_json(realize(param, cutoff))
+                    data["cutoff"] = cutoff
+                    assert parametrize(view_from_json(rs, J, data)) == param
+                    above += any(b["level"] > cutoff for b in data["finite"])
+    assert above

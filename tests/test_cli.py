@@ -264,3 +264,17 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["type"] == "A1"
+
+
+def test_parametrize_view_keeps_finite_roots_above_the_cutoff(capsys):
+    # The view lists t[1]'s inversions at levels 1 and 2 with cutoff 1.
+    view = json.dumps({
+        "tail": [],
+        "finite": [{"level": 1, "classical": [-1]}, {"level": 2, "classical": [-1]}],
+        "cutoff": 1,
+    })
+    code, data, _ = run_json(
+        capsys, "biconvex", "parametrize", "--type", "A1", "--J", "1", "--view", view
+    )
+    assert code == 0
+    assert data == {"J": [1], "K": [1], "u": [], "y": {"lambda": [1], "wbar": []}}

@@ -19,7 +19,6 @@ from weylwords.biconvex import (
     is_biconvex_window,
     parametrize,
     realize,
-    window_of_view,
 )
 from weylwords.finweyl import minimal_coset_reps
 from weylwords.words import (
@@ -68,7 +67,7 @@ def test_random_parameter_round_trips(label):
         param = BiconvexParam(sub=full, K=K, u=u, y=y)
         depth = u.length + affine_length(y, K_sub) + 3
         view = realize(param, depth)
-        assert parametrize(window_of_view(view)) == param
+        assert parametrize(view) == param
         assert is_biconvex_window(view.truncate(depth), full, depth)
 
 

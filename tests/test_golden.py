@@ -10,7 +10,7 @@ import pytest
 
 from weylwords.verify import SUITES
 
-from golden_cases import CHECKS_FILE, CLI_FILE, run_cli
+from golden_cases import CHECKS_FILE, CLI_FILE, calls, run_cli
 
 CLI_RECORDS = json.loads(CLI_FILE.read_text())
 CHECKS = json.loads(CHECKS_FILE.read_text())
@@ -29,6 +29,12 @@ def test_golden_covers_every_type_and_command():
         for action in ("make", "act", "classify", "equiv"):
             assert (label, action) in word_calls
     assert set(CHECKS) == set(SUITES)
+
+
+def test_golden_argv_lists_match_the_generator():
+    # The argv lists embed view and window JSON written by the library, so
+    # this also pins both formats.
+    assert calls() == [r["argv"] for r in CLI_RECORDS]
 
 
 @pytest.mark.parametrize("record", CLI_RECORDS, ids=lambda r: " ".join(r["argv"][:3]))

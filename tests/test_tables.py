@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylwords.affine import affine_inversion_set, affine_window, bfs_elements
-from weylwords.biconvex import is_biconvex_window
+from weylwords.biconvex import _window_sum_triples, is_biconvex_window
 from weylwords.cartan import build_root_system, sub_system
 from weylwords.finweyl import (
     WeylElement,
@@ -170,3 +170,32 @@ def test_window_test_accepts_every_seed(key):
         assert is_biconvex_window(toggled, full, cutoff) == biconvex_by_closure(
             toggled, window
         )
+
+
+def _root_triples(full, cutoff):
+    """The window's sum triples as ({a, b}, a + b), independent of indexing."""
+    index, triples = _window_sum_triples(full, cutoff)
+    window = list(index)
+    return {(frozenset((window[i], window[j])), window[k]) for i, j, k in triples}
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_window_triples_nest_in_deeper_windows(label):
+    full, _ = _window(label, 0)
+    for cutoff in range(3):
+        large = _root_triples(full, cutoff + 1)
+        assert _root_triples(full, cutoff) == {
+            (pair, total) for pair, total in large if total.level <= cutoff
+        }
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(window_subsets())
+def test_window_test_at_a_cutoff_implies_every_lower_cutoff(case):
+    # A sum triple at cutoff c <= d is one at d too, with the same members,
+    # so one window test at d stands for the tests at every c <= d.
+    (label, cutoff), full, window, S = case
+    if not is_biconvex_window(S, full, cutoff):
+        return
+    for lower in range(cutoff):
+        assert is_biconvex_window({b for b in S if b.level <= lower}, full, lower)
