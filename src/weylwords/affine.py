@@ -11,6 +11,9 @@ Letters name the generators attached to a subsystem J: Classical(j) is the
 simple reflection s_j, Affine(c) is the reflection in delta minus the
 highest root of the c-th component of J.  Letter order is all classical
 letters (by index) before all affine ones; greedy descents use that order.
+Stepping through a word multiplies by one letter at a time on the right,
+from a per-subsystem letter table, in O(rank^2) per letter: s_j through
+``_times_simple``, the affine letter by moving one root.
 """
 
 from __future__ import annotations
@@ -180,20 +183,70 @@ def lift(w: WeylElement) -> AffineElement:
     return AffineElement((0,) * w.rs.rank, w)
 
 
+class _LetterData(NamedTuple):
+    root: AffineRoot
+    element: AffineElement
+    theta: Root | None = None  # an affine letter's highest root
+    pairs: tuple[int, ...] = ()  # <alpha_j, theta-check> for j = 1 .. rank
+
+
+@lru_cache(maxsize=None)
+def _letter_table(sub: SubSystem) -> dict[Letter, _LetterData]:
+    """Each letter's simple root and element, built once per subsystem."""
+    rs = sub.rs
+    table = {}
+    for letter in letters_of(sub):
+        root = letter_root(sub, letter)
+        if letter.kind == "c":
+            table[letter] = _LetterData(root, lift(simple_reflection(rs, letter.index)))
+            continue
+        theta = sub.highest_roots[letter.index - 1]
+        check = rs.coroot_coords(theta)
+        table[letter] = _LetterData(
+            root,
+            AffineElement(check, reflection(rs, theta)),
+            theta,
+            tuple(rs.coroot_pairing(alpha, check) for alpha in rs.simple_roots),
+        )
+    return table
+
+
+def _letter_data(sub: SubSystem, letter: Letter) -> _LetterData:
+    data = _letter_table(sub).get(letter)
+    if data is None:
+        letter_root(sub, letter)  # raises the reason the letter is not in J
+        raise ValueError(f"unknown letter {letter}")
+    return data
+
+
 def letter_element(sub: SubSystem, letter: Letter) -> AffineElement:
     """The reflection named by a letter: s_j, or t_{theta-check} s_theta."""
-    rs = sub.rs
-    letter_root(sub, letter)  # validates the letter against J
-    if letter.kind == "c":
-        return lift(simple_reflection(rs, letter.index))
-    theta = sub.highest_roots[letter.index - 1]
-    return AffineElement(rs.coroot_coords(theta), reflection(rs, theta))
+    return _letter_data(sub, letter).element
+
+
+def _times_letter(x: AffineElement, sub: SubSystem, letter: Letter) -> AffineElement:
+    """x times the letter's reflection.  With x = t_lambda w, s_j changes w
+    only; t_{theta-check} s_theta gives t_{lambda + w(theta)-check} w s_theta,
+    and w s_theta sends alpha_j to w(alpha_j) - <alpha_j, theta-check> w(theta)."""
+    data = _letter_data(sub, letter)
+    w = x.finite
+    if data.theta is None:
+        return AffineElement(x.translation, w._times_simple(letter.index))
+    moved = w.apply(data.theta)
+    shift = w.rs.coroot_coords(moved)  # w(theta-check) is the coroot of w(theta)
+    return AffineElement(
+        tuple(a + b for a, b in zip(x.translation, shift)),
+        WeylElement(w.rs, tuple(
+            tuple(v - c * m for v, m in zip(img, moved)) if c else img
+            for img, c in zip(w.images, data.pairs)
+        )),
+    )
 
 
 def from_letters(sub: SubSystem, word) -> AffineElement:
     x = affine_identity(sub.rs)
     for letter in word:
-        x = x * letter_element(sub, letter)
+        x = _times_letter(x, sub, letter)
     return x
 
 
@@ -296,20 +349,15 @@ def affine_reduced_word(x: AffineElement, sub: SubSystem) -> tuple[Letter, ...]:
     """Reduced word by greedy left descent in canonical letter order."""
     expected = affine_length(x, sub)
     word: list[Letter] = []
-    current = x
-    current_inv = x.inverse
-    alphabet = [
-        (letter, letter_root(sub, letter), letter_element(sub, letter))
-        for letter in letters_of(sub)
-    ]
-    while not current.is_identity:
+    current_inv = x.inverse  # peeling s from the left steps the inverse by s
+    alphabet = [(letter, data.root) for letter, data in _letter_table(sub).items()]
+    while not current_inv.is_identity:
         if len(word) >= expected:
             raise RuntimeError("descent search exceeded the length bound")
-        for letter, alpha, element in alphabet:
+        for letter, alpha in alphabet:
             if not current_inv.act(alpha).is_positive:
                 word.append(letter)
-                current = element * current
-                current_inv = current_inv * element
+                current_inv = _times_letter(current_inv, sub, letter)
                 break
         else:
             raise RuntimeError("element of the subgroup has no descent")
@@ -326,8 +374,7 @@ def element_from_affine_inversions(F, sub: SubSystem) -> AffineElement:
     original = frozenset(F)
     remaining = set(F)
     alphabet = [
-        (letter, letter_root(sub, letter), letter_element(sub, letter))
-        for letter in letters_of(sub)
+        (letter, data.root, data.element) for letter, data in _letter_table(sub).items()
     ]
     word = []
     for _ in range(len(remaining)):
@@ -355,7 +402,8 @@ class _Ball:
     """
 
     def __init__(self, sub: SubSystem):
-        self.gens = [letter_element(sub, letter) for letter in letters_of(sub)]
+        self.sub = sub
+        self.letters = letters_of(sub)
         self.dist: dict[AffineElement, int] = {affine_identity(sub.rs): 0}
         self.frontier = list(self.dist)
         self.radius = 0
@@ -365,8 +413,8 @@ class _Ball:
             self.radius += 1
             new = []
             for x in self.frontier:
-                for g in self.gens:
-                    y = x * g
+                for letter in self.letters:
+                    y = _times_letter(x, self.sub, letter)
                     if y not in self.dist:
                         self.dist[y] = self.radius
                         new.append(y)

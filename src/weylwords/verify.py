@@ -421,9 +421,9 @@ def check_four_cases(labels=("A1", "A2"), cutoff=4, max_y=3) -> CheckResult:
         for x, _ in bfs_elements(full, max_y).items():
             checked += 1
             inv = affine_inversion_set(x, full)
-            finite = WindowSet(sub=full, cutoff=cutoff, elements=frozenset(
-                b for b in inv if b.level <= cutoff
-            ))
+            # A window cut below the top inversion level misreads the element.
+            top = max([cutoff, *(b.level for b in inv)])
+            finite = WindowSet(sub=full, cutoff=top, elements=inv)
             case, witness = classify_biconvex(finite)
             if case != "a" or witness != x:
                 failures.append(f"{label}: inversion window of {x!r} -> {case}")

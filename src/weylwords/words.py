@@ -18,18 +18,18 @@ word's equivalence class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .cartan import RootSystem, SubSystem, cartan_adjugate, check_subset, sub_system
 from .affine import (
     AffineElement,
     AffineRoot,
     Letter,
+    _times_letter,
     affine_identity,
     affine_inversion_set,
     affine_reduced_word,
     in_weyl_subgroup,
-    letter_element,
     letter_from_json,
     letter_root,
     letter_to_json,
@@ -40,26 +40,24 @@ from .biconvex import BiconvexParam, NotBiconvexError, WindowSet, parametrize
 
 
 @dataclass(frozen=True)
-class _Progression:
-    base_level: int
-    classical: tuple[int, ...]
-    slope: int
-
-    def level_at(self, m: int) -> int:
-        return self.base_level + m * self.slope
-
-
-@dataclass(frozen=True)
 class _Structure:
-    """Closed-form data for one word: prefixes, progressions, slopes."""
+    """Closed-form data for one word with head length H and period length n.
 
-    prefixes: tuple[AffineElement, ...]  # z(0) .. z(H + d*n)
+    ``phis`` are the inversions 1 .. H + d*n, where d is the order of the
+    finite part of the period product pi.  Then pi**d is a translation
+    t_nu, so prefix H + m*d*n + q is z_H t_{m*nu} followed by q more
+    letters, and inversion H + m*d*n + i (m >= 0, 1 <= i <= d*n) is
+    ``phis[H + i - 1]`` raised by m*slope_r levels, r being i's place in
+    the period.  slope_r = -<phi_{H+r}, w_H(nu)> with w_H the finite part
+    of z_H; the pairing is W-invariant, so this is -<c_r, nu> for the
+    period's own r-th inversion c_r.  With ``drift`` = w_H(nu),
+    z_H t_{m*nu} = t_{lambda_H + m*drift} w_H.
+    """
+
+    base: AffineElement  # the prefix z_H
     phis: tuple[AffineRoot, ...]  # inversions 1 .. H + d*n
-    pi: AffineElement  # period product
-    order: int  # order d of the finite part of pi
-    nu: tuple[int, ...]  # pi**d is the translation by nu
-    progressions: tuple[tuple[_Progression, ...], ...]  # [r-1][k0]
-    heads: tuple[AffineRoot, ...]  # inversions 1 .. H
+    drift: tuple[int, ...]  # w_H(nu), in simple-coroot coordinates
+    slopes: tuple[int, ...]  # slope_r for r = 1 .. n
 
 
 @dataclass(frozen=True)
@@ -85,78 +83,43 @@ class InfiniteWord:
             return self.head[p - 1]
         return self.period[(p - H - 1) % len(self.period)]
 
-    @cached_property
-    def _structure(self) -> _Structure:
-        sub, head, period = self.sub, self.head, self.period
-        H, n = len(head), len(period)
-        head_elems = [letter_element(sub, let) for let in head]
-        period_elems = [letter_element(sub, let) for let in period]
-
-        pi = affine_identity(sub.rs)
-        for e in period_elems:
-            pi = pi * e
-
-        order = 1
-        acc = pi.finite
-        while not acc.is_identity:
-            acc = acc * pi.finite
-            order += 1
-        power = pi
-        for _ in range(order - 1):
-            power = power * pi
-        if not power.finite.is_identity:
-            raise RuntimeError("period power failed to become a translation")
-        nu = power.translation
-
-        prefixes = [affine_identity(sub.rs)]
-        phis: list[AffineRoot] = []
-        for p in range(1, H + order * n + 1):
+    def _climb(self, z: AffineElement, phis: list, stop: int) -> AffineElement:
+        """Step the prefix z = z(len(phis)) to z(stop), recording each new
+        inversion: the prefix so far applied to the next letter's root."""
+        for p in range(len(phis) + 1, stop + 1):
             letter = self.letter_at(p)
-            z = prefixes[-1]
-            phi = z.act(letter_root(sub, letter))
+            phi = z.act(letter_root(self.sub, letter))
             if not phi.is_positive:
                 raise ValueError(
                     f"not an infinite reduced word: inversion {p} is negative"
                 )
             phis.append(phi)
-            elem = head_elems[p - 1] if p <= H else period_elems[(p - H - 1) % n]
-            prefixes.append(z * elem)
+            z = _times_letter(z, self.sub, letter)
+        return z
 
-        rho = affine_identity(sub.rs)
-        slopes = []
-        for r in range(1, n + 1):
-            c_r = rho.act(letter_root(sub, period[r - 1]))
-            slope = -sub.rs.coroot_pairing(c_r.classical, nu)
-            if slope < 1:
-                raise ValueError(
-                    "not an infinite reduced word: a periodic inversion"
-                    " fails to climb in level"
-                )
-            slopes.append(slope)
-            rho = rho * period_elems[r - 1]
-
-        progressions = tuple(
-            tuple(
-                _Progression(
-                    base_level=phis[H + k0 * n + r - 1].level,
-                    classical=phis[H + k0 * n + r - 1].classical,
-                    slope=slopes[r - 1],
-                )
-                for k0 in range(order)
-            )
-            for r in range(1, n + 1)
+    @cached_property
+    def _structure(self) -> _Structure:
+        H, n = len(self.head), len(self.period)
+        phis: list[AffineRoot] = []
+        base = self._climb(affine_identity(self.sub.rs), phis, H)
+        # z(H + k*n) = z_H pi**k has finite part w_H again first at k = d.
+        end = self._climb(base, phis, H + n)
+        while end.finite != base.finite:
+            end = self._climb(end, phis, len(phis) + n)
+        drift = tuple(b - a for a, b in zip(base.translation, end.translation))
+        rs = self.sub.rs
+        weight = [rs.coroot_pairing(alpha, drift) for alpha in rs.simple_roots]  # <alpha_j, drift>
+        slopes = tuple(
+            -sum(c * g for c, g in zip(phi.classical, weight)) for phi in phis[H:H + n]
         )
+        if min(slopes) < 1:
+            raise ValueError(
+                "not an infinite reduced word: a periodic inversion"
+                " fails to climb in level"
+            )
         if len(set(phis)) != len(phis):
             raise RuntimeError("certified word produced a repeated inversion")
-        return _Structure(
-            prefixes=tuple(prefixes),
-            phis=tuple(phis),
-            pi=pi,
-            order=order,
-            nu=nu,
-            progressions=progressions,
-            heads=tuple(phis[:H]),
-        )
+        return _Structure(base=base, phis=tuple(phis), drift=drift, slopes=slopes)
 
 
 def prefix_element(word: InfiniteWord, p: int) -> AffineElement:
@@ -164,17 +127,18 @@ def prefix_element(word: InfiniteWord, p: int) -> AffineElement:
     if p < 0:
         raise ValueError("prefix length must be non-negative")
     st = word._structure
-    if p < len(st.prefixes):
-        return st.prefixes[p]
-    H, n = len(word.head), len(word.period)
-    offset = p - H
-    k, r0 = divmod(offset, n)
-    m, k0 = divmod(k, st.order)
-    z = st.prefixes[H] * translation(word.sub.rs, tuple(m * x for x in st.nu))
-    for _ in range(k0):
-        z = z * st.pi
-    for t in range(r0):
-        z = z * letter_element(word.sub, word.period[t])
+    H = len(word.head)
+    if p <= H:
+        z, start = affine_identity(word.sub.rs), 0
+    else:
+        m, rest = divmod(p - H, len(st.phis) - H)
+        z = AffineElement(
+            tuple(a + m * b for a, b in zip(st.base.translation, st.drift)),
+            st.base.finite,
+        )
+        start = p - rest
+    for q in range(start + 1, p + 1):
+        z = _times_letter(z, word.sub, word.letter_at(q))
     return z
 
 
@@ -185,25 +149,22 @@ def inversion_at(word: InfiniteWord, p: int) -> AffineRoot:
     st = word._structure
     if p <= len(st.phis):
         return st.phis[p - 1]
-    H, n = len(word.head), len(word.period)
-    offset = p - H
-    r = (offset - 1) % n + 1
-    k = (offset - r) // n
-    m, k0 = divmod(k, st.order)
-    prog = st.progressions[r - 1][k0]
-    return AffineRoot(prog.level_at(m), prog.classical)
+    H = len(word.head)
+    m, i = divmod(p - H - 1, len(st.phis) - H)
+    phi = st.phis[H + i]
+    return AffineRoot(phi.level + m * st.slopes[i % len(word.period)], phi.classical)
 
 
 def limit_inversions(word: InfiniteWord, cutoff: int) -> frozenset[AffineRoot]:
     """All inversions of the word with level at most the cutoff."""
     st = word._structure
-    out = {phi for phi in st.heads if phi.level <= cutoff}
-    for row in st.progressions:
-        for prog in row:
-            level = prog.base_level
-            while level <= cutoff:
-                out.add(AffineRoot(level, prog.classical))
-                level += prog.slope
+    H, n = len(word.head), len(word.period)
+    out = {phi for phi in st.phis[:H] if phi.level <= cutoff}
+    for i, phi in enumerate(st.phis[H:]):
+        out.update(
+            AffineRoot(level, phi.classical)
+            for level in range(phi.level, cutoff + 1, st.slopes[i % n])
+        )
     return frozenset(out)
 
 
@@ -220,8 +181,16 @@ def translation_word(sub: SubSystem, K) -> InfiniteWord:
     searched in integers, its last coordinate solved from the integrality
     congruence: d^(m-1) candidates for a component with m indices outside K.
     """
-    period = affine_reduced_word(translation(sub.rs, _translation_lambda(sub, K)), sub)
+    period = _translation_period(sub, check_subset(sub, K))
     return InfiniteWord(sub=sub, head=(), period=period)
+
+
+@lru_cache(maxsize=None)
+def _translation_period(sub: SubSystem, K: tuple[int, ...]) -> tuple[Letter, ...]:
+    """The period of ``translation_word(sub, K)``, for K as a sorted tuple.
+
+    Periods are kept, not words: a word holds its certified inversions."""
+    return affine_reduced_word(translation(sub.rs, _translation_lambda(sub, K)), sub)
 
 
 def _translation_lambda(sub: SubSystem, K) -> tuple[int, ...]:
@@ -311,17 +280,13 @@ def classify_word(word: InfiniteWord) -> WordClass:
     progressions' classical parts as the tail.  A certified word that fails
     to parametrize is an internal fault, raised as RuntimeError.
     """
-    st = word._structure
-    depth = max(
-        [b.level for b in st.heads]
-        + [p.base_level for row in st.progressions for p in row]
-        + [0]
-    ) + 1
+    phis = word._structure.phis
+    depth = max(b.level for b in phis) + 1
     window = WindowSet(
         sub=word.sub,
         cutoff=depth,
         elements=limit_inversions(word, depth),
-        tail=frozenset(p.classical for row in st.progressions for p in row),
+        tail=frozenset(b.classical for b in phis[len(word.head):]),
     )
     try:
         return WordClass(parametrize(window))

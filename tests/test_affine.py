@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylwords.cartan import build_root_system, height, sub_system
 from weylwords.finweyl import from_word, identity, inversion_set
 from weylwords.affine import (
     AffineRoot,
     Letter,
+    _times_letter,
     affine_add,
     affine_identity,
     affine_inversion_set,
@@ -25,6 +27,9 @@ from weylwords.affine import (
     tower,
     translation,
 )
+from weylwords.words import InfiniteWord
+
+from oracles import subsets
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -329,3 +334,40 @@ def test_bfs_lengths_match_inversion_counts():
         for x, d in bfs_elements(full, 4).items():
             assert affine_length(x, full) == d
             assert len(affine_inversion_set(x, full)) == d
+
+
+STEP_SUBS = [
+    sub_system(rs, J)
+    for rs in map(build_root_system, ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "F4", "G2"])
+    for J in subsets(rs.index_set)
+    if J
+]
+
+
+@pytest.mark.parametrize(
+    "sub", STEP_SUBS, ids=[f"{sub.rs.label}-J{''.join(map(str, sub.J))}" for sub in STEP_SUBS]
+)
+@settings(derandomize=True, database=None, max_examples=8, deadline=None)
+@given(data=st.data())
+def test_letter_step_matches_the_general_product(sub, data):
+    alphabet = letters_of(sub)
+    drawn = from_letters(sub, data.draw(st.lists(st.sampled_from(alphabet), max_size=6)))
+    coxeter = from_letters(sub, alphabet)  # ends in affine letters: a translation part
+    assert any(coxeter.translation)
+    for x in (drawn, coxeter):
+        for letter in alphabet:
+            assert _times_letter(x, sub, letter) == x * letter_element(sub, letter)
+
+
+@pytest.mark.parametrize(
+    "letter", [Letter("c", 3), Letter("a", 0), Letter("a", 2)], ids=str
+)
+def test_bad_letters_still_raise(letter):
+    # J = {1, 2} of A3 has one component; c3 lies outside it.
+    sub = sub_system(build_root_system("A3"), (1, 2))
+    with pytest.raises(ValueError):
+        from_letters(sub, [Letter("c", 1), letter])
+    with pytest.raises(ValueError):
+        InfiniteWord(sub, (), (Letter("a", 1), letter))
+    with pytest.raises(ValueError):
+        InfiniteWord(sub, (letter,), (Letter("a", 1), Letter("c", 1), Letter("c", 2)))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from weylwords.cli import main
 
 
@@ -278,3 +280,16 @@ def test_parametrize_view_keeps_finite_roots_above_the_cutoff(capsys):
     )
     assert code == 0
     assert data == {"J": [1], "K": [1], "u": [], "y": {"lambda": [1], "wbar": []}}
+
+
+@pytest.mark.parametrize("argv", [
+    ("--type", "A1", "--len", "6"),
+    ("--type", "G2", "--len", "4", "--cutoff", "1"),
+    ("--type", "A2", "--len", "5", "--cutoff", "1"),
+    ("--type", "C2", "--len", "4", "--cutoff", "1"),
+], ids=lambda argv: argv[1])
+def test_four_cases_windows_reach_the_top_inversion_level(capsys, argv):
+    # Elements whose inversions rise above the cutoff are still windowed whole.
+    code, data, err = run_json(capsys, "verify", "four-cases", *argv)
+    assert code == 0, err
+    assert data["passed"] is True

@@ -11,6 +11,8 @@ from weylwords.affine import (
     affine_identity,
     affine_inversion_set,
     from_letters,
+    letter_element,
+    letter_root,
     letters_of,
     lift,
     tail_set,
@@ -20,6 +22,7 @@ from weylwords.biconvex import BiconvexParam, realize
 from weylwords.verify import _action_formula
 from weylwords.words import (
     InfiniteWord,
+    _translation_period,
     act_on_word,
     classify_word,
     inversion_at,
@@ -334,3 +337,88 @@ def test_word_json_round_trip():
     data = word_to_json(A1_BASE)
     assert data == {"J": [1], "head": [], "period": [{"a": 1}, {"c": 1}]}
     assert word_from_json(A1, data) == A1_BASE
+
+
+def _structure_words(label, seed=11):
+    """Words over the full subsystem: the Coxeter word (period c_1 .. c_l a_1,
+    whose finite part has order above 1) and base words, each also acted on
+    by a few short elements, which gives heads and rotated periods."""
+    rs = build_root_system(label)
+    full = sub_system(rs, rs.index_set)
+    rng = random.Random(seed)
+    alphabet = letters_of(full)
+    bases = [InfiniteWord(full, (), alphabet)] + [
+        translation_word(full, K) for K in subsets(rs.index_set) if len(K) < rs.rank
+    ][:2]
+    words = list(bases)
+    for base in bases:
+        for _ in range(3):
+            x = from_letters(full, [rng.choice(alphabet) for _ in range(rng.randint(2, 5))])
+            words.append(act_on_word(x, base))
+    return words
+
+
+STRUCTURE_WORDS = [w for label in ("A2", "B2", "G2", "C3") for w in _structure_words(label)]
+
+
+def _period_order(word):
+    """The order d of the period product's finite part, by plain products."""
+    pi = affine_identity(word.sub.rs)
+    for letter in word.period:
+        pi = pi * letter_element(word.sub, letter)
+    order, power = 1, pi.finite
+    while not power.is_identity:
+        order, power = order + 1, power * pi.finite
+    return order
+
+
+def test_structure_words_cover_heads_and_finite_parts_of_higher_order():
+    assert sum(bool(w.head) for w in STRUCTURE_WORDS) >= 20
+    assert sum(_period_order(w) > 1 and bool(w.head) for w in STRUCTURE_WORDS) >= 8
+
+
+@pytest.mark.parametrize("word", STRUCTURE_WORDS, ids=lambda w: w.sub.rs.label)
+def test_word_structure_matches_plain_products(word):
+    sub = word.sub
+    bound = len(word.head) + 3 * _period_order(word) * len(word.period)
+    z = affine_identity(sub.rs)
+    inversions = []
+    for p in range(1, bound + 1):
+        letter = word.letter_at(p)
+        inversions.append(z.act(letter_root(sub, letter)))
+        assert inversion_at(word, p) == inversions[-1]
+        z = z * letter_element(sub, letter)
+        assert prefix_element(word, p) == z
+    # Past position H + 3*d*n every inversion climbed at least 3 levels.
+    assert limit_inversions(word, 2) == {b for b in inversions if b.level <= 2}
+
+
+@pytest.mark.parametrize("label,period,position", [
+    ("A1", "c1", 2),
+    ("A1", "c1 a1 c1", 4),
+    ("A2", "c1 c2", 4),
+    ("B2", "c1 c2", 5),
+    ("G2", "c1 c2", 7),
+])
+def test_rejection_names_the_first_negative_inversion(label, period, position):
+    rs = build_root_system(label)
+    letters = tuple(Letter(t[0], int(t[1:])) for t in period.split())
+    with pytest.raises(ValueError, match=f"inversion {position} is negative"):
+        InfiniteWord(sub_system(rs, rs.index_set), (), letters)
+
+
+def test_translation_periods_are_memoized_per_subset():
+    sub = sub_system(build_root_system("A3"), (1, 2, 3))
+    _translation_period.cache_clear()
+    base = translation_word(sub, (1, 3))
+    for K in ([3, 1], (3, 1, 1), [1, 3, 3]):
+        word = translation_word(sub, K)
+        assert word.period == base.period
+        assert word is not base  # each call certifies a fresh word
+    assert _translation_period.cache_info().currsize == 1
+    translation_word(sub, (2,))
+    assert _translation_period.cache_info().currsize == 2
+    for bad in ((1, 2, 3), (3, 2, 1, 1), (4,), (0, 1)):
+        with pytest.raises(ValueError):
+            translation_word(sub, bad)
+    assert _translation_period.cache_info().currsize == 2
