@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import mul
 
 from .cartan import (
     Root,
@@ -71,6 +72,15 @@ class WeylElement:
             for img, a in zip(self.images, self.rs.cartan[i - 1])
         ))
 
+    def _simple_times(self, i: int) -> WeylElement:
+        """s_i * self: each image x loses <x, alpha_i^vee> from coordinate i."""
+        row, k = self.rs.cartan[i - 1], i - 1
+        images = []
+        for img in self.images:
+            c = sum(map(mul, img, row))
+            images.append(img[:k] + (img[k] - c,) + img[i:] if c else img)
+        return WeylElement(self.rs, tuple(images))
+
     @cached_property
     def inverse(self) -> WeylElement:
         w = identity(self.rs)
@@ -101,9 +111,10 @@ class WeylElement:
         left descents of an element are the right descents of its inverse."""
         return self.inverse._right_descents
 
-    @property
+    @cached_property
     def length(self) -> int:
-        return len(self.word)
+        # l(w) = l(w^-1): one descent pass, no inverse needed.
+        return len(self._right_descents)
 
     def coroot_apply(self, coords) -> tuple[int, ...]:
         """Action on a coroot-lattice vector, in simple-coroot coordinates."""
@@ -122,10 +133,8 @@ class WeylElement:
 @lru_cache(maxsize=None)
 def _generators(rs: RootSystem) -> tuple[WeylElement, ...]:
     """The identity followed by s_1 .. s_rank, built once per root system."""
-    return (WeylElement(rs, rs.simple_roots),) + tuple(
-        WeylElement(rs, tuple(rs.simple_reflect(i, a) for a in rs.simple_roots))
-        for i in rs.index_set
-    )
+    e = WeylElement(rs, rs.simple_roots)
+    return (e,) + tuple(e._simple_times(i) for i in rs.index_set)
 
 
 def identity(rs: RootSystem) -> WeylElement:
@@ -183,25 +192,29 @@ def in_subgroup(w: WeylElement, sub: SubSystem) -> bool:
 
 @lru_cache(maxsize=None)
 def _weyl_elements_cached(sub: SubSystem) -> tuple[WeylElement, ...]:
-    order: list[WeylElement] = [identity(sub.rs)]
-    seen = {order[0]}
-    frontier = [order[0]]
-    while frontier:
-        new = []
-        for w in frontier:
-            for j in sub.J:
-                v = w._times_simple(j)
-                if v not in seen:
-                    seen.add(v)
+    e = identity(sub.rs)
+    seen = {e.images: e}  # in discovery order, which is the output order
+    layer, length = [e], 0
+    while layer:
+        new, length = [], length + 1
+        for i in sub.J:
+            for w in layer:
+                v = w._simple_times(i)
+                if v.images not in seen:
+                    seen[v.images] = v
+                    v.__dict__["length"] = length  # spare a descent pass
                     new.append(v)
-        new.sort(key=lambda v: v.word)
-        order.extend(new)
-        frontier = new
-    return tuple(order)
+        layer = new
+    return tuple(seen.values())
 
 
 def weyl_elements(sub: SubSystem) -> tuple[WeylElement, ...]:
-    """All of W_J, ordered by (length, reduced word)."""
+    """All of W_J, ordered by (length, reduced word), with no word computed.
+
+    ``word`` is greedy left descent, so word(v) = (i,) + word(s_i v) for the
+    smallest left descent i of v.  Layer l + 1 is grown from layer l by s_i
+    on the left, i ascending outermost, keeping first discoveries: v is first
+    found as s_i (s_i v), so the layer comes out in reduced-word order."""
     return _weyl_elements_cached(sub)
 
 
@@ -224,20 +237,9 @@ def coset_decompose(w: WeylElement, sub: SubSystem, K):
     K = check_subset(sub, K)
     if not in_subgroup(w, sub):
         raise ValueError("element does not lie in the subgroup for J")
-    rs = w.rs
-    letters = []
-    v = w
-    while True:
-        for k in K:
-            if not is_positive(v.images[k - 1]):
-                letters.append(k)
-                v = v * simple_reflection(rs, k)
-                break
-        else:
-            break
-    lower = identity(rs)
-    for k in reversed(letters):
-        lower = lower * simple_reflection(rs, k)
+    v, lower = w, identity(w.rs)
+    while k := next((k for k in K if not is_positive(v.images[k - 1])), 0):
+        v, lower = v._times_simple(k), lower._simple_times(k)
     if v.length + lower.length != w.length:
         raise RuntimeError("coset split lengths do not add")
     return v, lower
@@ -313,7 +315,7 @@ def push_negative(P, sub: SubSystem) -> WeylElement:
             moved = frozenset(rs.simple_reflect(j, r) for r in current)
             if _positive_part_height(moved) < h:
                 current = moved
-                w = simple_reflection(rs, j) * w
+                w = w._simple_times(j)
                 break
         else:
             for v in weyl_elements(sub):
@@ -332,20 +334,18 @@ def element_from_inversions(F, sub: SubSystem) -> WeylElement:
     original = frozenset(F)
     remaining = set(F)
     rs = sub.rs
-    letters = []
+    w = identity(rs)
     for _ in range(len(remaining)):
         for j in sub.J:
             alpha = rs.simple_root(j)
             if alpha in remaining:
-                letters.append(j)
-                remaining.remove(alpha)
-                remaining = {rs.simple_reflect(j, beta) for beta in remaining}
+                w = w._times_simple(j)
+                remaining = {rs.simple_reflect(j, beta) for beta in remaining if beta != alpha}
                 if any(not is_positive(beta) for beta in remaining):
                     raise ValueError("set is not an inversion set")
                 break
         else:
             raise ValueError("set is not an inversion set")
-    w = from_word(rs, letters)
     if inversion_set(w, sub) != original:
         raise ValueError("set is not an inversion set")
     return w

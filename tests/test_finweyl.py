@@ -22,6 +22,7 @@ from weylwords.finweyl import (
     reflection,
     simple_reflection,
     weyl_elements,
+    WeylElement,
 )
 
 from oracles import bfs_word_lengths, brute_force_positivize, subgroup_by_supports, subsets
@@ -117,6 +118,59 @@ def test_lengths_match_bfs_oracle(label):
     for w, d in dist.items():
         assert w.length == d
         assert len(inversion_set(w, full)) == d
+
+
+ORDER_CASES = [(label, None) for label in ("A3", "B3", "C3", "D4", "F4", "G2")] + [
+    (label, J) for label in ("B3", "C3") for J in subsets((1, 2, 3)) if 0 < len(J) < 3
+]
+
+
+@pytest.mark.parametrize("label,J", ORDER_CASES)
+def test_weyl_elements_in_reduced_word_order(label, J):
+    # brute_force_positivize relies on this order.  Words are read off fresh
+    # copies built from the images, so nothing the enumeration seeds is
+    # trusted; from_word then checks that each word spells its element.
+    rs = build_root_system(label)
+    sub = sub_system(rs, rs.index_set if J is None else J)
+    elements = weyl_elements(sub)
+    assert len(set(elements)) == len(elements)
+    keys = []
+    for w in elements:
+        word = WeylElement(rs, w.images).word
+        assert from_word(rs, word) == w
+        assert w.length == len(word)
+        keys.append((len(word), word))
+    assert keys == sorted(keys)
+
+
+EXPONENTS = {
+    "A3": (1, 2, 3), "B3": (1, 3, 5), "C3": (1, 3, 5),
+    "D4": (1, 3, 3, 5), "F4": (1, 5, 7, 11), "G2": (1, 5),
+}
+
+
+@pytest.mark.parametrize("label", sorted(EXPONENTS))
+def test_length_distribution_is_poincare_polynomial(label):
+    poincare = [1]
+    for e in EXPONENTS[label]:
+        # Multiply by 1 + q + ... + q^e.
+        poincare = [
+            sum(poincare[k - d] for d in range(e + 1) if 0 <= k - d < len(poincare))
+            for k in range(len(poincare) + e)
+        ]
+    rs = build_root_system(label)
+    counts = [0] * len(poincare)
+    for w in weyl_elements(sub_system(rs, rs.index_set)):
+        counts[w.length] += 1
+    assert counts == poincare
+
+
+@pytest.mark.parametrize("label", ["B3", "G2"])
+def test_left_step_is_left_product(label):
+    rs = build_root_system(label)
+    for w in weyl_elements(sub_system(rs, rs.index_set)):
+        for i in rs.index_set:
+            assert w._simple_times(i) == simple_reflection(rs, i) * w
 
 
 def test_reflection_in_arbitrary_root():
