@@ -10,6 +10,7 @@ deterministic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -189,7 +190,7 @@ def negate(root: Root) -> Root:
 
 
 def add(a: Root, b: Root) -> Root:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def support(root: Root) -> frozenset[int]:
@@ -213,7 +214,7 @@ class RootSystem:
     roots: tuple[Root, ...]
     root_set: frozenset[Root] = field(repr=False)
 
-    @property
+    @cached_property
     def index_set(self) -> tuple[int, ...]:
         return tuple(range(1, self.rank + 1))
 
@@ -260,10 +261,11 @@ class RootSystem:
         Each <v, alpha_i-check> is the Cartan row i times v, so an integer
         vector gives integer work only.
         """
-        return sum(
-            c * sum(x * a for x, a in zip(v, row))
-            for c, row in zip(coords, self.cartan) if c
-        )
+        total = 0
+        for c, row in zip(coords, self.cartan):
+            if c:
+                total += c * sum(map(operator.mul, v, row))
+        return total
 
     def reflect(self, root: Root, v):
         """Image of the vector ``v`` under the reflection in ``root``.

@@ -8,6 +8,11 @@ classify / enumerate), ``word`` (make / act / equiv / classify), and
 Exit codes: 0 succeeded (verify: all checks passed), 1 a check found a
 counterexample or an input set failed a structural test, 2 usage errors.
 All machine output is JSON; ``--format table`` renders it for humans.
+
+``main`` may be called repeatedly in one process: every call parses with
+one shared parser, built on the first call (``build_parser`` still returns
+a fresh one).  Parsing never writes to that parser, and each call gets its
+own namespace, so no option leaks from one call into the next.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .cartan import build_root_system, root_system_to_json, sub_system
 from .finweyl import from_word, inversion_set
@@ -367,10 +373,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call reads; built on first use, so that the
+    ``cmd_*`` functions it binds are the module's bindings at that time."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

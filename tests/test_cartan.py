@@ -209,6 +209,26 @@ def test_sub_system_matches_generated_closure():
         assert set(sub.roots) == generated
 
 
+@pytest.mark.parametrize("J", [(0,), (4,), (-1, 1), (1, 4), (1.5,), ("1",)])
+def test_sub_system_rejects_indices_outside_the_index_set(J):
+    rs = build_root_system("C3")
+    with pytest.raises(ValueError, match="is not a subset of the index set"):
+        sub_system(rs, J)
+
+
+@pytest.mark.parametrize("label", ["B3", "C3", "G2"])
+def test_coroot_pairing_matches_the_rational_formula(label):
+    # <v, beta-check> = 2(v|beta)/(beta|beta), exactly, for integer and
+    # rational vectors v.
+    rs = build_root_system(label)
+    vectors = list(rs.roots) + [tuple(Fraction(c, 2) for c in r) for r in rs.roots]
+    for beta in rs.roots:
+        coords = rs.coroot_coords(beta)
+        for v in vectors:
+            expected = 2 * rs.pairing(v, beta) / rs.pairing(beta, beta)
+            assert rs.coroot_pairing(v, coords) == expected
+
+
 def test_complement_roots_examples():
     rs = build_root_system("A2")
     sub = sub_system(rs, {1, 2})

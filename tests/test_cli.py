@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import pytest
 
+from weylwords import cli
 from weylwords.cli import main
 
 
@@ -293,3 +299,95 @@ def test_four_cases_windows_reach_the_top_inversion_level(capsys, argv):
     code, data, err = run_json(capsys, "verify", "four-cases", *argv)
     assert code == 0, err
     assert data["passed"] is True
+
+
+# One parser serves every main call in a process; no call may leave state
+# behind for the next.
+
+
+def test_table_format_does_not_leak(capsys):
+    assert run(capsys, "--format", "table", "roots", "--type", "A1")[0] == 0
+    code, data, _ = run_json(capsys, "roots", "--type", "A1")
+    assert code == 0 and data["type"] == "A1"
+
+
+def test_out_file_does_not_leak(tmp_path, capsys):
+    target = tmp_path / "roots.json"
+    assert run(capsys, "--out", str(target), "roots", "--type", "A1")[:2] == (0, "")
+    target.unlink()
+    code, data, _ = run_json(capsys, "roots", "--type", "A1")
+    assert code == 0 and data["type"] == "A1"
+    assert not target.exists()
+
+
+def test_usage_error_does_not_leak(capsys):
+    code, out, err = run(capsys, "weyl", "--word", "1,2")
+    assert code == 2 and out == "" and "--type" in err
+    code, data, err = run_json(capsys, "weyl", "--type", "A2", "--word", "1,2")
+    assert code == 0 and err == ""
+    assert data["word"] == [1, 2] and data["length"] == 2
+
+
+def test_cutoff_does_not_leak(capsys):
+    param = json.dumps({"J": [1], "K": [], "u": [], "y": {"lambda": [0], "wbar": []}})
+    realize = ("biconvex", "realize", "--type", "A1", "--param", param)
+    assert run_json(capsys, *realize, "--cutoff", "1")[1]["cutoff"] == 1
+    assert run_json(capsys, *realize)[1]["cutoff"] == 3
+
+
+def _parser_state(obj, seen):
+    """A parser's attributes, its actions' and its subparsers', as plain data."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    elif hasattr(obj, "__dict__") and not isinstance(obj, _OPAQUE):
+        items = vars(obj).items()
+    else:
+        return repr(obj)
+    if id(obj) in seen:
+        return ("seen", seen[id(obj)])
+    seen[id(obj)] = len(seen)
+    return type(obj).__name__, tuple((repr(k), _parser_state(v, seen)) for k, v in items)
+
+
+_OPAQUE = (type, types.FunctionType, types.MethodType)
+
+
+def test_main_reuses_one_parser_and_never_writes_to_it(monkeypatch, tmp_path, capsys):
+    assert cli.build_parser() is not cli.build_parser()
+    built, weyl_calls = [], []
+    real_build, real_weyl = cli.build_parser, cli.cmd_weyl
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real_build())
+    monkeypatch.setattr(cli, "cmd_weyl", lambda args: weyl_calls.append(1) or real_weyl(args))
+    cli._shared_parser.cache_clear()
+    try:
+        assert run(capsys, "weyl", "--type", "A2", "--word", "1")[0] == 0
+        state = _parser_state(cli._shared_parser(), {})
+        for argv in (
+            ("--format", "table", "--out", str(tmp_path / "out"), "weyl", "--type", "A1"),
+            ("roots", "--type", "A2", "-N", "1"),
+            ("weyl", "--word", "1"),
+            ("verify", "nonsense"),
+            ("word", "--help"),
+            (),
+        ):
+            run(capsys, *argv)
+        assert _parser_state(cli._shared_parser(), {}) == state
+    finally:
+        cli._shared_parser.cache_clear()
+    # Built once, on the first call, binding the module's cmd_* of that time.
+    assert built == [1] and weyl_calls == [1, 1]
+
+
+def test_parser_is_not_built_at_import():
+    script = (
+        "from weylwords import cli; "
+        "assert cli._shared_parser.cache_info().currsize == 0; "
+        "cli.main(['roots', '--type', 'A1']); "
+        "assert cli._shared_parser.cache_info().currsize == 1"
+    )
+    paths = (str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
