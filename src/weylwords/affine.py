@@ -13,7 +13,9 @@ highest root of the c-th component of J.  Letter order is all classical
 letters (by index) before all affine ones; greedy descents use that order.
 Stepping through a word multiplies by one letter at a time on the right,
 from a per-subsystem letter table, in O(rank^2) per letter: s_j through
-``_times_simple``, the affine letter by moving one root.
+``_times_simple``, the affine letter by moving one root.  Reduced words,
+and elements read off inversion sets, come from one descent walk over the
+letters' Cartan matrix from 2 rho - 2 sum N(x), as in ``finweyl``.
 """
 
 from __future__ import annotations
@@ -27,17 +29,19 @@ from .cartan import (
     Root,
     RootSystem,
     SubSystem,
-    complement_roots,
+    _descent_walk,
     height,
     is_positive,
     negate,
 )
 from .finweyl import (
     WeylElement,
+    from_word,
     identity,
     in_subgroup,
     reflection,
     simple_reflection,
+    tail_roots,
 )
 
 
@@ -184,31 +188,46 @@ def lift(w: WeylElement) -> AffineElement:
 
 
 class _LetterData(NamedTuple):
-    root: AffineRoot
     element: AffineElement
+    coroot: tuple[int, ...]  # classical part of alpha_s-check, over the simple coroots
+    row: tuple[int, ...]  # <alpha_t, alpha_s-check> for the letters t in order
     theta: Root | None = None  # an affine letter's highest root
     pairs: tuple[int, ...] = ()  # <alpha_j, theta-check> for j = 1 .. rank
 
 
 @lru_cache(maxsize=None)
 def _letter_table(sub: SubSystem) -> dict[Letter, _LetterData]:
-    """Each letter's simple root and element, built once per subsystem."""
+    """Each letter's element, coroot and Cartan row, built once per subsystem.
+    The affine letter's root delta - theta pairs with coroots as -theta does."""
     rs = sub.rs
+    roots = {letter: letter_root(sub, letter).classical for letter in letters_of(sub)}
     table = {}
-    for letter in letters_of(sub):
-        root = letter_root(sub, letter)
+    for letter, root in roots.items():
+        coroot = rs.coroot_coords(root)
+        row = tuple(rs.coroot_pairing(r, coroot) for r in roots.values())
         if letter.kind == "c":
-            table[letter] = _LetterData(root, lift(simple_reflection(rs, letter.index)))
+            element = lift(simple_reflection(rs, letter.index))
+            table[letter] = _LetterData(element, coroot, row)
             continue
-        theta = sub.highest_roots[letter.index - 1]
-        check = rs.coroot_coords(theta)
+        theta, check = negate(root), negate(coroot)
         table[letter] = _LetterData(
-            root,
-            AffineElement(check, reflection(rs, theta)),
-            theta,
+            AffineElement(check, reflection(rs, theta)), coroot, row, theta,
             tuple(rs.coroot_pairing(alpha, check) for alpha in rs.simple_roots),
         )
     return table
+
+
+def _walk_letters(sub: SubSystem, counted) -> tuple[Letter, ...] | None:
+    """The descent walk from 2 rho - 2 sum N, N given as (count, classical
+    part) pairs: delta pairs to 0 with every coroot, so levels never enter."""
+    total = [0] * sub.rs.rank
+    for n, eps in counted:
+        total = [t + n * c for t, c in zip(total, eps)]
+    table = _letter_table(sub)
+    letters, data = tuple(table), table.values()
+    m = [2 - 2 * sub.rs.coroot_pairing(total, d.coroot) for d in data]
+    steps = _descent_walk(m, [d.row for d in data])
+    return None if steps is None else tuple([letters[s] for s in steps])
 
 
 def _letter_data(sub: SubSystem, letter: Letter) -> _LetterData:
@@ -311,8 +330,7 @@ def tail_set(
 
     Invariant under replacing u by u*v with v generated by K.
     """
-    base = frozenset(u.apply(r) for r in complement_roots(sub, K, sign))
-    return tower(sub.rs, base, cutoff)
+    return tower(sub.rs, tail_roots(sub, K, u, sign), cutoff)
 
 
 def affine_inversion_set(x: AffineElement, sub: SubSystem) -> frozenset[AffineRoot]:
@@ -346,50 +364,24 @@ def _inverted_levels(x: AffineElement, sub: SubSystem):
 
 
 def affine_reduced_word(x: AffineElement, sub: SubSystem) -> tuple[Letter, ...]:
-    """Reduced word by greedy left descent in canonical letter order."""
-    expected = affine_length(x, sub)
-    word: list[Letter] = []
-    current_inv = x.inverse  # peeling s from the left steps the inverse by s
-    alphabet = [(letter, data.root) for letter, data in _letter_table(sub).items()]
-    while not current_inv.is_identity:
-        if len(word) >= expected:
-            raise RuntimeError("descent search exceeded the length bound")
-        for letter, alpha in alphabet:
-            if not current_inv.act(alpha).is_positive:
-                word.append(letter)
-                current_inv = _times_letter(current_inv, sub, letter)
-                break
-        else:
-            raise RuntimeError("element of the subgroup has no descent")
-    return tuple(word)
+    """Reduced word by greedy left descent in canonical letter order: the
+    descent walk from x's inversions, counted level by level."""
+    word = _walk_letters(sub, ((len(ms), eps) for eps, ms in _inverted_levels(x, sub)))
+    if word is None:
+        raise RuntimeError("descent walk of an affine element did not reach 2 rho")
+    return word
 
 
 def element_from_affine_inversions(F, sub: SubSystem) -> AffineElement:
-    """The element of the subgroup whose inversion set is the finite set F.
-
-    Greedy peeling: the first letter whose simple root lies in F starts a
-    reduced word; peeling repeats on the reflected remainder.  Raises
-    ValueError when F is not an inversion set over the subsystem.
-    """
-    original = frozenset(F)
-    remaining = set(F)
-    alphabet = [
-        (letter, data.root, data.element) for letter, data in _letter_table(sub).items()
-    ]
-    word = []
-    for _ in range(len(remaining)):
-        for letter, alpha, element in alphabet:
-            if alpha in remaining:
-                word.append(letter)
-                remaining.remove(alpha)
-                remaining = {element.act(beta) for beta in remaining}
-                if any(not beta.is_positive for beta in remaining):
-                    raise ValueError("set is not an affine inversion set")
-                break
-        else:
-            raise ValueError("set is not an affine inversion set")
+    """The element of the subgroup whose inversion set is the finite set F,
+    whose word the descent walk spells from F's real roots (imaginary ones are
+    left to the final check).  Raises ValueError for any other set F."""
+    F = frozenset(F)
+    word = _walk_letters(sub, ((1, beta.classical) for beta in F if beta.is_real))
+    if word is None:
+        raise ValueError("set is not an affine inversion set")
     result = from_letters(sub, word)
-    if affine_inversion_set(result, sub) != original:
+    if affine_inversion_set(result, sub) != F:
         raise ValueError("set is not an affine inversion set")
     return result
 
@@ -465,6 +457,4 @@ def element_to_json(x: AffineElement) -> dict:
 
 
 def element_from_json(rs: RootSystem, data: dict) -> AffineElement:
-    from .finweyl import from_word
-
     return AffineElement(tuple(int(c) for c in data["lambda"]), from_word(rs, data["wbar"]))

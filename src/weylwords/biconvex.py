@@ -21,22 +21,27 @@ from .cartan import (
     RootSystem,
     SubSystem,
     check_subset,
-    complement_roots,
     is_positive,
     sub_system,
 )
 from .finweyl import (
     WeylElement,
     factor_pointed_biclosed,
+    from_word,
     in_subgroup,
+    tail_roots,
 )
 from .affine import (
     AffineElement,
     AffineRoot,
     affine_add,
     affine_inversion_set,
+    affine_root_from_json,
+    affine_root_to_json,
     affine_window,
     element_from_affine_inversions,
+    element_from_json,
+    element_to_json,
     in_weyl_subgroup,
     tower,
 )
@@ -217,7 +222,7 @@ def realize(param: BiconvexParam, cutoff: int) -> WindowSet:
     """The biconvex set named by (K, u, y): the tower over the tail
     u(negative roots of J outside K) plus the finite part u(N(y))."""
     sub = param.sub
-    tail = frozenset(param.u.apply(r) for r in complement_roots(sub, param.K, -1))
+    tail = tail_roots(sub, param.K, param.u)
     finite = frozenset(
         AffineRoot(b.level, param.u.apply(b.classical))
         for b in affine_inversion_set(param.y, sub_system(sub.rs, param.K))
@@ -339,8 +344,6 @@ def enumerate_biconvex(
 # JSON encodings
 
 def param_to_json(param: BiconvexParam) -> dict:
-    from .affine import element_to_json
-
     return {
         "J": list(param.sub.J),
         "K": list(param.K),
@@ -350,9 +353,6 @@ def param_to_json(param: BiconvexParam) -> dict:
 
 
 def param_from_json(rs: RootSystem, data: dict) -> BiconvexParam:
-    from .affine import element_from_json
-    from .finweyl import from_word
-
     sub = sub_system(rs, data["J"])
     return BiconvexParam(
         sub=sub,
@@ -363,8 +363,6 @@ def param_from_json(rs: RootSystem, data: dict) -> BiconvexParam:
 
 
 def view_to_json(window: WindowSet) -> dict:
-    from .affine import affine_root_to_json
-
     finite = sorted(window.finite_part, key=lambda b: (b.level, b.classical or ()))
     return {
         "tail": sorted(list(r) for r in window.tail),
@@ -375,8 +373,6 @@ def view_to_json(window: WindowSet) -> dict:
 
 def view_from_json(rs: RootSystem, J, data: dict) -> WindowSet:
     """A view's set; the cutoff is raised to reach every listed finite root."""
-    from .affine import affine_root_from_json
-
     return _assemble(
         sub_system(rs, J),
         frozenset(tuple(r) for r in data["tail"]),

@@ -176,6 +176,23 @@ def cartan_adjugate(rs: RootSystem, indices) -> tuple[int, list[list[int]]]:
     return int(det), [[int(det * x) for x in row[n:]] for row in m]
 
 
+def _descent_walk(m, cartan) -> list[int] | None:
+    """The greedy left-descent word, smallest letter first (0-based), of the
+    x with m_s = <x(2 rho), alpha_s-check> over letters with Cartan matrix
+    cartan[t][s] = <alpha_s, alpha_t-check>; None for any other m.
+
+    s is a left descent of x exactly when m_s < 0, and s x has pairings
+    m - m_s (column s).  Each step frees one positive root from a negative
+    pairing, so the walk ends for every m of a finite system or of positive
+    level, and ends at (2, .., 2) exactly when m came from 2 rho.
+    """
+    m, steps = list(m), []
+    while (s := next((s for s, c in enumerate(m) if c < 0), -1)) >= 0:
+        steps.append(s)
+        m = [c - m[s] * row[s] for c, row in zip(m, cartan)]
+    return steps if all(c == 2 for c in m) else None
+
+
 def height(root: Root) -> int:
     """Sum of the simple-root coefficients."""
     return sum(root)
@@ -227,6 +244,11 @@ class RootSystem:
         return tuple(
             tuple(int(j == i) for j in range(self.rank)) for i in range(self.rank)
         )
+
+    @cached_property
+    def two_rho(self) -> Root:
+        """2 rho, the sum of the positive roots."""
+        return tuple(map(sum, zip(*self.positive_roots)))
 
     @cached_property
     def _coroots(self) -> dict[Root, tuple[int, ...]]:

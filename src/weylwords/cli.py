@@ -223,7 +223,13 @@ def cmd_biconvex(args) -> int:
         _emit(
             {
                 "count": len(sets),
-                "sets": [[affine_root_to_json(b) for b in sorted(s)] for s in sets],
+                "sets": [
+                    [
+                        affine_root_to_json(b)
+                        for b in sorted(s, key=lambda b: (b.level, b.classical or ()))
+                    ]
+                    for s in sets
+                ],
                 "printed": [sorted(str(b) for b in s) for s in sets],
             },
             args,
@@ -387,10 +393,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,8 +2,9 @@
 
 Elements are stored as the tuple of images of the simple roots, which is
 the canonical form: equality, hashing, and all decisions use images, never
-words.  Greedy algorithms (reduced words, coset splitting, peeling an
-element out of its inversion set) always pick the smallest simple index
+words.  Reduced words, and elements read off inversion sets, come from one
+descent walk on the pairings of w(2 rho) = 2 rho - 2 sum N(w) with the
+simple coroots.  Greedy algorithms always pick the smallest simple index
 first, so every output is deterministic.
 """
 
@@ -17,6 +18,7 @@ from .cartan import (
     Root,
     RootSystem,
     SubSystem,
+    _descent_walk,
     add,
     check_subset,
     complement_roots,
@@ -84,37 +86,25 @@ class WeylElement:
     @cached_property
     def inverse(self) -> WeylElement:
         w = identity(self.rs)
-        for i in self._right_descents:
-            w = w._times_simple(i)
+        for i in self.word:
+            w = w._simple_times(i)
         return w
-
-    @cached_property
-    def _right_descents(self) -> tuple[int, ...]:
-        """Indices i_1, i_2, ... with self = s_{i_n} ... s_{i_1}, each the
-        smallest right descent left; only the identity has none."""
-        letters: list[int] = []
-        v = self
-        while True:
-            for i, img in enumerate(v.images, start=1):
-                if not is_positive(img):
-                    break
-            else:
-                return tuple(letters)
-            if len(letters) == len(self.rs.roots) // 2:
-                raise RuntimeError("descents outlast the longest element")
-            letters.append(i)
-            v = v._times_simple(i)
 
     @cached_property
     def word(self) -> tuple[int, ...]:
         """Reduced word by greedy left descent, smallest index first: the
-        left descents of an element are the right descents of its inverse."""
-        return self.inverse._right_descents
+        descent walk from <self(2 rho), alpha_i-check>."""
+        rs = self.rs
+        v = self.apply(rs.two_rho)
+        m = [rs.simple_coroot_pairing(v, i) for i in rs.index_set]
+        steps = _descent_walk(m, rs.cartan)
+        if steps is None:
+            raise RuntimeError("descent walk of a Weyl element did not reach 2 rho")
+        return tuple([s + 1 for s in steps])  # a list sizes the cached tuple exactly
 
     @cached_property
     def length(self) -> int:
-        # l(w) = l(w^-1): one descent pass, no inverse needed.
-        return len(self._right_descents)
+        return len(self.word)
 
     def coroot_apply(self, coords) -> tuple[int, ...]:
         """Action on a coroot-lattice vector, in simple-coroot coordinates."""
@@ -326,29 +316,27 @@ def push_negative(P, sub: SubSystem) -> WeylElement:
 
 
 def element_from_inversions(F, sub: SubSystem) -> WeylElement:
-    """The unique element of W_J whose inversion set is F.
-
-    Peels simple roots greedily: the first simple root found in F is the
-    first letter of a reduced word.  Raises if F is not an inversion set.
-    """
-    original = frozenset(F)
-    remaining = set(F)
-    rs = sub.rs
-    w = identity(rs)
-    for _ in range(len(remaining)):
-        for j in sub.J:
-            alpha = rs.simple_root(j)
-            if alpha in remaining:
-                w = w._times_simple(j)
-                remaining = {rs.simple_reflect(j, beta) for beta in remaining if beta != alpha}
-                if any(not is_positive(beta) for beta in remaining):
-                    raise ValueError("set is not an inversion set")
-                break
-        else:
-            raise ValueError("set is not an inversion set")
-    if inversion_set(w, sub) != original:
+    """The unique element of W_J whose inversion set is F: the descent walk
+    over J from 2 rho - 2 sum F spells its reduced word, as w(2 rho) =
+    2 rho - 2 sum N(w).  Raises ValueError if F is not an inversion set."""
+    F, rs, J = frozenset(F), sub.rs, sub.J
+    total = tuple(map(sum, zip(*F)))
+    steps = _descent_walk(
+        [2 - 2 * rs.simple_coroot_pairing(total, j) for j in J],
+        [[rs.cartan[i - 1][j - 1] for j in J] for i in J],
+    )
+    if steps is None:
+        raise ValueError("set is not an inversion set")
+    w = from_word(rs, [J[s] for s in steps])
+    if inversion_set(w, sub) != F:
         raise ValueError("set is not an inversion set")
     return w
+
+
+def tail_roots(sub: SubSystem, K, u: WeylElement, sign: int = -1) -> frozenset[Root]:
+    """u(Phi^-_J minus Phi_K), the tail of the triple (K, u, y); sign +1
+    takes the positive roots of J outside K instead."""
+    return frozenset(u.apply(r) for r in complement_roots(sub, K, sign))
 
 
 def factor_pointed_biclosed(P, sub: SubSystem):
@@ -368,7 +356,6 @@ def factor_pointed_biclosed(P, sub: SubSystem):
         raise RuntimeError(f"inversion reconstruction failed: {exc}") from exc
     sym = P | frozenset(negate(r) for r in P)
     K = tuple(j for j in sub.J if u.images[j - 1] not in sym)
-    expected = frozenset(u.apply(r) for r in complement_roots(sub, K, -1))
-    if expected != P:
+    if tail_roots(sub, K, u) != P:
         raise RuntimeError("pointed biclosed factorization did not round-trip")
     return K, u

@@ -11,12 +11,13 @@ import random
 from time import perf_counter
 from dataclasses import dataclass, field
 
-from .cartan import build_root_system, complement_roots, sub_system
+from .cartan import build_root_system, sub_system
 from .finweyl import (
     classify_subset,
     factor_pointed_biclosed,
     identity,
     minimal_coset_reps,
+    tail_roots,
     weyl_elements,
 )
 from .affine import (
@@ -152,9 +153,7 @@ def check_subset_classification(labels=("A2", "B2", "C2")) -> CheckResult:
             table = {}
             for K in _subsets(J):
                 for u in minimal_coset_reps(sub, K):
-                    image = frozenset(
-                        u.apply(r) for r in complement_roots(sub, K, -1)
-                    )
+                    image = tail_roots(sub, K, u)
                     if image in table:
                         failures.append(f"{label} J={J}: duplicate tail image")
                     table[image] = (K, u)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -325,6 +326,24 @@ def test_element_from_affine_inversions_round_trip():
         assert element_from_affine_inversions(F, full) == x
     with pytest.raises(ValueError):
         element_from_affine_inversions({AffineRoot(1, (1, 1))}, full)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "C2"])
+def test_element_from_affine_inversions_exactly_on_inversion_sets(label):
+    # Every set of at most 4 roots of the level-1 window, imaginary roots
+    # included: a set is read back exactly when it is some N(x), and any
+    # other set raises ValueError (never TypeError).
+    rs = build_root_system(label)
+    full = sub_system(rs, rs.index_set)
+    table = {affine_inversion_set(x, full): x for x in bfs_elements(full, 4)}
+    window = affine_window(full, 1)
+    for size in range(5):
+        for F in map(frozenset, combinations(window, size)):
+            if F in table:
+                assert element_from_affine_inversions(F, full) == table[F]
+            else:
+                with pytest.raises(ValueError):
+                    element_from_affine_inversions(F, full)
 
 
 def test_bfs_lengths_match_inversion_counts():

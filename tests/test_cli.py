@@ -103,6 +103,17 @@ def test_biconvex_enumerate_example(capsys):
     assert data["printed"] == [[], ["a1"], ["1d-a1"]]
 
 
+def test_biconvex_enumerate_defaults_list_imaginary_roots(capsys):
+    # At cutoff 2 the sets hold imaginary roots beside real roots of the
+    # same level, so the listing must order them without comparing None.
+    from weylwords import build_root_system, enumerate_biconvex, sub_system
+
+    code, data, _ = run_json(capsys, "biconvex", "enumerate", "--type", "A1")
+    assert code == 0
+    sub = sub_system(build_root_system("A1"), (1,))
+    assert data["count"] == len(enumerate_biconvex(sub, 2, 4, window_limit=64))
+
+
 def test_biconvex_enumerate_refuses_oversized(capsys):
     code, _, err = run(
         capsys, "biconvex", "enumerate", "--type", "C2", "--cutoff", "6",

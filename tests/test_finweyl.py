@@ -315,6 +315,30 @@ def test_element_from_inversions_round_trip():
         element_from_inversions({(1, 1)}, A2_FULL)  # theta alone
 
 
+@pytest.mark.parametrize("label", ["A2", "B2", "C2", "G2", "A3", "B3"])
+def test_element_from_inversions_exactly_on_inversion_sets(label):
+    # Every subset of the positive roots of every nonempty J: the descent
+    # walk either reads the element off its inversion set or fails cleanly.
+    rs = build_root_system(label)
+    for J in subsets(rs.index_set):
+        if not J:
+            continue
+        sub = sub_system(rs, J)
+        table = {inversion_set(w, sub): w for w in weyl_elements(sub)}
+        for F in subsets(sub.positives):
+            if F in table:
+                assert element_from_inversions(F, sub) == table[F]
+            else:
+                with pytest.raises(ValueError):
+                    element_from_inversions(F, sub)
+
+
+def test_word_of_a_non_element_is_an_internal_fault():
+    # Equal images send 2 rho off the orbit: the walk ends short of 2 rho.
+    with pytest.raises(RuntimeError):
+        WeylElement(A2, ((1, 0), (1, 0))).word
+
+
 def test_factor_pointed_biclosed_examples():
     K, u = factor_pointed_biclosed(frozenset(A2_FULL.negatives), A2_FULL)
     assert K == () and u.is_identity
