@@ -9,12 +9,19 @@ set: its members up to a cutoff, plus a promise for every level beyond
 do).  Nothing infinite is stored, yet membership is answered at any
 level.  ``realize`` builds the set a triple names, with the cutoff raised
 to reach its whole finite part, and ``parametrize`` inverts it.
+
+Sums inside a window come from one table per subsystem, free of any
+cutoff: the pairs of classical parts whose sum is a root or zero.  The
+window test packs each part's member levels into one integer and closes
+them with one product per pair; the window's index triples, which the
+enumerator walks, are read off the same table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .cartan import (
     Root,
@@ -95,30 +102,49 @@ def _check_window_member(sub: SubSystem, beta: AffineRoot, cutoff: int) -> None:
         raise ValueError(f"{beta} is not a root of the subsystem")
 
 
+class _ClassSums(NamedTuple):
+    """The window's sums by classical part (``None`` for imaginary roots)."""
+
+    slot: dict[Root | None, int]  # each part's index: positives, negatives, None
+    positives: int  # parts below this index are positive: level 0 is in the window
+    pairs: tuple[tuple[int, int, int], ...]  # (x, y, z): x <= y, part x + part y = part z
+
+
+@lru_cache(maxsize=None)
+def _class_sum_pairs(sub: SubSystem) -> _ClassSums:
+    """Every unordered pair of classical parts whose sum is a root or zero,
+    with that sum.  The root m delta + a plus n delta + b is then the root
+    (m + n) delta + (a + b) at every pair of levels, so this one table,
+    free of any cutoff, holds every sum inside every window."""
+    parts = (*sub.positives, *sub.negatives, None)
+    slot = {a: x for x, a in enumerate(parts)}
+    pairs = []
+    for x, a in enumerate(parts):
+        for y in range(x, len(parts)):
+            total = affine_add(AffineRoot(1, a), AffineRoot(0, parts[y]), sub.rs)
+            if total is not None and total.classical in slot:
+                pairs.append((x, y, slot[total.classical]))
+    return _ClassSums(slot, len(sub.positives), tuple(pairs))
+
+
 @lru_cache(maxsize=None)
 def _window_sum_triples(sub: SubSystem, cutoff: int):
     """The level-bounded window's root-to-index map, and every index triple
-    (i, j, k) with i <= j and window[i] + window[j] = window[k].
-
-    Pairs are formed per classical part (None for imaginary roots): only
-    parts whose sum is a root or zero meet, at every pair of levels.
-    """
+    (i, j, k) with i <= j and window[i] + window[j] = window[k], read off
+    the class sum pairs at every pair of levels."""
     window = affine_window(sub, cutoff)
     index = {beta: t for t, beta in enumerate(window)}
-    levels: dict[Root | None, dict[int, int]] = {}
+    table = _class_sum_pairs(sub)
+    levels: list[dict[int, int]] = [{} for _ in table.slot]
     for beta, t in index.items():
-        levels.setdefault(beta.classical, {})[beta.level] = t
+        levels[table.slot[beta.classical]][beta.level] = t
     triples = []
-    for a, a_levels in levels.items():
-        for b, b_levels in levels.items():
-            total = affine_add(AffineRoot(1, a), AffineRoot(0, b), sub.rs)
-            if total is None or total.classical not in levels:
-                continue
-            sums = levels[total.classical]
-            for m, i in a_levels.items():
-                for n, j in b_levels.items():
-                    if i <= j and (k := sums.get(m + n)) is not None:
-                        triples.append((i, j, k))
+    for x, y, z in table.pairs:
+        sums = levels[z]
+        for m, i in levels[x].items():
+            for n, j in levels[y].items():
+                if (k := sums.get(m + n)) is not None and (x != y or i <= j):
+                    triples.append((min(i, j), max(i, j), k))
     return index, tuple(triples)
 
 
@@ -126,20 +152,35 @@ def is_biconvex_window(S, sub: SubSystem, cutoff: int) -> bool:
     """Pairwise closure test inside the level-bounded window.
 
     Checks both closure of S and closure of its complement for every pair
-    of window roots whose sum stays in the window: membership is marked in
-    a flat list by window index and the cached index triples are scanned.
-    Necessary at every cutoff; exact for sets that agree with a tail
-    pattern beyond it.
+    of window roots whose sum stays in the window.  Each classical part's
+    member levels are packed into one integer, level m in a field of w
+    bits.  A field of the product of two parts' masks is nonzero exactly
+    when its level is a sum m + n of their levels, and the field counts at
+    most cutoff + 1 such pairs, below 2^w, so no field carries into the
+    next.  Closure of S is then one product per class sum pair, ANDed with
+    the window levels of the sum's part outside S; closure of the
+    complement is the same with the complement's masks.  Necessary at
+    every cutoff; exact for sets that agree with a tail pattern beyond it.
     """
-    index, triples = _window_sum_triples(sub, cutoff)
-    member = [False] * len(index)
+    if cutoff < 0:
+        raise ValueError("cutoff must be non-negative")
+    slot, positives, pairs = _class_sum_pairs(sub)
+    w = (cutoff + 1).bit_length() + 1
+    field = (1 << w) - 1
+    levels = ((1 << w * (cutoff + 1)) - 1) // field  # bit 0 of fields 0..cutoff
+    window = [levels] * positives + [levels - 1] * (len(slot) - positives)
+    member = [0] * len(slot)
     for beta in S:
-        t = index.get(beta)
-        if t is None:
+        x, m = slot.get(beta.classical), beta.level
+        if x is None or not 0 <= m <= cutoff or not window[x] >> m * w & 1:
             _check_window_member(sub, beta, cutoff)  # raises: not in the window
-        member[t] = True
-    for i, j, k in triples:
-        if member[i] == member[j] != member[k]:
+        member[x] |= 1 << m * w
+    outside = [win ^ s for win, s in zip(window, member)]
+    inside_fields = [s * field for s in member]
+    outside_fields = [s * field for s in outside]
+    for x, y, z in pairs:
+        if (member[x] * member[y] & outside_fields[z]
+                or outside[x] * outside[y] & inside_fields[z]):
             return False
     return True
 
@@ -310,32 +351,27 @@ def enumerate_biconvex(
         raise ValueError(
             f"window has {len(window)} roots, above the limit {window_limit}"
         )
-    pair_lists: list[list[tuple[int, int]]] = [[] for _ in window]
+    pair_masks: list[list[int]] = [[] for _ in window]
     for i, j, k in _window_sum_triples(sub, cutoff)[1]:
-        pair_lists[k].append((i, j))
+        pair_masks[k].append(1 << i | 1 << j)
 
-    chosen: list[int] = []
-    status = [False] * len(window)
+    # Each pending branch is (next index, members chosen so far as a bit
+    # mask, their count); an explicit stack keeps no closure alive after.
     results: list[frozenset[AffineRoot]] = []
-
-    def walk(t: int) -> None:
+    stack = [(0, 0, 0)]
+    while stack:
+        t, chosen, size = stack.pop()
         if t == len(window):
-            results.append(frozenset(window[i] for i in chosen))
-            return
-        forced_in = any(status[i] and status[j] for i, j in pair_lists[t])
-        forced_out = any(not status[i] and not status[j] for i, j in pair_lists[t])
+            results.append(frozenset(b for i, b in enumerate(window) if chosen >> i & 1))
+            continue
+        forced_in = any(chosen & p == p for p in pair_masks[t])
+        forced_out = any(not chosen & p for p in pair_masks[t])
         if forced_in and forced_out:
-            return
+            continue
+        if not forced_out and size < max_size:
+            stack.append((t + 1, chosen | 1 << t, size + 1))
         if not forced_in:
-            walk(t + 1)
-        if not forced_out and len(chosen) < max_size:
-            status[t] = True
-            chosen.append(t)
-            walk(t + 1)
-            chosen.pop()
-            status[t] = False
-
-    walk(0)
+            stack.append((t + 1, chosen, size))
     results.sort(key=lambda s: (len(s), sorted((b.level, b.classical or ()) for b in s)))
     return results
 

@@ -431,7 +431,12 @@ class SubSystem:
 
 
 @lru_cache(maxsize=None)
-def _sub_system_cached(rs: RootSystem, J: tuple[int, ...]) -> SubSystem:
+def _sub_system_cached(rs: RootSystem, J: tuple) -> SubSystem:
+    canonical = tuple(sorted(set(J)))
+    if canonical != J:  # unsorted or repeated: the canonical entry's object
+        return _sub_system_cached(rs, canonical)
+    if any(j not in rs.index_set for j in J):
+        raise ValueError(f"J={J} is not a subset of the index set")
     roots = tuple(
         r for r in rs.roots if support(r) <= frozenset(J)
     )
@@ -471,11 +476,12 @@ def _sub_system_cached(rs: RootSystem, J: tuple[int, ...]) -> SubSystem:
 
 
 def sub_system(rs: RootSystem, J) -> SubSystem:
-    """The subsystem of ``rs`` spanned by the simple roots indexed by J."""
-    J = tuple(sorted(set(J)))
-    if any(j not in rs.index_set for j in J):
-        raise ValueError(f"J={J} is not a subset of the index set")
-    return _sub_system_cached(rs, J)
+    """The subsystem of ``rs`` spanned by the simple roots indexed by J.
+
+    J is looked up as given before it is sorted and checked, so the usual
+    sorted tuple costs one cache lookup; any order or repetition of the
+    same indices gives the same object."""
+    return _sub_system_cached(rs, J if type(J) is tuple else tuple(J))
 
 
 def check_subset(sub: SubSystem, K) -> tuple[int, ...]:

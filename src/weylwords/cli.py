@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -90,7 +91,13 @@ def _emit(data, args) -> None:
         with open(args.out, "w") as handle:
             handle.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()  # a closed pipe raises here, not at exit
+        except BrokenPipeError:
+            # The reader is gone: send the rest, and the flush at exit, nowhere.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
 
 
 def _as_table(data, indent=0) -> str:

@@ -6,6 +6,10 @@ words.  Reduced words, and elements read off inversion sets, come from one
 descent walk on the pairings of w(2 rho) = 2 rho - 2 sum N(w) with the
 simple coroots.  Greedy algorithms always pick the smallest simple index
 first, so every output is deterministic.
+
+Tails u(Phi^-_J minus Phi_K) and the factorization of a pointed biclosed
+set into (K, u) are kept in two bounded memos, of ``TAIL_MEMO_SIZE``
+entries each: a miss runs every check, and a failure is never kept.
 """
 
 from __future__ import annotations
@@ -333,9 +337,20 @@ def element_from_inversions(F, sub: SubSystem) -> WeylElement:
     return w
 
 
+# Bound of the two (K, u) memos below.  Callers sweep y innermost, so
+# consecutive parameters share their tail; a few recent tails suffice.
+TAIL_MEMO_SIZE = 16
+
+
 def tail_roots(sub: SubSystem, K, u: WeylElement, sign: int = -1) -> frozenset[Root]:
     """u(Phi^-_J minus Phi_K), the tail of the triple (K, u, y); sign +1
-    takes the positive roots of J outside K instead."""
+    takes the positive roots of J outside K instead.  Memoized for the
+    last ``TAIL_MEMO_SIZE`` distinct (J, K, u, sign)."""
+    return _tail_roots_cached(sub, tuple(sorted(K)), u, sign)
+
+
+@lru_cache(maxsize=TAIL_MEMO_SIZE)
+def _tail_roots_cached(sub: SubSystem, K, u: WeylElement, sign: int) -> frozenset[Root]:
     return frozenset(u.apply(r) for r in complement_roots(sub, K, sign))
 
 
@@ -343,9 +358,15 @@ def factor_pointed_biclosed(P, sub: SubSystem):
     """Write a pointed biclosed set as u applied to the negative roots
     outside K, for a unique K inside J and minimal representative u.
 
-    Returns (K, u).  The reconstruction is verified by recomputation.
+    Returns (K, u).  The reconstruction is verified by recomputation, once
+    per set: the last ``TAIL_MEMO_SIZE`` distinct (P, J) are memoized, and
+    a set that fails a check raises again on every call.
     """
-    P = frozenset(P)
+    return _factor_cached(frozenset(P), sub)
+
+
+@lru_cache(maxsize=TAIL_MEMO_SIZE)
+def _factor_cached(P: frozenset[Root], sub: SubSystem):
     flags = classify_subset(P, sub)
     if not (flags.pointed and flags.biclosed_in_J):
         raise ValueError("set is not pointed and biclosed in the subsystem")

@@ -1,3 +1,4 @@
+import gc
 from itertools import combinations
 
 import pytest
@@ -30,7 +31,8 @@ from weylwords.biconvex import (
     view_from_json,
     view_to_json,
 )
-from weylwords.verify import _params_for
+from weylwords import finweyl
+from weylwords.verify import _params_for, check_parametrization_roundtrip
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -430,3 +432,26 @@ def test_view_listed_below_its_finite_part_parametrizes(label):
                     assert parametrize(view_from_json(rs, J, data)) == param
                     above += any(b["level"] > cutoff for b in data["finite"])
     assert above
+
+
+def test_tail_memos_stay_bounded_over_a_roundtrip_sweep():
+    result = check_parametrization_roundtrip(labels=("B3",), max_y=1)
+    assert result.passed and result.checked == 485
+    for memo in (finweyl._factor_cached, finweyl._tail_roots_cached):
+        info = memo.cache_info()
+        assert info.maxsize == finweyl.TAIL_MEMO_SIZE == 16
+        assert info.currsize <= 16 and info.hits > 0
+
+
+def test_enumerate_leaves_no_garbage():
+    enumerate_biconvex(A2_FULL, 1, 10)  # build the window tables first
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        sets = enumerate_biconvex(A2_FULL, 1, 10)
+        gc.collect()
+        garbage = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert sets and garbage == 0

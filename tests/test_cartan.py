@@ -209,11 +209,20 @@ def test_sub_system_matches_generated_closure():
         assert set(sub.roots) == generated
 
 
+def test_sub_system_is_one_object_per_index_set():
+    rs = build_root_system("C3")
+    sub = sub_system(rs, (1, 3))
+    for J in ((3, 1), (1, 3, 1), (3, 3, 1), [1, 3], [3, 1], {1, 3}, frozenset((3, 1))):
+        assert sub_system(rs, J) is sub
+    assert sub_system(rs, ()) is sub_system(rs, []) is sub_system(rs, set())
+
+
 @pytest.mark.parametrize("J", [(0,), (4,), (-1, 1), (1, 4), (1.5,), ("1",)])
 def test_sub_system_rejects_indices_outside_the_index_set(J):
     rs = build_root_system("C3")
-    with pytest.raises(ValueError, match="is not a subset of the index set"):
-        sub_system(rs, J)
+    for form in (J, J[::-1], J + J, list(J)):  # rejected on every lookup
+        with pytest.raises(ValueError, match="is not a subset of the index set"):
+            sub_system(rs, form)
 
 
 @pytest.mark.parametrize("label", ["B3", "C3", "G2"])

@@ -402,3 +402,21 @@ def test_parser_is_not_built_at_import():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_closed_stdout_ends_quietly():
+    # The read end is closed before the process starts, so its first write
+    # to stdout meets a broken pipe whatever the output's size.
+    paths = (str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "weylwords.cli", "roots", "--type", "E8"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert done.stderr == ""
+    assert done.returncode == 0

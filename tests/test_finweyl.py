@@ -21,8 +21,11 @@ from weylwords.finweyl import (
     push_negative,
     reflection,
     simple_reflection,
+    tail_roots,
     weyl_elements,
     WeylElement,
+    _factor_cached,
+    _tail_roots_cached,
 )
 
 from oracles import bfs_word_lengths, brute_force_positivize, subgroup_by_supports, subsets
@@ -375,6 +378,38 @@ def test_factorization_matches_exhaustive_search(label):
             else:
                 with pytest.raises(ValueError):
                     factor_pointed_biclosed(P, sub)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+def test_factorization_memos_return_what_a_cold_call_does(label):
+    rs = build_root_system(label)
+    for J in subsets(rs.index_set):
+        sub = sub_system(rs, J)
+        for K in subsets(J):
+            K = tuple(sorted(K))
+            for u in minimal_coset_reps(sub, K):
+                P = tail_roots(sub, K, u)
+                warm = [factor_pointed_biclosed(P, sub), P, tail_roots(sub, K, u, 1)]
+                assert warm[0] == (K, u)
+                _factor_cached.cache_clear()
+                _tail_roots_cached.cache_clear()
+                assert tail_roots(sub, K[::-1], u) == P  # keyed on sorted K
+                assert [factor_pointed_biclosed(P, sub), tail_roots(sub, K, u),
+                        tail_roots(sub, K, u, 1)] == warm
+                for sign, tail in ((-1, P), (1, warm[2])):
+                    assert tail == frozenset(u.apply(r) for r in complement_roots(sub, K, sign))
+
+
+def test_factorization_failures_are_not_memoized():
+    # Not biclosed, not pointed, and not roots of the subsystem.
+    a1_only = sub_system(A2, (1,))
+    bad = [({(1, 0)}, A2_FULL), ({(1, 0), (-1, 0)}, A2_FULL), ({(0, -1)}, a1_only)]
+    for P, sub in bad:
+        before = _factor_cached.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                factor_pointed_biclosed(P, sub)
+        assert _factor_cached.cache_info().currsize == before
 
 
 @pytest.mark.parametrize("label", ["A2", "C2"])

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylwords.affine import affine_inversion_set, affine_window, bfs_elements
-from weylwords.biconvex import _window_sum_triples, is_biconvex_window
+from weylwords.biconvex import _window_sum_triples, is_biconvex_window, realize
 from weylwords.cartan import build_root_system, sub_system
 from weylwords.finweyl import (
     WeylElement,
@@ -23,6 +23,7 @@ from weylwords.finweyl import (
     simple_reflection,
     weyl_elements,
 )
+from weylwords.verify import _params_for
 
 from oracles import biconvex_by_closure, subsets
 
@@ -199,3 +200,53 @@ def test_window_test_at_a_cutoff_implies_every_lower_cutoff(case):
         return
     for lower in range(cutoff):
         assert is_biconvex_window({b for b in S if b.level <= lower}, full, lower)
+
+
+def _triple_scan(S, full, cutoff):
+    """The window test read off the index triples, as it stood before the
+    level masks: some triple with i, j on one side and k on the other."""
+    index, triples = _window_sum_triples(full, cutoff)
+    member = [False] * len(index)
+    for beta in S:
+        member[index[beta]] = True
+    return not any(member[i] == member[j] != member[k] for i, j, k in triples)
+
+
+@pytest.mark.parametrize(
+    "label, cutoff", [("A1", 0), ("A1", 1), ("A1", 2), ("A1", 3), ("A2", 1), ("B2", 1)]
+)
+def test_level_masks_match_the_triple_scan_on_every_subset(label, cutoff):
+    full, window = _window(label, cutoff)
+    verdicts = set()
+    for S in subsets(window):
+        verdict = is_biconvex_window(S, full, cutoff)
+        assert verdict == _triple_scan(S, full, cutoff) == biconvex_by_closure(S, window)
+        verdicts.add(verdict)
+    assert verdicts == ({True} if cutoff == 0 else {True, False})  # level 0 has no sums
+
+
+REALIZED_KEYS = [(label, cutoff) for label in ("G2", "A3", "B3") for cutoff in (2, 3, 4)]
+
+
+@lru_cache(maxsize=None)
+def _realized_case(key):
+    """The window, and the truncations of realized sets and their complements."""
+    label, cutoff = key
+    full, window = _window(label, cutoff)
+    seeds = []
+    for param in _params_for(full.rs, full.J, 1):
+        S = realize(param, cutoff).truncate(cutoff)
+        seeds += [S, frozenset(window) - S]
+    return full, window, seeds
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.sampled_from(REALIZED_KEYS), st.data())
+def test_level_masks_match_the_triple_scan_near_realized_sets(key, data):
+    full, window, seeds = _realized_case(key)
+    cutoff = key[1]
+    S = set(data.draw(st.sampled_from(seeds)))
+    for beta in data.draw(st.lists(st.sampled_from(window), max_size=3)):
+        S ^= {beta}
+    verdict = is_biconvex_window(S, full, cutoff)
+    assert verdict == _triple_scan(S, full, cutoff) == biconvex_by_closure(S, window)
