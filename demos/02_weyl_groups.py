@@ -43,10 +43,10 @@ print("  closed:", flags.closed, " biclosed:", flags.biclosed_in_J,
 K, u = factor_pointed_biclosed(P, full)
 print("  factors with K =", K, "and u =", u.word)
 
-# The finite group is small; the affine one is infinite.  Affine elements
-# are translation * finite pairs, and their reduced words over the
-# letters (simple reflections plus one affine letter per component) come
-# from the same greedy descent.
+# The finite group is small; the affine one is infinite.  An affine
+# element t_lambda * w is kept as its images of the simple roots, and its
+# reduced words over the letters (simple reflections plus one affine
+# letter per component) come from the same greedy descent.
 print("\nfinite Weyl group order:", len(weyl_elements(full)))
 t = translation(rs, (1, 1))
 print("letters of the full subsystem:", [str(l) for l in letters_of(full)])

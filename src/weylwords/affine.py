@@ -1,21 +1,22 @@
-"""Affine roots and affine Weyl group elements in translation form.
+"""Affine roots and affine Weyl group elements, stored as images of roots.
 
 An affine root is a pair (level, classical): ``level*delta + classical``
 with the classical part a finite root, or ``level*delta`` (imaginary) when
-the classical part is None.  Group elements are pairs (translation, finite)
-representing ``t_lambda o w`` with lambda stored as integer coordinates
-over the simple coroots; this form makes inversion sets computable in
-closed form, with no search.
+the classical part is None.  A group element x = t_lambda o w fixes delta
+and is stored as its images of the simple roots, x(alpha_k) = -<w alpha_k,
+lambda> delta + w alpha_k: ``finweyl``'s images plus one level per image.
+Products and actions are the finite image rules with levels carried along;
+lambda is derived on demand.  Inversion sets follow in closed form.
 
 Letters name the generators attached to a subsystem J: Classical(j) is the
 simple reflection s_j, Affine(c) is the reflection in delta minus the
 highest root of the c-th component of J.  Letter order is all classical
 letters (by index) before all affine ones; greedy descents use that order.
 Stepping through a word multiplies by one letter at a time on the right,
-from a per-subsystem letter table, in O(rank^2) per letter: s_j through
-``_times_simple``, the affine letter by moving one root.  Reduced words,
-and elements read off inversion sets, come from one descent walk over the
-letters' Cartan matrix from 2 rho - 2 sum N(x), as in ``finweyl``.
+in O(rank^2) per letter and by one rule for every letter: x s sends
+alpha_k to x(alpha_k) - <alpha_k, alpha_s-check> x(alpha_s).  Reduced
+words, and elements read off inversion sets, come from one descent walk
+over the letters' Cartan matrix from 2 rho - 2 sum N(x), as in ``finweyl``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import takewhile
+from operator import mul
 from typing import NamedTuple
 
 from .cartan import (
@@ -30,6 +32,7 @@ from .cartan import (
     RootSystem,
     SubSystem,
     _descent_walk,
+    cartan_adjugate,
     height,
     is_positive,
     negate,
@@ -39,8 +42,6 @@ from .finweyl import (
     from_word,
     identity,
     in_subgroup,
-    reflection,
-    simple_reflection,
     tail_roots,
 )
 
@@ -118,14 +119,12 @@ def letter_root(sub: SubSystem, letter: Letter) -> AffineRoot:
 
 @dataclass(frozen=True, eq=False)
 class AffineElement:
-    """t_lambda composed with a finite Weyl element, acting on affine roots."""
+    """x = t_lambda w, stored as its images of the simple roots: x(alpha_k) =
+    levels[k] delta + finite(alpha_k), with levels[k] = -<w alpha_k, lambda>.
+    x fixes delta, so these images determine x."""
 
-    translation: tuple[int, ...]
+    levels: tuple[int, ...]
     finite: WeylElement
-
-    def __post_init__(self):
-        if len(self.translation) != self.finite.rs.rank:
-            raise ValueError("translation coordinate length mismatch")
 
     @property
     def rs(self) -> RootSystem:
@@ -134,52 +133,70 @@ class AffineElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AffineElement):
             return NotImplemented
-        return (
-            self.rs is other.rs
-            and self.translation == other.translation
-            and self.finite == other.finite
-        )
+        return self.levels == other.levels and self.finite == other.finite
 
     def __hash__(self) -> int:
-        return hash((self.translation, self.finite))
+        return hash((self.levels, self.finite))
 
     def __repr__(self) -> str:
         return f"AffineElement(t{list(self.translation)}, {self.finite!r})"
 
     @property
     def is_identity(self) -> bool:
-        return not any(self.translation) and self.finite.is_identity
+        return not any(self.levels) and self.finite.is_identity
+
+    @property
+    def translation(self) -> tuple[int, ...]:
+        """lambda over the simple coroots: lambda_i = <varpi_i, lambda>, with
+        d varpi_i = sum_j column_i[j] alpha_j (see ``_weight_columns``)."""
+        d, columns = _weight_columns(self.rs)
+        pairs = self._pairings()
+        return tuple(sum(map(mul, col, pairs)) // d for col in columns)
+
+    def _pairings(self) -> tuple[int, ...]:
+        """<alpha_j, lambda>, the level of x-inverse(alpha_j), for each j."""
+        return tuple(-sum(map(mul, img, self.levels)) for img in self.finite.inverse.images)
 
     def __mul__(self, other: "AffineElement") -> "AffineElement":
         if self.rs is not other.rs:
             raise ValueError("cannot multiply elements over different root systems")
-        moved = self.finite.coroot_apply(other.translation)
-        new_translation = tuple(a + b for a, b in zip(self.translation, moved))
-        return AffineElement(new_translation, self.finite * other.finite)
+        levels = tuple(
+            level + sum(map(mul, img, self.levels))
+            for level, img in zip(other.levels, other.finite.images)
+        )
+        return AffineElement(levels, self.finite * other.finite)
 
     @cached_property
     def inverse(self) -> "AffineElement":
-        w_inv = self.finite.inverse
-        moved = w_inv.coroot_apply(self.translation)
-        return AffineElement(tuple(-x for x in moved), w_inv)
+        return AffineElement(self._pairings(), self.finite.inverse)
 
     def act(self, beta: AffineRoot) -> AffineRoot:
-        """Image of an affine root; imaginary roots are fixed."""
+        """Image of an affine root, by linearity; imaginary roots are fixed."""
         if beta.classical is None:
             return beta
-        eps = self.finite.apply(beta.classical)
-        pairing = self.rs.coroot_pairing(eps, self.translation)
-        return AffineRoot(beta.level - pairing, eps)
+        level = beta.level + sum(map(mul, beta.classical, self.levels))
+        return AffineRoot(level, self.finite.apply(beta.classical))
+
+
+@lru_cache(maxsize=None)
+def _weight_columns(rs: RootSystem) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The Cartan determinant d and the simple-root coordinates of d varpi_k
+    for each fundamental weight varpi_k: column k of the adjugate."""
+    d, adj = cartan_adjugate(rs, rs.index_set)
+    return d, tuple(zip(*adj))
 
 
 def affine_identity(rs: RootSystem) -> AffineElement:
-    return AffineElement((0,) * rs.rank, identity(rs))
+    return lift(identity(rs))
 
 
 def translation(rs: RootSystem, coords) -> AffineElement:
     """The translation by a coroot-lattice vector (simple-coroot coordinates)."""
     coords = tuple(int(c) for c in coords)
-    return AffineElement(coords, identity(rs))
+    if len(coords) != rs.rank:
+        raise ValueError("translation coordinate length mismatch")
+    levels = tuple(-rs.coroot_pairing(alpha, coords) for alpha in rs.simple_roots)
+    return AffineElement(levels, identity(rs))
 
 
 def lift(w: WeylElement) -> AffineElement:
@@ -188,31 +205,25 @@ def lift(w: WeylElement) -> AffineElement:
 
 
 class _LetterData(NamedTuple):
-    element: AffineElement
+    root: AffineRoot  # alpha_s
     coroot: tuple[int, ...]  # classical part of alpha_s-check, over the simple coroots
     row: tuple[int, ...]  # <alpha_t, alpha_s-check> for the letters t in order
-    theta: Root | None = None  # an affine letter's highest root
-    pairs: tuple[int, ...] = ()  # <alpha_j, theta-check> for j = 1 .. rank
+    simple_row: tuple[int, ...]  # <alpha_k, alpha_s-check> for k = 1 .. rank
 
 
 @lru_cache(maxsize=None)
 def _letter_table(sub: SubSystem) -> dict[Letter, _LetterData]:
-    """Each letter's element, coroot and Cartan row, built once per subsystem.
+    """Each letter's root, coroot and Cartan rows, built once per subsystem.
     The affine letter's root delta - theta pairs with coroots as -theta does."""
     rs = sub.rs
-    roots = {letter: letter_root(sub, letter).classical for letter in letters_of(sub)}
+    roots = {letter: letter_root(sub, letter) for letter in letters_of(sub)}
     table = {}
     for letter, root in roots.items():
-        coroot = rs.coroot_coords(root)
-        row = tuple(rs.coroot_pairing(r, coroot) for r in roots.values())
-        if letter.kind == "c":
-            element = lift(simple_reflection(rs, letter.index))
-            table[letter] = _LetterData(element, coroot, row)
-            continue
-        theta, check = negate(root), negate(coroot)
+        coroot = rs.coroot_coords(root.classical)
         table[letter] = _LetterData(
-            AffineElement(check, reflection(rs, theta)), coroot, row, theta,
-            tuple(rs.coroot_pairing(alpha, check) for alpha in rs.simple_roots),
+            root, coroot,
+            tuple(rs.coroot_pairing(r.classical, coroot) for r in roots.values()),
+            tuple(rs.coroot_pairing(alpha, coroot) for alpha in rs.simple_roots),
         )
     return table
 
@@ -240,26 +251,25 @@ def _letter_data(sub: SubSystem, letter: Letter) -> _LetterData:
 
 def letter_element(sub: SubSystem, letter: Letter) -> AffineElement:
     """The reflection named by a letter: s_j, or t_{theta-check} s_theta."""
-    return _letter_data(sub, letter).element
+    return _times_letter(affine_identity(sub.rs), sub, letter)
+
+
+def _step(x: AffineElement, sub: SubSystem, letter: Letter) -> tuple[AffineRoot, AffineElement]:
+    """x(alpha_s) and x s for the letter's reflection s.  Classical and affine
+    letters alike, x s sends alpha_k to x(alpha_k) - <alpha_k, alpha_s-check>
+    x(alpha_s): the finite rule, plus one level per image."""
+    data = _letter_data(sub, letter)
+    pivot = x.act(data.root)
+    level, moved = pivot
+    levels = x.levels if not level else tuple(
+        v - a * level for v, a in zip(x.levels, data.simple_row)
+    )
+    return pivot, AffineElement(levels, x.finite._times_reflection(moved, data.simple_row))
 
 
 def _times_letter(x: AffineElement, sub: SubSystem, letter: Letter) -> AffineElement:
-    """x times the letter's reflection.  With x = t_lambda w, s_j changes w
-    only; t_{theta-check} s_theta gives t_{lambda + w(theta)-check} w s_theta,
-    and w s_theta sends alpha_j to w(alpha_j) - <alpha_j, theta-check> w(theta)."""
-    data = _letter_data(sub, letter)
-    w = x.finite
-    if data.theta is None:
-        return AffineElement(x.translation, w._times_simple(letter.index))
-    moved = w.apply(data.theta)
-    shift = w.rs.coroot_coords(moved)  # w(theta-check) is the coroot of w(theta)
-    return AffineElement(
-        tuple(a + b for a, b in zip(x.translation, shift)),
-        WeylElement(w.rs, tuple(
-            tuple(v - c * m for v, m in zip(img, moved)) if c else img
-            for img, c in zip(w.images, data.pairs)
-        )),
-    )
+    """x times the letter's reflection."""
+    return _step(x, sub, letter)[1]
 
 
 def from_letters(sub: SubSystem, word) -> AffineElement:
@@ -272,13 +282,17 @@ def from_letters(sub: SubSystem, word) -> AffineElement:
 def in_weyl_subgroup(x: AffineElement, sub: SubSystem) -> bool:
     """Membership in the subgroup generated by the subsystem's letters.
 
-    Holds exactly when the finite part is generated by J and the
-    translation is supported on J.
+    Holds exactly when the finite part w is generated by J and lambda is
+    supported on J.  Such a w fixes each fundamental weight varpi_k with k
+    outside J, so x(d varpi_k) has level -d lambda_k: lambda is read off
+    without being derived.
     """
-    J = set(sub.J)
-    if any(c and (i not in J) for i, c in enumerate(x.translation, start=1)):
+    if not in_subgroup(x.finite, sub):
         return False
-    return in_subgroup(x.finite, sub)
+    _, columns = _weight_columns(x.rs)
+    return not any(
+        sum(map(mul, columns[k - 1], x.levels)) for k in x.rs.index_set if k not in sub.J
+    )
 
 
 def delta_height(rs: RootSystem) -> int:
@@ -355,9 +369,9 @@ def _inverted_levels(x: AffineElement, sub: SubSystem):
     m*delta + eps is an inversion of x (see ``affine_inversion_set``)."""
     if not in_weyl_subgroup(x, sub):
         raise ValueError("element is not in the subgroup for J")
-    w_inv = x.finite.inverse
+    w_inv, pairs = x.finite.inverse, x._pairings()
     for eps in sub.roots:
-        c = x.rs.coroot_pairing(eps, x.translation)
+        c = sum(map(mul, eps, pairs))
         start = 0 if is_positive(eps) else 1
         stop = -c + (-c >= start and not is_positive(w_inv.apply(eps)))
         yield eps, range(start, stop)
@@ -457,4 +471,4 @@ def element_to_json(x: AffineElement) -> dict:
 
 
 def element_from_json(rs: RootSystem, data: dict) -> AffineElement:
-    return AffineElement(tuple(int(c) for c in data["lambda"]), from_word(rs, data["wbar"]))
+    return translation(rs, data["lambda"]) * lift(from_word(rs, data["wbar"]))

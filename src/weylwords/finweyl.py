@@ -72,10 +72,15 @@ class WeylElement:
 
     def _times_simple(self, i: int) -> WeylElement:
         """self * s_i, which sends alpha_j to self(alpha_j) - a[i][j] self(alpha_i)."""
-        pivot = self.images[i - 1]
+        return self._times_reflection(self.images[i - 1], self.rs.cartan[i - 1])
+
+    def _times_reflection(self, pivot, pairs) -> WeylElement:
+        """self * s for a reflection s with self(alpha_s) = pivot and
+        <alpha_j, alpha_s-check> = pairs[j]: alpha_j goes to self(alpha_j) -
+        pairs[j] pivot.  The one product rule of both Weyl groups."""
         return WeylElement(self.rs, tuple(
             tuple(x - a * p for x, p in zip(img, pivot)) if a else img
-            for img, a in zip(self.images, self.rs.cartan[i - 1])
+            for img, a in zip(self.images, pairs)
         ))
 
     def _simple_times(self, i: int) -> WeylElement:
@@ -110,19 +115,6 @@ class WeylElement:
     def length(self) -> int:
         return len(self.word)
 
-    def coroot_apply(self, coords) -> tuple[int, ...]:
-        """Action on a coroot-lattice vector, in simple-coroot coordinates."""
-        total = [0] * self.rs.rank
-        for c, img_coords in zip(coords, self._coroot_images):
-            if c:
-                for k, x in enumerate(img_coords):
-                    total[k] += c * x
-        return tuple(total)
-
-    @cached_property
-    def _coroot_images(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.rs.coroot_coords(img) for img in self.images)
-
 
 @lru_cache(maxsize=None)
 def _generators(rs: RootSystem) -> tuple[WeylElement, ...]:
@@ -136,13 +128,9 @@ def identity(rs: RootSystem) -> WeylElement:
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
-    if 1 <= i <= rs.rank:
-        return _generators(rs)[i]
-    # Unvalidated indices keep the plain formula's answer: the identity for
-    # 0, an IndexError past the rank.
-    return WeylElement(
-        rs, tuple(rs.simple_reflect(i, rs.simple_root(j)) for j in rs.index_set)
-    )
+    if not 1 <= i <= rs.rank:
+        raise ValueError(f"simple reflection index {i} out of range 1..{rs.rank}")
+    return _generators(rs)[i]
 
 
 def reflection(rs: RootSystem, root: Root) -> WeylElement:

@@ -25,13 +25,13 @@ from .affine import (
     AffineElement,
     AffineRoot,
     Letter,
+    _step,
     _times_letter,
     affine_identity,
     affine_inversion_set,
     affine_reduced_word,
     in_weyl_subgroup,
     letter_from_json,
-    letter_root,
     letter_to_json,
     lift,
     translation,
@@ -45,18 +45,18 @@ class _Structure:
 
     ``phis`` are the inversions 1 .. H + d*n, where d is the order of the
     finite part of the period product pi.  Then pi**d is a translation
-    t_nu, so prefix H + m*d*n + q is z_H t_{m*nu} followed by q more
-    letters, and inversion H + m*d*n + i (m >= 0, 1 <= i <= d*n) is
+    t_nu, and z_H t_nu = t_mu z_H with mu = w_H(nu), w_H the finite part
+    of the prefix z_H.  So prefix H + m*d*n + q is t_{m*mu} z_H followed by
+    q more letters, and inversion H + m*d*n + i (m >= 0, 1 <= i <= d*n) is
     ``phis[H + i - 1]`` raised by m*slope_r levels, r being i's place in
-    the period.  slope_r = -<phi_{H+r}, w_H(nu)> with w_H the finite part
-    of z_H; the pairing is W-invariant, so this is -<c_r, nu> for the
-    period's own r-th inversion c_r.  With ``drift`` = w_H(nu),
-    z_H t_{m*nu} = t_{lambda_H + m*drift} w_H.
+    the period.  t_mu = z_{H+d*n} z_H^-1 raises each image of z_H by one
+    fixed level, its ``drift``, and slope_r = -<c_r, mu> is the level
+    t_mu adds to the classical part c_r of phi_{H+r}.
     """
 
     base: AffineElement  # the prefix z_H
     phis: tuple[AffineRoot, ...]  # inversions 1 .. H + d*n
-    drift: tuple[int, ...]  # w_H(nu), in simple-coroot coordinates
+    drift: tuple[int, ...]  # levels of z_{H+d*n} minus levels of z_H, per image
     slopes: tuple[int, ...]  # slope_r for r = 1 .. n
 
 
@@ -87,14 +87,12 @@ class InfiniteWord:
         """Step the prefix z = z(len(phis)) to z(stop), recording each new
         inversion: the prefix so far applied to the next letter's root."""
         for p in range(len(phis) + 1, stop + 1):
-            letter = self.letter_at(p)
-            phi = z.act(letter_root(self.sub, letter))
+            phi, z = _step(z, self.sub, self.letter_at(p))
             if not phi.is_positive:
                 raise ValueError(
                     f"not an infinite reduced word: inversion {p} is negative"
                 )
             phis.append(phi)
-            z = _times_letter(z, self.sub, letter)
         return z
 
     @cached_property
@@ -106,12 +104,9 @@ class InfiniteWord:
         end = self._climb(base, phis, H + n)
         while end.finite != base.finite:
             end = self._climb(end, phis, len(phis) + n)
-        drift = tuple(b - a for a, b in zip(base.translation, end.translation))
-        rs = self.sub.rs
-        weight = [rs.coroot_pairing(alpha, drift) for alpha in rs.simple_roots]  # <alpha_j, drift>
-        slopes = tuple(
-            -sum(c * g for c, g in zip(phi.classical, weight)) for phi in phis[H:H + n]
-        )
+        drift = tuple(b - a for a, b in zip(base.levels, end.levels))
+        shift = end * base.inverse  # t_mu
+        slopes = tuple(shift.act(phi).level - phi.level for phi in phis[H:H + n])
         if min(slopes) < 1:
             raise ValueError(
                 "not an infinite reduced word: a periodic inversion"
@@ -133,8 +128,7 @@ def prefix_element(word: InfiniteWord, p: int) -> AffineElement:
     else:
         m, rest = divmod(p - H, len(st.phis) - H)
         z = AffineElement(
-            tuple(a + m * b for a, b in zip(st.base.translation, st.drift)),
-            st.base.finite,
+            tuple(a + m * b for a, b in zip(st.base.levels, st.drift)), st.base.finite
         )
         start = p - rest
     for q in range(start + 1, p + 1):

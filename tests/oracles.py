@@ -161,3 +161,59 @@ def biconvex_by_closure(S, window):
                 if total in vectors and total not in part:
                     return False
     return True
+
+
+
+class TranslationForm:
+    """Affine Weyl elements t_lambda w in translation form, from the hand
+    Gram matrices: a pair (lambda, images) with lambda a rational vector over
+    the simple roots and images the w(alpha_i).  Products, inverses and the
+    action follow the textbook rules t_a v t_b w = t_(a + v b) v w,
+    (t_a w)^-1 = t_(-w^-1 a) w^-1 and t_a w (m delta + e) = (m - (w e | a))
+    delta + w e.  The inverse of w is found by search over the roots."""
+
+    def __init__(self, label, rank):
+        self.label, self.rank = label, rank
+        self.roots = reflection_closure(label, rank)
+        self.simples = tuple(tuple(int(j == i) for j in range(rank)) for i in range(rank))
+        # alpha_i-check = 2 alpha_i / (alpha_i | alpha_i): its one coordinate.
+        self.scale = [2 / Fraction(hand_pairing(label, a, a)) for a in self.simples]
+
+    def identity(self):
+        return (0,) * self.rank, self.simples
+
+    def coroot_coords(self, x):
+        """lambda over the simple coroots."""
+        coords = tuple(c / s for c, s in zip(x[0], self.scale))
+        assert all(Fraction(c).denominator == 1 for c in coords)
+        return tuple(int(c) for c in coords)
+
+    def apply(self, images, v):
+        return tuple(sum(c * img[k] for c, img in zip(v, images)) for k in range(self.rank))
+
+    def reflection(self, root):
+        """(0, s_root): the images s_root(alpha_i)."""
+        return (0,) * self.rank, tuple(
+            tuple(int(c) for c in hand_reflect(self.label, root, a)) for a in self.simples
+        )
+
+    def affine_reflection(self, theta):
+        """t_(theta-check) s_theta, the reflection in delta - theta."""
+        norm = hand_pairing(self.label, theta, theta)
+        return tuple(2 * Fraction(c) / norm for c in theta), self.reflection(theta)[1]
+
+    def mul(self, x, y):
+        (a, v), (b, w) = x, y
+        moved = self.apply(v, b)
+        return tuple(p + q for p, q in zip(a, moved)), tuple(self.apply(v, img) for img in w)
+
+    def inverse(self, x):
+        lam, images = x
+        inv = tuple(next(r for r in self.roots if self.apply(images, r) == alpha)
+                    for alpha in self.simples)
+        return tuple(-c for c in self.apply(inv, lam)), inv
+
+    def act(self, x, level, classical):
+        lam, images = x
+        moved = self.apply(images, classical)
+        return level - hand_pairing(self.label, moved, lam), moved

@@ -19,7 +19,10 @@ from weylwords.affine import (
     bfs_elements,
     delta_height,
     element_from_affine_inversions,
+    element_from_json,
+    element_to_json,
     from_letters,
+    in_weyl_subgroup,
     letter_element,
     letter_root,
     letters_of,
@@ -30,7 +33,7 @@ from weylwords.affine import (
 )
 from weylwords.words import InfiniteWord
 
-from oracles import subsets
+from oracles import TranslationForm, subgroup_by_supports, subsets
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -390,3 +393,62 @@ def test_bad_letters_still_raise(letter):
         InfiniteWord(sub, (), (Letter("a", 1), letter))
     with pytest.raises(ValueError):
         InfiniteWord(sub, (letter,), (Letter("a", 1), Letter("c", 1), Letter("c", 2)))
+
+
+def _paired_ball(label, radius):
+    """The Cayley ball of the full subsystem, each library element (stepped
+    letter by letter) paired with its translation form (multiplied out)."""
+    rs = build_root_system(label)
+    full = sub_system(rs, rs.index_set)
+    form = TranslationForm(label, rs.rank)
+    gens = {Letter("c", i): form.reflection(alpha) for i, alpha in enumerate(form.simples, 1)}
+    gens[Letter("a", 1)] = form.affine_reflection(max(form.roots, key=sum))
+    ball = {affine_identity(rs): form.identity()}
+    frontier = list(ball)
+    for _ in range(radius):
+        new = []
+        for x in frontier:
+            for letter, g in gens.items():
+                y = _times_letter(x, full, letter)
+                if y not in ball:
+                    ball[y] = form.mul(ball[x], g)
+                    new.append(y)
+        frontier = new
+    return rs, form, ball
+
+
+def _same(x, form, ox):
+    return x.translation == form.coroot_coords(ox) and x.finite.images == ox[1]
+
+
+@pytest.mark.parametrize("label", ["A2", "C2", "G2", "A3"])
+def test_image_form_matches_translation_form(label):
+    rs, form, ball = _paired_ball(label, 4)
+    for x, ox in ball.items():
+        assert _same(x, form, ox)
+        assert _same(x.inverse, form, form.inverse(ox))
+        assert element_from_json(rs, element_to_json(x)) == x
+        for eps in form.roots:
+            for m in range(-2, 3):
+                assert x.act(AffineRoot(m, eps)) == form.act(ox, m, eps), (x, m, eps)
+        for y, oy in ball.items():
+            assert _same(x * y, form, form.mul(ox, oy))
+
+
+@pytest.mark.parametrize("label", ["A2", "C2", "G2", "A3"])
+def test_subgroup_membership_matches_translation_form(label):
+    # x = t_lambda w lies in the subgroup for J exactly when w lies in W_J
+    # and lambda is supported on J.
+    rs, form, ball = _paired_ball(label, 4)
+    positives = [r for r in form.roots if max(r) > 0]
+    for J in subsets(rs.index_set):
+        sub = sub_system(rs, J)
+        found = 0
+        for x, (lam, images) in ball.items():
+            coords = form.coroot_coords((lam, images))
+            expected = subgroup_by_supports(images, positives, J) and not any(
+                c for i, c in enumerate(coords, 1) if i not in J
+            )
+            assert in_weyl_subgroup(x, sub) == expected, (J, x)
+            found += expected
+        assert found > 1 or not J

@@ -57,6 +57,13 @@ def test_weyl_inspector(capsys):
     assert sorted(data["inversions"]) == [[0, 1], [1, 0], [1, 1]]
 
 
+@pytest.mark.parametrize("word", ["0", "-1", "3", "1,5"])
+def test_weyl_out_of_range_index_is_usage_error(capsys, word):
+    code, out, err = run(capsys, "weyl", "--type", "A2", f"--word={word}")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
 def test_biconvex_realize_and_roundtrip(capsys):
     param = json.dumps(
         {"J": [1], "K": [], "u": [], "y": {"lambda": [0], "wbar": []}}

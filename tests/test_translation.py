@@ -8,11 +8,11 @@ exceptional and rank-5 systems the original search could not reach.
 
 import pytest
 
-from weylwords.affine import translation
+from weylwords.affine import affine_inversion_set, translation
 from weylwords.cartan import build_root_system, sub_system
-from weylwords.words import _translation_lambda, prefix_element, translation_word
+from weylwords.words import _translation_lambda, inversion_at, prefix_element, translation_word
 
-from oracles import bounded_translation_search, proper_pairs
+from oracles import bounded_translation_search, proper_pairs, subsets
 from translation_lambdas import LAMBDAS
 
 
@@ -87,3 +87,21 @@ def test_full_word_period_is_the_translation_length(label):
         sum(a * p for a, p in zip(alpha, pairs)) for alpha in rs.positive_roots
     )
     assert prefix_element(word, len(word.period)) == translation(rs, lam)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "B4", "F4", "E6"])
+def test_base_word_period_spells_its_translation(label):
+    # The period is a reduced word of t_lambda: its inversions are those of
+    # t_lambda, and stepping the image form through it lands on t_lambda.
+    rs, full = _full(label)
+    for K in subsets(rs.index_set):
+        if len(K) == rs.rank:
+            continue
+        word = translation_word(full, K)
+        lam = _translation_lambda(full, K)
+        n = len(word.period)
+        t = translation(rs, lam)
+        firsts = {inversion_at(word, p) for p in range(1, n + 1)}
+        assert firsts == affine_inversion_set(t, full), (label, K)
+        z = prefix_element(word, n)
+        assert z == t and z.translation == lam, (label, K)
