@@ -206,22 +206,21 @@ def lift(w: WeylElement) -> AffineElement:
 
 class _LetterData(NamedTuple):
     root: AffineRoot  # alpha_s
-    coroot: tuple[int, ...]  # classical part of alpha_s-check, over the simple coroots
     row: tuple[int, ...]  # <alpha_t, alpha_s-check> for the letters t in order
     simple_row: tuple[int, ...]  # <alpha_k, alpha_s-check> for k = 1 .. rank
 
 
 @lru_cache(maxsize=None)
 def _letter_table(sub: SubSystem) -> dict[Letter, _LetterData]:
-    """Each letter's root, coroot and Cartan rows, built once per subsystem.
-    The affine letter's root delta - theta pairs with coroots as -theta does."""
+    """Each letter's root and Cartan rows, built once per subsystem.  The
+    affine letter's coroot pairs with classical vectors as -theta-check does."""
     rs = sub.rs
     roots = {letter: letter_root(sub, letter) for letter in letters_of(sub)}
     table = {}
     for letter, root in roots.items():
         coroot = rs.coroot_coords(root.classical)
         table[letter] = _LetterData(
-            root, coroot,
+            root,
             tuple(rs.coroot_pairing(r.classical, coroot) for r in roots.values()),
             tuple(rs.coroot_pairing(alpha, coroot) for alpha in rs.simple_roots),
         )
@@ -236,7 +235,7 @@ def _walk_letters(sub: SubSystem, counted) -> tuple[Letter, ...] | None:
         total = [t + n * c for t, c in zip(total, eps)]
     table = _letter_table(sub)
     letters, data = tuple(table), table.values()
-    m = [2 - 2 * sub.rs.coroot_pairing(total, d.coroot) for d in data]
+    m = [2 - 2 * sum(map(mul, total, d.simple_row)) for d in data]
     steps = _descent_walk(m, [d.row for d in data])
     return None if steps is None else tuple([letters[s] for s in steps])
 
