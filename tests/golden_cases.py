@@ -1,8 +1,9 @@
 """Golden data: frozen CLI outputs and verify-suite check counts.
 
 ``tests/golden/cli.json`` lists fixed ``weyl``, ``biconvex`` and ``word``
-(make, act, classify, equiv) calls on A1, A2, A3, B2, C2 and G2 with their
-exit codes and JSON output; ``tests/golden/checks.json`` holds every verify suite's check count
+(make, act, classify, equiv) calls on A1, A2, A3, B2, C2 and G2, and
+``roots`` calls on twelve types from A1 to E8, with their exit codes and
+JSON output; ``tests/golden/checks.json`` holds every verify suite's check count
 at its acceptance bounds (the suite defaults).  ``tests/test_golden.py``
 replays both.  A refactor must leave them unchanged; regenerate them only
 for an intended change of output, from the repository root:
@@ -77,6 +78,11 @@ LOW_REALIZE = [
     ("B2", {"J": [1, 2], "K": [1], "u": [2], "y": _y([2, 0], [1])}, "1"),
     ("G2", {"J": [1, 2], "K": [1], "u": [2, 1, 2], "y": _y([2, 0], [1])}, "1"),
 ]
+
+# Types listed by ``roots``; the rank <= 3 ones also with a J and a window.
+ROOTS_TYPES = ["A1", "A2", "A3", "B2", "C2", "G2", "B3", "C3", "D4", "F4", "E6", "E8"]
+ROOTS_J = {"A1": "1", "A2": "2", "A3": "1,3", "B2": "1", "C2": "2", "G2": "1",
+           "B3": "2,3", "C3": "1,3"}
 
 # Affine elements whose finite inversion windows are classified (case a/b).
 ELEMENTS = {
@@ -182,6 +188,11 @@ def calls():
     for label, data, cutoff in LOW_REALIZE:
         out.append(["biconvex", "realize", "--type", label, "--param", json.dumps(data),
                     "--cutoff", cutoff])
+    for label in ROOTS_TYPES:
+        out.append(["roots", "--type", label])
+        if label in ROOTS_J:
+            out.append(["roots", "--type", label, "--J", ROOTS_J[label]])
+            out.append(["roots", "--type", label, "--cutoff", "1"])
     return out
 
 

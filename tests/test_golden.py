@@ -10,7 +10,7 @@ import pytest
 
 from weylwords.verify import SUITES
 
-from golden_cases import CHECKS_FILE, CLI_FILE, calls, run_cli
+from golden_cases import CHECKS_FILE, CLI_FILE, ROOTS_TYPES, calls, run_cli
 
 CLI_RECORDS = json.loads(CLI_FILE.read_text())
 CHECKS = json.loads(CHECKS_FILE.read_text())
@@ -28,6 +28,11 @@ def test_golden_covers_every_type_and_command():
     for label in ("A1", "A2", "A3", "B2", "C2", "G2"):
         for action in ("make", "act", "classify", "equiv"):
             assert (label, action) in word_calls
+    for label in ROOTS_TYPES:
+        assert (label, "roots") in seen
+    roots_flags = {flag for r in CLI_RECORDS if r["argv"][0] == "roots"
+                   for flag in r["argv"][3:] if flag.startswith("--")}
+    assert roots_flags == {"--J", "--cutoff"}
     assert set(CHECKS) == set(SUITES)
 
 
