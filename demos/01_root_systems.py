@@ -7,18 +7,18 @@ from weylwords import build_root_system, sub_system
 from weylwords.affine import affine_window
 
 # Root systems are built from a type label; everything is exact (integer
-# coordinates over the simple roots, rational Gram matrix).
+# coordinates over the simple roots and coroots, rational Gram matrix).
 for label in ("A2", "C2", "G2"):
     rs = build_root_system(label)
     norms = sorted({rs.pairing(r, r) for r in rs.roots})
     print(f"{label}: {len(rs.roots)} roots, squared lengths {norms}")
 
-# G2 has short roots of squared length 2/3; their coroots stretch by 3.
+# G2 has short roots of squared length 2/3; their coroots are long.  The
+# highest root 3a1 + 2a2 is long, and its coroot is a1-check + 2 a2-check.
 g2 = build_root_system("G2")
-short = g2.simple_root(1)
-print("\nG2 short simple root:", short)
-print("  coroot over the simple roots:", g2.coroot(short))
-print("  coroot lattice coordinates:", g2.coroot_coords(short))
+for root in (g2.simple_root(1), g2.roots[-1]):
+    print(f"\nG2 root {root}, squared length {g2.pairing(root, root)}")
+    print("  coroot over the simple coroots:", g2.coroot_coords(root))
 
 # Subsystems restrict to a subset J of the simple indices and split into
 # irreducible components, each with its own highest root.

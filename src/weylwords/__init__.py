@@ -11,7 +11,7 @@ from .cartan import (RootSystem, SubSystem, build_root_system, cartan_matrix,
                      complement_roots, sub_system)
 from .finweyl import (WeylElement, classify_subset, coset_decompose,
                       element_from_inversions, factor_pointed_biclosed, identity,
-                      inversion_set, minimal_coset_reps, push_negative, reflection,
+                      inversion_set, minimal_coset_reps, push_negative,
                       simple_reflection, weyl_elements)
 from .affine import (AffineElement, AffineRoot, Letter, affine_identity,
                      affine_inversion_set, affine_length, affine_reduced_word,
@@ -30,7 +30,7 @@ __all__ = [
     "complement_roots", "sub_system",
     "WeylElement", "classify_subset", "coset_decompose", "element_from_inversions",
     "factor_pointed_biclosed", "identity", "inversion_set", "minimal_coset_reps",
-    "push_negative", "reflection", "simple_reflection", "weyl_elements",
+    "push_negative", "simple_reflection", "weyl_elements",
     "AffineElement", "AffineRoot", "Letter", "affine_identity",
     "affine_inversion_set", "affine_length", "affine_reduced_word", "affine_window",
     "bfs_elements", "in_weyl_subgroup", "letter_element", "letters_of", "tail_set",

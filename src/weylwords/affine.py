@@ -32,6 +32,8 @@ from .cartan import (
     RootSystem,
     SubSystem,
     _descent_walk,
+    _json_field,
+    _json_ints,
     cartan_adjugate,
     height,
     is_positive,
@@ -450,8 +452,9 @@ def affine_root_to_json(beta: AffineRoot) -> dict:
 
 
 def affine_root_from_json(data: dict) -> AffineRoot:
-    classical = data["classical"]
-    return AffineRoot(int(data["level"]), None if classical is None else tuple(classical))
+    level = _json_field(data, "level", int)
+    classical = None if _json_field(data, "classical") is None else _json_ints(data, "classical")
+    return AffineRoot(level, classical)
 
 
 def letter_to_json(letter: Letter) -> dict:
@@ -459,10 +462,10 @@ def letter_to_json(letter: Letter) -> dict:
 
 
 def letter_from_json(data: dict) -> Letter:
-    (kind, index), = data.items()
+    kind = next(iter(data)) if type(data) is dict and len(data) == 1 else None
     if kind not in ("c", "a"):
-        raise ValueError(f"bad letter tag {kind!r}")
-    return Letter(kind, int(index))
+        raise ValueError(f"a letter is a JSON object with one field 'c' or 'a', got {data!r}")
+    return Letter(kind, _json_field(data, kind, int))
 
 
 def element_to_json(x: AffineElement) -> dict:
@@ -470,4 +473,5 @@ def element_to_json(x: AffineElement) -> dict:
 
 
 def element_from_json(rs: RootSystem, data: dict) -> AffineElement:
-    return translation(rs, data["lambda"]) * lift(from_word(rs, data["wbar"]))
+    lam, wbar = _json_ints(data, "lambda"), _json_ints(data, "wbar")
+    return translation(rs, lam) * lift(from_word(rs, wbar))

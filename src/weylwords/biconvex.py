@@ -27,6 +27,8 @@ from .cartan import (
     Root,
     RootSystem,
     SubSystem,
+    _json_field,
+    _json_ints,
     check_subset,
     is_positive,
     sub_system,
@@ -389,12 +391,12 @@ def param_to_json(param: BiconvexParam) -> dict:
 
 
 def param_from_json(rs: RootSystem, data: dict) -> BiconvexParam:
-    sub = sub_system(rs, data["J"])
+    sub = sub_system(rs, _json_ints(data, "J"))
     return BiconvexParam(
         sub=sub,
-        K=tuple(data["K"]),
-        u=from_word(rs, data["u"]),
-        y=element_from_json(rs, data["y"]),
+        K=_json_ints(data, "K"),
+        u=from_word(rs, _json_ints(data, "u")),
+        y=element_from_json(rs, _json_field(data, "y", dict)),
     )
 
 
@@ -411,7 +413,7 @@ def view_from_json(rs: RootSystem, J, data: dict) -> WindowSet:
     """A view's set; the cutoff is raised to reach every listed finite root."""
     return _assemble(
         sub_system(rs, J),
-        frozenset(tuple(r) for r in data["tail"]),
-        frozenset(affine_root_from_json(b) for b in data["finite"]),
-        int(data["cutoff"]),
+        frozenset(_json_ints(data, "tail", 2)),
+        frozenset(affine_root_from_json(b) for b in _json_field(data, "finite", list)),
+        _json_field(data, "cutoff", int),
     )

@@ -2,10 +2,13 @@
 
 Roots are immutable integer coordinate tuples over the simple basis
 ``alpha_1 .. alpha_l`` (1-based indexing everywhere in the public API).
-The symmetric bilinear form is kept exact as a rational Gram matrix,
-normalized so that every long root has squared length 2.  All generated
-root lists are sorted by (height, coordinates) so that outputs are
-deterministic.
+Every table is integral: one walk over the simple reflections generates
+each root together with its coroot, and one fraction-free elimination
+decides finite type and gives the Cartan adjugates.  The only rational
+data is the Gram matrix of the bilinear form, normalized so that every
+long root has squared length 2, kept for ``pairing`` and the JSON output.
+All generated root lists are sorted by (height, coordinates) so that
+outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -139,41 +142,36 @@ def _symmetrizer(matrix) -> tuple[Fraction, ...]:
     return tuple(x / scale for x in d)
 
 
-def _positive_definite(gram: tuple[tuple[Fraction, ...], ...]) -> bool:
-    """Leading-principal-minor test, exact over the rationals."""
-    n = len(gram)
-    m = [[Fraction(x) for x in row] for row in gram]
-    for k in range(n):
-        pivot = m[k][k]
+def _eliminate(a) -> tuple[int, list[list[int]]] | None:
+    """(det A, adj A) by fraction-free Gauss-Jordan elimination on [A | I]
+    (Bareiss 1968), or None at the first pivot <= 0.  The k-th pivot is the
+    k-th leading principal minor of A, which for a symmetrizable A has the
+    sign of the Gram matrix's: None exactly when A is not of finite type."""
+    n = len(a)
+    m = [list(row) + [int(r == c) for c in range(n)] for r, row in enumerate(a)]
+    previous = 1
+    for k, top in enumerate(m):
+        pivot = top[k]
         if pivot <= 0:
-            return False
-        for i in range(k + 1, n):
-            factor = m[i][k] / pivot
-            for j in range(k, n):
-                m[i][j] -= factor * m[k][j]
-    return True
+            return None
+        for r in range(n):
+            factor = m[r][k]
+            if r != k:
+                m[r] = [(pivot * x - factor * y) // previous for x, y in zip(m[r], top)]
+        previous = pivot
+    return previous, [row[n:] for row in m]
 
 
 def cartan_adjugate(rs: RootSystem, indices) -> tuple[int, list[list[int]]]:
     """Determinant d and adjugate d*A^-1 of the Cartan submatrix A on indices.
 
-    Positive definiteness keeps every pivot positive, so no rows are swapped.
     For a connected index set every adjugate entry is positive (Lusztig-Tits).
     """
     idx = [i - 1 for i in indices]
-    n = len(idx)
-    m = [[Fraction(rs.cartan[i][j]) for j in idx] + [Fraction(r == c) for c in range(n)]
-         for r, i in enumerate(idx)]
-    det = Fraction(1)
-    for k in range(n):
-        pivot = m[k][k]
-        det *= pivot
-        m[k] = [x / pivot for x in m[k]]
-        for r in range(n):
-            factor = m[r][k]
-            if r != k and factor:
-                m[r] = [x - factor * y for x, y in zip(m[r], m[k])]
-    return int(det), [[int(det * x) for x in row[n:]] for row in m]
+    found = _eliminate([[rs.cartan[i][j] for j in idx] for i in idx])
+    if found is None:
+        raise RuntimeError("Cartan submatrix of a finite type has a pivot <= 0")
+    return found
 
 
 def _descent_walk(m, cartan) -> list[int] | None:
@@ -226,10 +224,11 @@ class RootSystem:
     label: str | None
     cartan: tuple[tuple[int, ...], ...]
     rank: int
-    symmetrizer: tuple[Fraction, ...]
     gram: tuple[tuple[Fraction, ...], ...]
     roots: tuple[Root, ...]
     root_set: frozenset[Root] = field(repr=False)
+    # Each root's coroot, in coordinates over the simple coroots.
+    coroots: dict[Root, tuple[int, ...]] = field(repr=False)
 
     @cached_property
     def index_set(self) -> tuple[int, ...]:
@@ -249,11 +248,6 @@ class RootSystem:
     def two_rho(self) -> Root:
         """2 rho, the sum of the positive roots."""
         return tuple(map(sum, zip(*self.positive_roots)))
-
-    @cached_property
-    def _coroots(self) -> dict[Root, tuple[int, ...]]:
-        """Root to simple-coroot coordinates, by the exact rational formula."""
-        return {root: self._rational_coroot_coords(root) for root in self.roots}
 
     def simple_root(self, i: int) -> Root:
         if not 1 <= i <= self.rank:
@@ -289,22 +283,6 @@ class RootSystem:
                 total += c * sum(map(operator.mul, v, row))
         return total
 
-    def reflect(self, root: Root, v):
-        """Image of the vector ``v`` under the reflection in ``root``.
-
-        For a root of the system the coefficient <v, root-check> pairs v
-        with the table's coroot coordinates: integer work for an integer v.
-        Any other vector takes the rational formula 2(v|root)/(root|root).
-        """
-        coords = self._coroots.get(root)
-        if coords is None:
-            coeff = 2 * self.pairing(v, root) / self.pairing(root, root)
-            if coeff.denominator == 1:
-                coeff = int(coeff)
-        else:
-            coeff = self.coroot_pairing(v, coords)
-        return tuple(x - coeff * r for x, r in zip(v, root))
-
     def simple_reflect(self, i: int, v):
         """Image of ``v`` under s_i, using integer Cartan arithmetic."""
         coeff = self.simple_coroot_pairing(v, i)
@@ -312,55 +290,37 @@ class RootSystem:
             x - coeff * int(j == i - 1) for j, x in enumerate(v)
         )
 
-    def coroot(self, root: Root) -> tuple[Fraction, ...]:
-        """2 root/(root|root), as an exact rational vector over the alphas."""
-        if root not in self.root_set:
-            raise ValueError(f"{root} is not a root")
-        norm = self.pairing(root, root)
-        return tuple(2 * Fraction(c) / norm for c in root)
-
     def coroot_coords(self, root: Root) -> tuple[int, ...]:
-        """Coordinates of the coroot of ``root`` over the simple coroots.
-
-        A lookup in the system's table, which holds every root's coordinates
-        computed once by the exact formula; any other vector is computed on
-        the spot by the same formula.
-        """
-        coords = self._coroots.get(root)
-        return self._rational_coroot_coords(root) if coords is None else coords
-
-    def _rational_coroot_coords(self, root: Root) -> tuple[int, ...]:
-        """2 d_j c_j/(root|root) for each coordinate c_j, where alpha_j =
-        d_j alpha_j-check; always integral for crystallographic systems."""
-        norm = self.pairing(root, root)
-        coords = []
-        for c, d in zip(root, self.symmetrizer):
-            value = 2 * Fraction(c) * d / norm
-            if value.denominator != 1:
-                raise RuntimeError("coroot left the coroot lattice")
-            coords.append(int(value))
-        return tuple(coords)
-
-    def is_long(self, root: Root) -> bool:
-        return self.pairing(root, root) == 2
+        """Coordinates of the coroot of ``root`` over the simple coroots,
+        looked up in the table built with the roots.  ValueError for a
+        vector that is not a root."""
+        coords = self.coroots.get(root)
+        if coords is None:
+            raise ValueError(f"{root} is not a root")
+        return coords
 
 
-def _generate_roots(matrix, rank: int) -> tuple[Root, ...]:
-    """Closure of the simple roots under all simple reflections."""
+def _generate_roots(matrix) -> dict[Root, tuple[int, ...]]:
+    """Every root with its coroot over the simple coroots, by closing the
+    pairs (alpha_i, alpha_i-check) under s_i(beta)-check = s_i(beta-check).
+    s_i reads Cartan row i on roots and column i on coroots, the roots of
+    the transposed matrix (Bourbaki, Lie VI.1).  A coroot equal to its
+    root is stored as the root itself."""
+    rank = len(matrix)
     simples = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
-    seen = set(simples)
+    coroots = {alpha: alpha for alpha in simples}
     frontier = list(simples)
     while frontier:
         beta = frontier.pop()
-        for i in range(rank):
-            coeff = sum(c * matrix[i][j] for j, c in enumerate(beta))
-            image = tuple(
-                c - coeff * int(j == i) for j, c in enumerate(beta)
-            )
-            if image not in seen:
-                seen.add(image)
+        check = coroots[beta]
+        for i, row in enumerate(matrix):
+            image = beta[:i] + (beta[i] - sum(map(operator.mul, beta, row)),) + beta[i + 1:]
+            if image not in coroots:
+                c = check[i] - sum(x * r[i] for x, r in zip(check, matrix))
+                coroot = check[:i] + (c,) + check[i + 1:]
+                coroots[image] = image if coroot == image else coroot
                 frontier.append(image)
-    return tuple(sorted(seen, key=lambda r: (height(r), r)))
+    return coroots
 
 
 def _build(label: str | None, matrix: tuple[tuple[int, ...], ...]) -> RootSystem:
@@ -370,21 +330,18 @@ def _build(label: str | None, matrix: tuple[tuple[int, ...], ...]) -> RootSystem
     gram = tuple(
         tuple(d[i] * matrix[i][j] for j in range(rank)) for i in range(rank)
     )
-    for i in range(rank):
-        for j in range(rank):
-            if gram[i][j] != gram[j][i]:
-                raise ValueError("Cartan matrix is not symmetrizable")
-    if not _positive_definite(gram):
+    if _eliminate(matrix) is None:
         raise ValueError("Cartan matrix is not of finite type")
-    roots = _generate_roots(matrix, rank)
+    coroots = _generate_roots(matrix)
+    roots = tuple(sorted(coroots, key=lambda r: (height(r), r)))
     return RootSystem(
         label=label,
         cartan=matrix,
         rank=rank,
-        symmetrizer=d,
         gram=gram,
         roots=roots,
         root_set=frozenset(roots),
+        coroots=coroots,
     )
 
 
@@ -402,8 +359,7 @@ def build_root_system(source) -> RootSystem:
     """
     if isinstance(source, str):
         return _build_by_label(source)
-    matrix = tuple(tuple(int(x) for x in row) for row in source)
-    return _build(None, matrix)
+    return _build(None, tuple(tuple(int(x) for x in row) for row in source))
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,32 +393,15 @@ def _sub_system_cached(rs: RootSystem, J: tuple) -> SubSystem:
         return _sub_system_cached(rs, canonical)
     if any(j not in rs.index_set for j in J):
         raise ValueError(f"J={J} is not a subset of the index set")
-    roots = tuple(
-        r for r in rs.roots if support(r) <= frozenset(J)
-    )
-    comps: list[tuple[int, ...]] = []
-    remaining = set(J)
-    while remaining:
-        start = min(remaining)
-        block = {start}
-        frontier = [start]
-        while frontier:
-            i = frontier.pop()
-            for j in remaining - block:
-                if rs.cartan[i - 1][j - 1] != 0:
-                    block.add(j)
-                    frontier.append(j)
-        remaining -= block
-        comps.append(tuple(sorted(block)))
-    comps.sort()
+    roots = tuple(r for r in rs.roots if support(r) <= frozenset(J))
+    # A root's support is connected, and a component's highest root has all
+    # of it: the components are the maximal supports.
+    supports = {support(r) for r in roots}
+    comps = sorted(tuple(sorted(s)) for s in supports if not any(s < t for t in supports))
     highest = []
     for comp in comps:
-        members = [
-            r for r in roots if is_positive(r) and support(r) <= frozenset(comp)
-        ]
-        top = max(members, key=lambda r: (height(r), r))
-        ties = [r for r in members if height(r) == height(top)]
-        if len(ties) != 1:
+        *lower, top = [r for r in roots if support(r) == set(comp)]  # by height
+        if lower and height(lower[-1]) == height(top):
             raise RuntimeError("component has no unique highest root")
         highest.append(top)
     return SubSystem(
@@ -499,11 +438,7 @@ def complement_roots(sub: SubSystem, K, sign: int) -> tuple[Root, ...]:
     when K covers all of J.
     """
     outside = frozenset(sub.J) - frozenset(check_subset(sub, K))
-    return tuple(
-        r
-        for r in sub.roots
-        if is_positive(r) == (sign > 0) and support(r) & outside
-    )
+    return tuple(r for r in sub.roots if is_positive(r) == (sign > 0) and support(r) & outside)
 
 
 def root_system_to_json(rs: RootSystem) -> dict:
@@ -525,7 +460,35 @@ def root_system_to_json(rs: RootSystem) -> dict:
 
 
 def root_system_from_json(data: dict) -> RootSystem:
-    rs = build_root_system(data["type"] or data["cartan"])
-    if [list(r) for r in rs.roots] != data["roots"]:
+    label = _json_field(data, "type")
+    if label is not None and type(label) is not str:
+        raise ValueError("field 'type' must be a JSON string or null")
+    rs = build_root_system(label or _json_ints(data, "cartan", 2))
+    if rs.roots != _json_ints(data, "roots", 2):
         raise ValueError("root list does not match the declared type")
     return rs
+
+
+def _json_field(data, key: str, kind: type | None = None):
+    """Field ``key`` of a JSON object, of type ``kind`` if given (``int``
+    admits no bool or float); ValueError naming the field otherwise."""
+    if type(data) is not dict:
+        raise ValueError(f"expected a JSON object with field {key!r}, got {data!r}")
+    if key not in data:
+        raise ValueError(f"missing field {key!r}")
+    if kind is not None and type(data[key]) is not kind:
+        raise ValueError(f"field {key!r} must be a JSON {kind.__name__}, got {data[key]!r}")
+    return data[key]
+
+
+def _json_ints(data, key: str, depth: int = 1) -> tuple:
+    """Field ``key`` as arrays of JSON integers nested ``depth`` deep, read
+    into tuples; ValueError naming the field otherwise."""
+
+    def read(value, depth):
+        if type(value) is not (list if depth else int):
+            what = "an array" if depth else "a JSON integer"
+            raise ValueError(f"field {key!r} must hold {what} here, got {value!r}")
+        return tuple(read(x, depth - 1) for x in value) if depth else value
+
+    return read(_json_field(data, key), depth)

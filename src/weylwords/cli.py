@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .cartan import build_root_system, root_system_to_json, sub_system
+from .cartan import _json_field, _json_ints, build_root_system, root_system_to_json, sub_system
 from .finweyl import from_word, inversion_set
 from .affine import (
     affine_root_to_json,
@@ -165,13 +165,14 @@ def cmd_weyl(args) -> int:
 
 
 def _window_from_json(rs, data) -> WindowSet:
-    sub = sub_system(rs, data["J"])
+    sub = sub_system(rs, _json_ints(data, "J"))
+    data = {"tail": [], "imaginary_tail": False} | data  # the optional fields
     return WindowSet(
         sub=sub,
-        cutoff=int(data["cutoff"]),
-        elements=frozenset(affine_root_from_json(b) for b in data["elements"]),
-        tail=frozenset(tuple(r) for r in data.get("tail", [])),
-        imaginary_tail=bool(data.get("imaginary_tail", False)),
+        cutoff=_json_field(data, "cutoff", int),
+        elements=frozenset(affine_root_from_json(b) for b in _json_field(data, "elements", list)),
+        tail=frozenset(_json_ints(data, "tail", 2)),
+        imaginary_tail=_json_field(data, "imaginary_tail", bool),
     )
 
 

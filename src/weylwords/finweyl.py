@@ -133,15 +133,6 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     return _generators(rs)[i]
 
 
-def reflection(rs: RootSystem, root: Root) -> WeylElement:
-    """The reflection in an arbitrary root."""
-    if root not in rs.root_set:
-        raise ValueError(f"{root} is not a root")
-    return WeylElement(
-        rs, tuple(rs.reflect(root, a) for a in rs.simple_roots)
-    )
-
-
 def from_word(rs: RootSystem, word) -> WeylElement:
     w = identity(rs)
     for i in word:

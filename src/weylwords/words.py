@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .cartan import RootSystem, SubSystem, cartan_adjugate, check_subset, sub_system
+from .cartan import (RootSystem, SubSystem, _json_field, _json_ints, cartan_adjugate,
+                     check_subset, sub_system)
 from .affine import (
     AffineElement,
     AffineRoot,
@@ -322,7 +323,7 @@ def word_to_json(word: InfiniteWord) -> dict:
 
 def word_from_json(rs: RootSystem, data: dict) -> InfiniteWord:
     return InfiniteWord(
-        sub=sub_system(rs, data["J"]),
-        head=tuple(letter_from_json(d) for d in data["head"]),
-        period=tuple(letter_from_json(d) for d in data["period"]),
+        sub=sub_system(rs, _json_ints(data, "J")),
+        head=tuple(letter_from_json(d) for d in _json_field(data, "head", list)),
+        period=tuple(letter_from_json(d) for d in _json_field(data, "period", list)),
     )

@@ -20,19 +20,108 @@ HAND_GRAM = {
 }
 
 
-def hand_pairing(label, a, b):
-    g = HAND_GRAM[label]
+def gram_pairing(gram, a, b):
+    """(a|b) for vectors over the simple roots, from a Gram matrix."""
     return sum(
-        Fraction(ai) * Fraction(bj) * Fraction(g[i][j])
-        for i, ai in enumerate(a)
-        for j, bj in enumerate(b)
+        Fraction(ai) * Fraction(bj) * Fraction(gram[i][j])
+        for i, ai in enumerate(a) if ai
+        for j, bj in enumerate(b) if bj
     )
+
+
+def gram_reflect(gram, root, v):
+    """s_root(v) = v - 2(v|root)/(root|root) root, the textbook formula."""
+    coeff = 2 * gram_pairing(gram, v, root) / gram_pairing(gram, root, root)
+    return tuple(Fraction(x) - coeff * r for x, r in zip(v, root))
+
+
+def gram_coroot(gram, root):
+    """root-check = 2 root/(root|root) over the simple coroots alpha_j-check =
+    2 alpha_j/(alpha_j|alpha_j): coordinate j is c_j (alpha_j|alpha_j)/(root|root)."""
+    norm = gram_pairing(gram, root, root)
+    return tuple(Fraction(c) * gram[j][j] / norm for j, c in enumerate(root))
+
+
+def hand_pairing(label, a, b):
+    return gram_pairing(HAND_GRAM[label], a, b)
 
 
 def hand_reflect(label, root, v):
     """s_root(v) from the textbook formula, using the hand Gram matrix."""
-    coeff = 2 * hand_pairing(label, v, root) / hand_pairing(label, root, root)
-    return tuple(Fraction(x) - coeff * r for x, r in zip(v, root))
+    return gram_reflect(HAND_GRAM[label], root, v)
+
+
+def _gauss_jordan(rows):
+    """Rational Gauss-Jordan with row swaps: the determinant, and the
+    reduced rows (the inverse's columns when [A | I] came in)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(m)):
+        pivot = next((r for r in range(k, len(m)) if m[r][k]), None)
+        if pivot is None:
+            return Fraction(0), None
+        if pivot != k:
+            m[k], m[pivot], det = m[pivot], m[k], -det
+        det *= m[k][k]
+        m[k] = [x / m[k][k] for x in m[k]]
+        for r, row in enumerate(m):
+            if r != k and row[k]:
+                m[r] = [x - row[k] * y for x, y in zip(row, m[k])]
+    return det, m
+
+
+def fraction_determinant(matrix):
+    return _gauss_jordan(matrix)[0]
+
+
+def fraction_inverse(matrix):
+    """A^-1 over the rationals, or None for a singular matrix."""
+    n = len(matrix)
+    det, m = _gauss_jordan([list(row) + [int(i == j) for j in range(n)]
+                         for i, row in enumerate(matrix)])
+    return None if m is None else [row[n:] for row in m]
+
+
+def symmetrized(cartan):
+    """The Gram matrix d_i a_ij of a connected symmetrizable Cartan matrix,
+    with d_1 = 1 and the d_j forced along the edges by d_i a_ij = d_j a_ji;
+    None when a cycle forces two values or some node is never reached."""
+    n = len(cartan)
+    d = [Fraction(1)] + [None] * (n - 1)
+    frontier = [0]
+    while frontier:
+        i = frontier.pop()
+        for j in range(n):
+            if j != i and cartan[i][j]:
+                value = d[i] * Fraction(cartan[i][j], cartan[j][i])
+                if d[j] is None:
+                    d[j] = value
+                    frontier.append(j)
+                elif d[j] != value:
+                    return None
+    if None in d:
+        return None
+    return [[d[i] * x for x in row] for i, row in enumerate(cartan)]
+
+
+def sylvester_positive_definite(gram):
+    """Sylvester's criterion: a symmetric matrix is positive definite
+    exactly when every leading principal minor is positive."""
+    return all(fraction_determinant([row[:k] for row in gram[:k]]) > 0
+               for k in range(1, len(gram) + 1))
+
+
+def extended_cartan(gram, theta):
+    """The affine Cartan matrix with alpha_0 = delta - theta as node 0:
+    a[i][j] = <alpha_j, alpha_i-check> = 2(alpha_j|alpha_i)/(alpha_i|alpha_i),
+    where alpha_0 pairs with the finite roots as -theta does."""
+    n = len(gram)
+    simples = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    nodes = [tuple(-c for c in theta)] + simples
+    rows = [[2 * gram_pairing(gram, b, a) / gram_pairing(gram, a, a) for b in nodes]
+            for a in nodes]
+    assert all(x.denominator == 1 for row in rows for x in row)
+    return [[int(x) for x in row] for row in rows]
 
 
 def reflection_closure(label, rank):

@@ -15,7 +15,7 @@ from weylwords.cartan import (
     support,
 )
 
-from oracles import reflection_closure
+from oracles import gram_coroot, gram_reflect, reflection_closure
 
 
 CLASSICAL_COUNTS = {
@@ -61,7 +61,7 @@ def test_g2_norms():
     rs = build_root_system("G2")
     norms = sorted({rs.pairing(r, r) for r in rs.roots})
     assert norms == [Fraction(2, 3), 2]
-    long_count = sum(1 for r in rs.roots if rs.is_long(r))
+    long_count = sum(1 for r in rs.roots if rs.pairing(r, r) == 2)
     assert long_count == 6
 
 
@@ -101,22 +101,26 @@ def test_pairing_symmetric():
 def test_coroot_simply_laced_is_identity():
     rs = build_root_system("A2")
     for r in rs.roots:
-        assert rs.coroot(r) == tuple(Fraction(c) for c in r)
+        assert rs.coroot_coords(r) == r == gram_coroot(rs.gram, r)
 
 
 def test_coroot_g2_short():
     rs = build_root_system("G2")
     a1 = rs.simple_root(1)
     assert rs.pairing(a1, a1) == Fraction(2, 3)
-    assert rs.coroot(a1) == (Fraction(3), Fraction(0))
-    assert rs.coroot(negate(a1)) == (Fraction(-3), Fraction(0))
-    assert rs.coroot_coords(a1) == (1, 0)
+    # a1-check = 2 a1/(a1|a1) = 3 a1 over the simple roots, the simple coroot itself.
+    assert tuple(2 * c / rs.pairing(a1, a1) for c in a1) == (3, 0)
+    assert rs.coroot_coords(a1) == (1, 0) == gram_coroot(rs.gram, a1)
+    assert rs.coroot_coords(negate(a1)) == (-1, 0)
+    # The highest root 3 a1 + 2 a2 is long; its coroot is the short a1-check + 2 a2-check.
+    assert rs.coroot_coords((3, 2)) == (1, 2) == gram_coroot(rs.gram, (3, 2))
 
 
 def test_coroot_rejects_non_roots():
     rs = build_root_system("A2")
-    with pytest.raises(ValueError):
-        rs.coroot((2, 0))
+    for vector in [(2, 0), (0, 0), (1, -1), (Fraction(1, 2), 0), (1,)]:
+        with pytest.raises(ValueError, match="is not a root"):
+            rs.coroot_coords(vector)
 
 
 def test_coroot_coords_integrality():
@@ -295,12 +299,25 @@ def test_json_round_trip_explicit_matrix():
     assert again.roots == rs.roots and again.gram == rs.gram
 
 
+@pytest.mark.parametrize("data, field", [
+    ([], "type"),
+    ({"roots": []}, "type"),
+    ({"type": 2, "roots": []}, "type"),
+    ({"type": "A1"}, "roots"),
+    ({"type": None, "cartan": [[2.0]], "roots": [[1], [-1]]}, "cartan"),
+    ({"type": "A1", "roots": [[-1.0], [1]]}, "roots"),
+])
+def test_json_reader_rejects_malformed_fields(data, field):
+    with pytest.raises(ValueError, match=repr(field)):
+        root_system_from_json(data)
+
+
 def test_simple_reflect_matches_reflect():
     for label in ("A2", "C2", "G2"):
         rs = build_root_system(label)
         for i in rs.index_set:
             for r in rs.roots:
-                assert rs.simple_reflect(i, r) == rs.reflect(rs.simple_root(i), r)
+                assert rs.simple_reflect(i, r) == gram_reflect(rs.gram, rs.simple_root(i), r)
 
 
 @pytest.mark.parametrize(

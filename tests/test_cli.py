@@ -64,6 +64,32 @@ def test_weyl_out_of_range_index_is_usage_error(capsys, word):
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
 
+A2_WORD = '{"J":[1,2],"head":[],"period":[{"c":1},{"c":2},{"a":1}]}'
+
+
+@pytest.mark.parametrize("field, argv", [
+    ("J", ["biconvex", "classify", "--type", "A1", "--window", "{}"]),
+    ("K", ["biconvex", "realize", "--type", "A1", "--param", '{"J":[1]}']),
+    ("wbar", ["word", "act", "--type", "A2", "--word", A2_WORD, "--x", '{"lambda":[1,0]}']),
+    ("lambda", ["word", "act", "--type", "A2", "--word", A2_WORD,
+                "--x", '{"lambda":[0.5,0],"wbar":[]}']),
+    ("u", ["biconvex", "realize", "--type", "A1", "--param",
+           '{"J":[1],"K":[],"u":[1.0],"y":{"lambda":[0],"wbar":[]}}']),
+    ("J", ["biconvex", "classify", "--type", "A1", "--window", "[]"]),
+    ("level", ["biconvex", "classify", "--type", "A1", "--window",
+               '{"J":[1],"cutoff":1,"elements":[{"level":0.5,"classical":[1]}]}']),
+    ("c", ["word", "classify", "--type", "A1", "--word",
+           '{"J":[1],"head":[],"period":[{"c":1.7},{"a":1}]}']),
+], ids=["window-no-keys", "param-no-K", "x-no-wbar", "x-float-lambda", "param-float-u",
+        "window-array", "window-float-level", "letter-float-index"])
+def test_malformed_json_field_is_usage_error(capsys, field, argv):
+    # A missing key, a non-object or a number that is not a JSON integer.
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert repr(field) in err
+
+
 def test_biconvex_realize_and_roundtrip(capsys):
     param = json.dumps(
         {"J": [1], "K": [], "u": [], "y": {"lambda": [0], "wbar": []}}

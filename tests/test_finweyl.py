@@ -19,7 +19,6 @@ from weylwords.finweyl import (
     inversion_set,
     minimal_coset_reps,
     push_negative,
-    reflection,
     simple_reflection,
     tail_roots,
     weyl_elements,
@@ -28,7 +27,13 @@ from weylwords.finweyl import (
     _tail_roots_cached,
 )
 
-from oracles import bfs_word_lengths, brute_force_positivize, subgroup_by_supports, subsets
+from oracles import (
+    bfs_word_lengths,
+    brute_force_positivize,
+    gram_reflect,
+    subgroup_by_supports,
+    subsets,
+)
 
 
 A2 = build_root_system("A2")
@@ -177,10 +182,12 @@ def test_left_step_is_left_product(label):
 
 
 def test_reflection_in_arbitrary_root():
+    # s_1 s_2 s_1 is the reflection in the highest root theta.
     theta = (1, 1)
-    r = reflection(A2, theta)
+    r = from_word(A2, [1, 2, 1])
     assert r.apply(theta) == negate(theta)
-    assert r == from_word(A2, [1, 2, 1])
+    for v in A2.roots:
+        assert r.apply(v) == gram_reflect(A2.gram, theta, v)
 
 
 def test_coset_decompose_examples():

@@ -1,21 +1,23 @@
-"""The integer root tables against the exact rational routes they replace.
+"""The integer root tables against the exact rational routes in
+``tests/oracles.py``.
 
 Each check fails if a single table entry is wrong: the coroot coordinates
 of every root of every built-in type, the integer reflection coefficient,
-the shared simple reflections, and the window test's index triples (through
-``is_biconvex_window`` against a frozenset closure test).
+the Cartan adjugates and the finite-type decision of the fraction-free
+elimination, the shared simple reflections, and the window test's index
+triples (through ``is_biconvex_window`` against a frozenset closure test).
 """
 
 import random
-from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylwords.affine import affine_inversion_set, affine_window, bfs_elements
 from weylwords.biconvex import _window_sum_triples, is_biconvex_window, realize
-from weylwords.cartan import build_root_system, sub_system
+from weylwords.cartan import _connected, build_root_system, cartan_adjugate, sub_system
 from weylwords.finweyl import (
     WeylElement,
     from_word,
@@ -25,7 +27,17 @@ from weylwords.finweyl import (
 )
 from weylwords.verify import _params_for
 
-from oracles import biconvex_by_closure, subsets
+from oracles import (
+    biconvex_by_closure,
+    extended_cartan,
+    fraction_determinant,
+    fraction_inverse,
+    gram_coroot,
+    gram_reflect,
+    subsets,
+    sylvester_positive_definite,
+    symmetrized,
+)
 
 BUILT_IN = (
     [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 7)]
@@ -34,21 +46,18 @@ BUILT_IN = (
 RANK_AT_MOST_4 = [label for label in BUILT_IN if int(label[1:]) <= 4]
 
 
-def _rational_reflect(rs, root, v, norm=None):
-    """s_root(v) = v - 2(v|root)/(root|root) root over the rational Gram matrix."""
-    coeff = 2 * rs.pairing(v, root) / (norm or rs.pairing(root, root))
+def _integer_reflect(rs, root, v):
+    """s_root(v) = v - <v, root-check> root, with the table's coroot."""
+    coeff = rs.coroot_pairing(v, rs.coroot_coords(root))
     return tuple(x - coeff * r for x, r in zip(v, root))
 
 
 @pytest.mark.parametrize("label", BUILT_IN)
 def test_coroot_coords_match_the_rational_formula(label):
-    # beta-check = 2 beta/(beta|beta) = sum_j c_j (alpha_j|alpha_j)/(beta|beta) alpha_j-check.
     rs = build_root_system(label)
-    norms = [rs.pairing(a, a) for a in (rs.simple_root(i) for i in rs.index_set)]
+    assert set(rs.coroots) == rs.root_set
     for beta in rs.roots:
-        norm = rs.pairing(beta, beta)
-        expected = tuple(Fraction(c) * n / norm for c, n in zip(beta, norms))
-        assert rs.coroot_coords(beta) == expected, beta
+        assert rs.coroot_coords(beta) == gram_coroot(rs.gram, beta), beta
 
 
 @pytest.mark.parametrize("label", BUILT_IN)
@@ -56,27 +65,88 @@ def test_reflect_matches_the_rational_formula_on_simple_roots(label):
     rs = build_root_system(label)
     simples = [rs.simple_root(i) for i in rs.index_set]
     for beta in rs.roots:
-        norm = rs.pairing(beta, beta)
         for v in simples:
-            image = rs.reflect(beta, v)
-            assert image == _rational_reflect(rs, beta, v, norm), (beta, v)
+            image = _integer_reflect(rs, beta, v)
+            assert image == gram_reflect(rs.gram, beta, v), (beta, v)
             assert all(type(x) is int for x in image)
 
 
 @pytest.mark.parametrize("label", RANK_AT_MOST_4)
 def test_reflect_matches_the_rational_formula_on_all_roots(label):
     rs = build_root_system(label)
-    for beta in rs.roots:
-        norm = rs.pairing(beta, beta)
-        for v in rs.roots:
-            assert rs.reflect(beta, v) == _rational_reflect(rs, beta, v, norm), (beta, v)
+    for v in rs.roots:
+        for i in rs.index_set:
+            assert rs.simple_reflect(i, v) == gram_reflect(rs.gram, rs.simple_root(i), v)
+        for beta in rs.roots:
+            assert _integer_reflect(rs, beta, v) == gram_reflect(rs.gram, beta, v), (beta, v)
 
 
-def test_reflect_outside_the_table_takes_the_rational_route():
-    rs = build_root_system("G2")
-    half = (Fraction(1, 2), Fraction(1, 3))
-    assert rs.reflect((1, 0), half) == _rational_reflect(rs, (1, 0), half)
-    assert rs.reflect((2, 0), (0, 1)) == rs.reflect((1, 0), (0, 1))
+def _connected_subsets(rs):
+    for k in range(1, rs.rank + 1):
+        for J in combinations(rs.index_set, k):
+            if _connected([[rs.cartan[i - 1][j - 1] for j in J] for i in J]):
+                yield J
+
+
+@pytest.mark.parametrize("label", BUILT_IN)
+def test_cartan_adjugate_matches_the_fraction_inverse(label):
+    rs = build_root_system(label)
+    assert cartan_adjugate(rs, ()) == (1, [])
+    for J in _connected_subsets(rs):
+        block = [[rs.cartan[i - 1][j - 1] for j in J] for i in J]
+        d, adj = cartan_adjugate(rs, J)
+        assert d == fraction_determinant(block) > 0, J
+        assert adj == [[d * x for x in row] for row in fraction_inverse(block)], J
+
+
+FINITE_TYPE_ERROR = "Cartan matrix is not of finite type"
+
+
+@pytest.mark.parametrize("label", BUILT_IN)
+def test_extended_cartan_matrix_is_rejected_as_not_finite(label):
+    rs = build_root_system(label)
+    assert sylvester_positive_definite(symmetrized(rs.cartan))
+    affine = extended_cartan(rs.gram, rs.roots[-1])  # the highest root
+    assert not sylvester_positive_definite(symmetrized(affine))
+    with pytest.raises(ValueError) as caught:
+        build_root_system(affine)
+    assert str(caught.value) == FINITE_TYPE_ERROR
+
+
+@pytest.mark.parametrize("matrix", [[[2, -3], [-3, 2]], [[2, -1], [-5, 2]]])
+def test_hyperbolic_rank_2_matrices_are_rejected_as_not_finite(matrix):
+    assert not sylvester_positive_definite(symmetrized(matrix))
+    with pytest.raises(ValueError) as caught:
+        build_root_system(matrix)
+    assert str(caught.value) == FINITE_TYPE_ERROR
+
+
+BONDS = [(-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -1), (-2, -2), (-1, -4), (-2, -3)]
+
+
+@st.composite
+def cartan_like(draw):
+    """Square matrices with 2 on the diagonal and a random bond per pair."""
+    n = draw(st.integers(2, 5))
+    a = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in combinations(range(n), 2):
+        a[i][j], a[j][i] = draw(st.sampled_from([(0, 0)] + BONDS))
+    return a
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(cartan_like())
+def test_finite_type_decision_matches_sylvester(matrix):
+    gram = symmetrized(matrix)
+    try:
+        build_root_system(matrix)
+    except ValueError as exc:
+        if str(exc) != FINITE_TYPE_ERROR:  # rejected before the finite-type test
+            assert gram is None
+            return
+        assert not sylvester_positive_definite(gram)
+    else:
+        assert sylvester_positive_definite(gram)
 
 
 @pytest.mark.parametrize("label", BUILT_IN)
