@@ -155,8 +155,8 @@ def _eliminate(a) -> tuple[int, list[list[int]]] | None:
         if pivot <= 0:
             return None
         for r in range(n):
-            factor = m[r][k]
             if r != k:
+                factor = m[r][k]
                 m[r] = [(pivot * x - factor * y) // previous for x, y in zip(m[r], top)]
         previous = pivot
     return previous, [row[n:] for row in m]
@@ -400,7 +400,7 @@ def _sub_system_cached(rs: RootSystem, J: tuple) -> SubSystem:
     comps = sorted(tuple(sorted(s)) for s in supports if not any(s < t for t in supports))
     highest = []
     for comp in comps:
-        *lower, top = [r for r in roots if support(r) == set(comp)]  # by height
+        *lower, top = [r for r in roots if support(r) == set(comp)]  # height order
         if lower and height(lower[-1]) == height(top):
             raise RuntimeError("component has no unique highest root")
         highest.append(top)

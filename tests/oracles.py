@@ -1,9 +1,10 @@
 """Independent oracles used to freeze expected values in the tests.
 
 Everything here is deliberately written from first definitions (hand Gram
-matrices, naive reflection closure, BFS word search) and does not call into
-the library's own algorithms, so that library results can be checked
-against a second route.
+matrices, reflections and coroots from the Gram form, a rational inverse
+and Sylvester's criterion, naive reflection closure, BFS word search) and
+does not call into the library's own algorithms, so that library results
+can be checked against a second route.
 """
 
 from fractions import Fraction
@@ -52,8 +53,8 @@ def hand_reflect(label, root, v):
 
 
 def _gauss_jordan(rows):
-    """Rational Gauss-Jordan with row swaps: the determinant, and the
-    reduced rows (the inverse's columns when [A | I] came in)."""
+    """Rational Gauss-Jordan with row swaps: the determinant and the reduced
+    rows, which hold A^-1 on the right when [A | I] came in."""
     m = [[Fraction(x) for x in row] for row in rows]
     det = Fraction(1)
     for k in range(len(m)):
@@ -77,8 +78,8 @@ def fraction_determinant(matrix):
 def fraction_inverse(matrix):
     """A^-1 over the rationals, or None for a singular matrix."""
     n = len(matrix)
-    det, m = _gauss_jordan([list(row) + [int(i == j) for j in range(n)]
-                         for i, row in enumerate(matrix)])
+    _, m = _gauss_jordan([list(row) + [int(i == j) for j in range(n)]
+                          for i, row in enumerate(matrix)])
     return None if m is None else [row[n:] for row in m]
 
 
