@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import takewhile
-from operator import mul
+from operator import index, mul
 from typing import NamedTuple
 
 from .cartan import (
@@ -194,7 +194,10 @@ def affine_identity(rs: RootSystem) -> AffineElement:
 
 def translation(rs: RootSystem, coords) -> AffineElement:
     """The translation by a coroot-lattice vector (simple-coroot coordinates)."""
-    coords = tuple(int(c) for c in coords)
+    try:
+        coords = tuple(map(index, coords))
+    except TypeError as exc:
+        raise ValueError(f"translation coordinates must be integers: {exc}") from exc
     if len(coords) != rs.rank:
         raise ValueError("translation coordinate length mismatch")
     levels = tuple(-rs.coroot_pairing(alpha, coords) for alpha in rs.simple_roots)
@@ -307,9 +310,7 @@ def affine_height(rs: RootSystem, beta: AffineRoot) -> int:
     return base + (height(beta.classical) if beta.classical else 0)
 
 
-def affine_window(
-    sub: SubSystem, cutoff: int, include_imaginary: bool = True
-) -> tuple[AffineRoot, ...]:
+def affine_window(sub: SubSystem, cutoff: int) -> tuple[AffineRoot, ...]:
     """All positive affine roots of the subsystem with level <= cutoff.
 
     Sorted by (affine height, level, classical part): sums always appear
@@ -319,8 +320,7 @@ def affine_window(
         raise ValueError("cutoff must be non-negative")
     rs = sub.rs
     out = list(tower(rs, sub.roots, cutoff))
-    if include_imaginary:
-        out.extend(AffineRoot(m, None) for m in range(1, cutoff + 1))
+    out.extend(AffineRoot(m, None) for m in range(1, cutoff + 1))
     return tuple(
         sorted(out, key=lambda b: (affine_height(rs, b), b.level, b.classical or ()))
     )
@@ -338,14 +338,12 @@ def tower(rs: RootSystem, P, cutoff: int) -> frozenset[AffineRoot]:
     return frozenset(out)
 
 
-def tail_set(
-    sub: SubSystem, K, u: WeylElement, sign: int, cutoff: int
-) -> frozenset[AffineRoot]:
+def tail_set(sub: SubSystem, K, u: WeylElement, cutoff: int) -> frozenset[AffineRoot]:
     """Truncation of the tail pattern: the tower over u(complement of K).
 
     Invariant under replacing u by u*v with v generated by K.
     """
-    return tower(sub.rs, tail_roots(sub, K, u, sign), cutoff)
+    return tower(sub.rs, tail_roots(sub, K, u), cutoff)
 
 
 def affine_inversion_set(x: AffineElement, sub: SubSystem) -> frozenset[AffineRoot]:

@@ -101,7 +101,7 @@ def _check_window_member(sub: SubSystem, beta: AffineRoot, cutoff: int) -> None:
     if not beta.is_positive or beta.level > cutoff:
         raise ValueError(f"{beta} is outside the level-{cutoff} window")
     if beta.classical is not None and beta.classical not in sub.root_set:
-        raise ValueError(f"{beta} is not a root of the subsystem")
+        raise ValueError(f"{list(beta.classical)} is not a root of the subsystem")
 
 
 class _ClassSums(NamedTuple):
@@ -205,6 +205,8 @@ class WindowSet:
     imaginary_tail: bool = False
 
     def __post_init__(self):
+        if self.cutoff < 0:
+            raise ValueError("cutoff must be non-negative")
         for beta in self.elements:
             _check_window_member(self.sub, beta, self.cutoff)
         if not self.tail <= self.sub.root_set:

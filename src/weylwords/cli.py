@@ -18,6 +18,7 @@ own namespace, so no option leaks from one call into the next.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -60,6 +61,20 @@ from .verify import SUITES
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose parse errors reach ``main`` as one ``error:`` line."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _count(text: str) -> int:
+    """A non-negative integer option value."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _parse_subset(text: str | None) -> tuple[int, ...]:
@@ -286,26 +301,21 @@ def cmd_word(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Run one suite; ``--len`` sets its ``max_*`` bound and ``--cutoff`` its
+    ``cutoff``, read off the suite's signature."""
+    suite = SUITES[args.suite]
+    params = inspect.signature(suite).parameters
     kwargs = {}
     if args.type:
         kwargs["labels"] = tuple(args.type.split(","))
     if args.len is not None:
-        first = {
-            "finite-bijection": "max_length",
-            "roundtrip": "max_y",
-            "diagram": "max_y",
-            "length": "max_length",
-            "four-cases": "max_y",
-            "action": "max_x",
-        }.get(args.suite)
-        if first is None:
+        bound = next((p for p in params if p.startswith("max_")), None)
+        if bound is None:
             raise UsageError(f"--len does not apply to suite {args.suite!r}")
-        kwargs[first] = args.len
-    if args.cutoff is not None and args.suite in (
-        "finite-bijection", "words", "action", "four-cases"
-    ):
+        kwargs[bound] = args.len
+    if args.cutoff is not None and "cutoff" in params:
         kwargs["cutoff"] = args.cutoff
-    result = SUITES[args.suite](**kwargs)
+    result = suite(**kwargs)
     _emit(
         {
             "suite": result.name,
@@ -322,7 +332,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="weylwords",
         description="Exact computations with affine root systems, biconvex "
         "sets, and infinite reduced words.",
@@ -340,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_roots = commands.add_parser("roots", help="root system and window listing")
     p_roots.add_argument("--type", required=True)
     p_roots.add_argument("--J")
-    p_roots.add_argument("--cutoff", "-N", type=int)
+    p_roots.add_argument("--cutoff", "-N", type=_count)
     output_flags(p_roots)
     p_roots.set_defaults(func=cmd_roots)
 
@@ -358,9 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bi.add_argument("--view", help="view JSON (tail/finite/cutoff)")
     p_bi.add_argument("--window", help="window JSON (elements/tail/cutoff)")
     p_bi.add_argument("--J")
-    p_bi.add_argument("--cutoff", "-N", type=int)
-    p_bi.add_argument("--max-size", type=int, default=4)
-    p_bi.add_argument("--window-limit", type=int, default=64)
+    p_bi.add_argument("--cutoff", "-N", type=_count)
+    p_bi.add_argument("--max-size", type=_count, default=4)
+    p_bi.add_argument("--window-limit", type=_count, default=64)
     output_flags(p_bi)
     p_bi.set_defaults(func=cmd_biconvex)
 
@@ -373,15 +383,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_word.add_argument("--word", help="word JSON (J/head/period)")
     p_word.add_argument("--word2", help="second word JSON for equiv")
     p_word.add_argument("--x", help="acting element as JSON (lambda/wbar)")
-    p_word.add_argument("--cutoff", "-N", type=int)
+    p_word.add_argument("--cutoff", "-N", type=_count)
     output_flags(p_word)
     p_word.set_defaults(func=cmd_word)
 
     p_verify = commands.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=sorted(SUITES))
     p_verify.add_argument("--type", help="comma-separated type labels")
-    p_verify.add_argument("--len", type=int, help="main size bound of the suite")
-    p_verify.add_argument("--cutoff", "-N", type=int)
+    p_verify.add_argument("--len", type=_count, help="main size bound of the suite")
+    p_verify.add_argument("--cutoff", "-N", type=_count)
     output_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
     return parser
@@ -397,10 +407,9 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
         return args.func(args)
+    except SystemExit as exc:  # --help; a parse error raises UsageError instead
+        return 2 if exc.code not in (0, None) else 0
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -321,16 +321,15 @@ def element_from_inversions(F, sub: SubSystem) -> WeylElement:
 TAIL_MEMO_SIZE = 16
 
 
-def tail_roots(sub: SubSystem, K, u: WeylElement, sign: int = -1) -> frozenset[Root]:
-    """u(Phi^-_J minus Phi_K), the tail of the triple (K, u, y); sign +1
-    takes the positive roots of J outside K instead.  Memoized for the
-    last ``TAIL_MEMO_SIZE`` distinct (J, K, u, sign)."""
-    return _tail_roots_cached(sub, tuple(sorted(K)), u, sign)
+def tail_roots(sub: SubSystem, K, u: WeylElement) -> frozenset[Root]:
+    """u(Phi^-_J minus Phi_K), the tail of the triple (K, u, y).  Memoized
+    for the last ``TAIL_MEMO_SIZE`` distinct (J, K, u)."""
+    return _tail_roots_cached(sub, tuple(sorted(K)), u)
 
 
 @lru_cache(maxsize=TAIL_MEMO_SIZE)
-def _tail_roots_cached(sub: SubSystem, K, u: WeylElement, sign: int) -> frozenset[Root]:
-    return frozenset(u.apply(r) for r in complement_roots(sub, K, sign))
+def _tail_roots_cached(sub: SubSystem, K, u: WeylElement) -> frozenset[Root]:
+    return frozenset(u.apply(r) for r in complement_roots(sub, K, -1))
 
 
 def factor_pointed_biclosed(P, sub: SubSystem):

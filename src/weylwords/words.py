@@ -152,6 +152,8 @@ def inversion_at(word: InfiniteWord, p: int) -> AffineRoot:
 
 def limit_inversions(word: InfiniteWord, cutoff: int) -> frozenset[AffineRoot]:
     """All inversions of the word with level at most the cutoff."""
+    if cutoff < 0:
+        raise ValueError("cutoff must be non-negative")
     st = word._structure
     H, n = len(word.head), len(word.period)
     out = {phi for phi in st.phis[:H] if phi.level <= cutoff}

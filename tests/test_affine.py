@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylwords.cartan import build_root_system, height, sub_system
+from weylwords.cartan import build_root_system, complement_roots, height, sub_system
 from weylwords.finweyl import from_word, identity, inversion_set
 from weylwords.affine import (
     AffineRoot,
@@ -64,6 +64,12 @@ def test_translation_action_example():
     t = translation(A1, (1,))
     assert t.act(AffineRoot(0, (1,))) == AffineRoot(-2, (1,))
     assert t.act(AffineRoot(0, (-1,))) == AffineRoot(2, (-1,))
+
+
+@pytest.mark.parametrize("coords", [(0.5, 0), (1.0, 0), ("1", 0)])
+def test_translation_rejects_non_integer_coordinates(coords):
+    with pytest.raises(ValueError, match="integers"):
+        translation(A2, coords)
 
 
 def test_identity_acts_trivially():
@@ -185,24 +191,27 @@ def test_tower_examples():
 
 
 def test_tail_set_examples():
-    assert tail_set(A1_FULL, (), identity(A1), -1, 3) == {
+    assert tail_set(A1_FULL, (), identity(A1), 3) == {
         AffineRoot(1, (-1,)),
         AffineRoot(2, (-1,)),
         AffineRoot(3, (-1,)),
     }
-    assert tail_set(A1_FULL, (1,), identity(A1), -1, 5) == frozenset()
-    assert tail_set(A2_FULL, (1,), identity(A2), -1, 1) == {
+    assert tail_set(A1_FULL, (1,), identity(A1), 5) == frozenset()
+    assert tail_set(A2_FULL, (1,), identity(A2), 1) == {
         AffineRoot(1, (0, -1)),
         AffineRoot(1, (-1, -1)),
     }
 
 
+def _upper_tail(sub, K, u, cutoff):
+    """The tower over u(Phi^+_J minus Phi_K), the tail's positive twin."""
+    return tower(sub.rs, {u.apply(r) for r in complement_roots(sub, K, +1)}, cutoff)
+
+
 def test_tail_set_invariant_under_right_k_factor():
     s1 = from_word(A2, [1])
-    for sign in (+1, -1):
-        assert tail_set(A2_FULL, (1,), identity(A2), sign, 4) == tail_set(
-            A2_FULL, (1,), s1, sign, 4
-        )
+    assert tail_set(A2_FULL, (1,), identity(A2), 4) == tail_set(A2_FULL, (1,), s1, 4)
+    assert _upper_tail(A2_FULL, (1,), identity(A2), 4) == _upper_tail(A2_FULL, (1,), s1, 4)
 
 
 @pytest.mark.parametrize("label", ["A2", "C2"])
@@ -216,14 +225,12 @@ def test_split_of_window_by_tails(label):
 
         for u in minimal_coset_reps(full, K):
             for cutoff in (1, 2, 4):
-                real_window = {
-                    b for b in affine_window(full, cutoff, include_imaginary=False)
-                }
-                down = tail_set(full, K, u, -1, cutoff)
-                up = tail_set(full, K, u, +1, cutoff)
+                real_window = {b for b in affine_window(full, cutoff) if b.is_real}
+                down = tail_set(full, K, u, cutoff)
+                up = _upper_tail(full, K, u, cutoff)
                 mid = {
                     AffineRoot(b.level, u.apply(b.classical))
-                    for b in affine_window(K_sub, cutoff, include_imaginary=False)
+                    for b in affine_window(K_sub, cutoff) if b.is_real
                 }
                 assert down | up | mid == real_window
                 assert not (down & up) and not (down & mid) and not (up & mid)
@@ -239,11 +246,11 @@ def test_lower_tail_splits_off_finite_inversions(label):
     for K in [(), (1,), (2,)]:
         for u in minimal_coset_reps(full, K):
             for cutoff in (2, 5):
-                left = tail_set(full, K, u, -1, cutoff)
+                left = tail_set(full, K, u, cutoff)
                 level0 = {AffineRoot(0, b) for b in inversion_set(u, full)}
                 lifted = {
                     AffineRoot(b.level, u.apply(b.classical))
-                    for b in tail_set(full, K, identity(rs), -1, cutoff)
+                    for b in tail_set(full, K, identity(rs), cutoff)
                 }
                 assert left == level0 | lifted
                 assert not (level0 & lifted)
@@ -317,7 +324,7 @@ def test_window_counts_and_order():
         AffineRoot(1, (1,)),
         AffineRoot(1, None),
     }
-    assert len(affine_window(A1_FULL, 1, include_imaginary=False)) == 3
+    assert sum(b.is_real for b in window) == 3
     heights = [b.level * 2 + sum(b.classical or (0,)) for b in window]
     assert heights == sorted(heights)
 

@@ -64,6 +64,15 @@ def test_window_predicate_rejects_outside_roots():
         is_biconvex_window({AffineRoot(0, (0, 1))}, sub_system(A2, (1,)), 2)
 
 
+def test_window_rejects_a_negative_cutoff():
+    param = BiconvexParam(sub=A1_FULL, K=(), u=identity(A1), y=affine_identity(A1))
+    with pytest.raises(ValueError, match="non-negative"):
+        realize(param, -2)
+    with pytest.raises(ValueError, match="non-negative"):
+        WindowSet(sub=A1_FULL, cutoff=-1, elements=frozenset())
+    assert realize(param, 0).cutoff == 0
+
+
 def test_realize_finite_case_is_inversion_set():
     for x, _ in bfs_elements(A2_FULL, 4).items():
         param = BiconvexParam(sub=A2_FULL, K=(1, 2), u=identity(A2), y=x)

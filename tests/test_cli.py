@@ -90,6 +90,51 @@ def test_malformed_json_field_is_usage_error(capsys, field, argv):
     assert repr(field) in err
 
 
+def _one_error_line(code, out, err):
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
+@pytest.mark.parametrize("argv", [
+    ("weyl",),
+    ("verify", "nonsense"),
+    ("roots", "--type", "A2", "--cutoff", "x"),
+    (),
+], ids=["weyl-no-type", "unknown-suite", "cutoff-not-int", "no-command"])
+def test_parse_error_is_one_error_line(capsys, argv):
+    _one_error_line(*run(capsys, *argv))
+
+
+def test_help_still_exits_zero(capsys):
+    code, out, err = run(capsys, "verify", "--help")
+    assert code == 0 and "--len" in out and err == ""
+
+
+A1_PARAM = '{"J":[1],"K":[],"u":[],"y":{"lambda":[0],"wbar":[]}}'
+
+
+@pytest.mark.parametrize("argv", [
+    ("biconvex", "realize", "--type", "A1", "--param", A1_PARAM, "--cutoff", "-2"),
+    ("word", "make", "--type", "A2", "--K", "1", "--cutoff", "-3"),
+    ("verify", "length", "--len", "-1"),
+    ("biconvex", "enumerate", "--type", "A1", "--max-size", "-1"),
+    ("biconvex", "parametrize", "--type", "A1", "--J", "1",
+     "--view", '{"tail":[],"finite":[],"cutoff":-1}'),
+    ("biconvex", "classify", "--type", "A1", "--window",
+     '{"J":[1],"cutoff":-1,"elements":[]}'),
+], ids=["realize-cutoff", "word-cutoff", "verify-len", "enumerate-max-size",
+        "view-cutoff", "window-cutoff"])
+def test_negative_cutoff_or_bound_is_usage_error(capsys, argv):
+    _one_error_line(*run(capsys, *argv))
+
+
+def test_window_member_of_wrong_length_is_named_by_its_coordinates(capsys):
+    window = '{"J":[1],"cutoff":1,"elements":[{"level":0,"classical":[1,0,0]}]}'
+    code, out, err = run(capsys, "biconvex", "classify", "--type", "A1", "--window", window)
+    _one_error_line(code, out, err)
+    assert "[1, 0, 0] is not a root" in err
+
+
 def test_biconvex_realize_and_roundtrip(capsys):
     param = json.dumps(
         {"J": [1], "K": [], "u": [], "y": {"lambda": [0], "wbar": []}}

@@ -60,7 +60,7 @@ def test_split_translation_words_and_orbits():
         assert orbit_invariant(word) == K
         for cutoff in (2, 5):
             assert limit_inversions(word, cutoff) == tail_set(
-                SPLIT, K, identity(A3), -1, cutoff
+                SPLIT, K, identity(A3), cutoff
             )
 
 

@@ -88,6 +88,8 @@ def test_limit_inversions_examples():
     }
     level0 = {b for b in limit_inversions(A1_OTHER, 0)}
     assert level0 == {AffineRoot(0, (1,))}
+    with pytest.raises(ValueError, match="non-negative"):
+        limit_inversions(A1_BASE, -1)
 
 
 def test_invalid_words_rejected():
@@ -149,7 +151,7 @@ def test_translation_word_inversions_equal_tail(label):
             word = translation_word(sub, tuple(sorted(K)))
             for cutoff in (0, 3, 6):
                 assert limit_inversions(word, cutoff) == tail_set(
-                    sub, tuple(sorted(K)), identity(rs), -1, cutoff
+                    sub, tuple(sorted(K)), identity(rs), cutoff
                 )
 
 
@@ -262,7 +264,7 @@ def test_word_of_param_mixed_case():
     param = BiconvexParam(sub=A2_FULL, K=(1,), u=identity(A2), y=s1_aff)
     word = word_of_param(param)
     for cutoff in (1, 4):
-        expected = set(tail_set(A2_FULL, (1,), identity(A2), -1, cutoff))
+        expected = set(tail_set(A2_FULL, (1,), identity(A2), cutoff))
         expected.add(AffineRoot(0, (1, 0)))
         assert limit_inversions(word, cutoff) == expected
 
