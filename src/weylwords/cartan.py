@@ -99,28 +99,13 @@ def _validate_cartan(matrix: tuple[tuple[int, ...], ...]) -> None:
                     raise ValueError("off-diagonal Cartan entries must be <= 0")
                 if (matrix[i][j] == 0) != (matrix[j][i] == 0):
                     raise ValueError("Cartan zero pattern must be symmetric")
-    if not _connected(matrix):
-        raise ValueError("Cartan matrix must be indecomposable")
-
-
-def _connected(matrix) -> bool:
-    n = len(matrix)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j in range(n):
-            if j not in seen and matrix[i][j] != 0:
-                seen.add(j)
-                frontier.append(j)
-    return len(seen) == n
 
 
 def _symmetrizer(matrix) -> tuple[Fraction, ...]:
     """Positive rationals d with d_i a_ij = d_j a_ji, scaled so max d_i = 1.
 
     With this scaling the Gram matrix d_i a_ij gives long roots squared
-    length 2.  Raises if the matrix is not symmetrizable.
+    length 2.  Raises if the matrix is not symmetrizable or decomposable.
     """
     n = len(matrix)
     d: list[Fraction | None] = [None] * n
@@ -138,7 +123,9 @@ def _symmetrizer(matrix) -> tuple[Fraction, ...]:
                     frontier.append(j)
                 elif d[j] != value:
                     raise ValueError("Cartan matrix is not symmetrizable")
-    scale = max(x for x in d if x is not None)
+    if None in d:  # the walk from node 0 covers exactly its component
+        raise ValueError("Cartan matrix must be indecomposable")
+    scale = max(d)
     return tuple(x / scale for x in d)
 
 
@@ -359,7 +346,11 @@ def build_root_system(source) -> RootSystem:
     """
     if isinstance(source, str):
         return _build_by_label(source)
-    return _build(None, tuple(tuple(int(x) for x in row) for row in source))
+    try:
+        matrix = tuple(tuple(operator.index(x) for x in row) for row in source)
+    except TypeError as exc:
+        raise ValueError(f"Cartan matrix entries must be integers: {exc}") from exc
+    return _build(None, matrix)
 
 
 @dataclass(frozen=True, eq=False)

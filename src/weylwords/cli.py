@@ -77,13 +77,20 @@ def _count(text: str) -> int:
     return int(text)
 
 
-def _parse_subset(text: str | None) -> tuple[int, ...]:
-    if not text:
-        return ()
+def _root_system(label: str):
+    """The ``--type`` converter: the root system of a type label."""
+    try:
+        return build_root_system(label)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _parse_subset(text: str) -> tuple[int, ...]:
+    """The ``--J`` and ``--K`` converter: a comma-separated index list."""
     try:
         return tuple(sorted({int(part) for part in text.split(",") if part != ""}))
     except ValueError as exc:
-        raise UsageError(f"bad index list {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad index list {text!r}") from exc
 
 
 def _parse_json(text: str, what: str) -> dict:
@@ -134,10 +141,9 @@ def _as_table(data, indent=0) -> str:
     return f"{pad}{data}"
 
 
-def cmd_roots(args) -> int:
-    rs = build_root_system(args.type)
-    J = _parse_subset(args.J) or rs.index_set
-    sub = sub_system(rs, J)
+def cmd_roots(args) -> None:
+    rs = args.type
+    sub = sub_system(rs, args.J or rs.index_set)
     data = root_system_to_json(rs)
     data["gram_printed"] = [[_rational(x) for x in row] for row in rs.gram]
     data["J"] = list(sub.J)
@@ -153,13 +159,11 @@ def cmd_roots(args) -> int:
             "printed": [str(b) for b in window],
         }
     _emit(data, args)
-    return 0
 
 
-def cmd_weyl(args) -> int:
-    rs = build_root_system(args.type)
-    J = _parse_subset(args.J) or rs.index_set
-    sub = sub_system(rs, J)
+def cmd_weyl(args) -> None:
+    rs = args.type
+    sub = sub_system(rs, args.J or rs.index_set)
     try:
         word = [int(part) for part in args.word.split(",")] if args.word else []
     except ValueError as exc:
@@ -176,7 +180,6 @@ def cmd_weyl(args) -> int:
         },
         args,
     )
-    return 0
 
 
 def _window_from_json(rs, data) -> WindowSet:
@@ -191,113 +194,95 @@ def _window_from_json(rs, data) -> WindowSet:
     )
 
 
-def cmd_biconvex(args) -> int:
-    rs = build_root_system(args.type)
-    if args.action == "realize":
-        param = param_from_json(rs, _parse_json(args.param, "parameter"))
-        cutoff = args.cutoff if args.cutoff is not None else 3
-        window = realize(param, cutoff)
-        data = view_to_json(window)
-        data["cutoff"] = cutoff  # the listed depth; finite roots above it stay listed
-        data["members"] = [str(b) for b in sorted(window.truncate(cutoff))]
-        _emit(data, args)
-        return 0
-    if args.action == "parametrize":
-        if args.view:
-            view_data = _parse_json(args.view, "view")
-            J = _parse_subset(args.J)
-            if not J:
-                raise UsageError("parametrize --view needs --J")
-            source = view_from_json(rs, J, view_data)
-        elif args.window:
-            source = _window_from_json(rs, _parse_json(args.window, "window"))
-        else:
-            raise UsageError("parametrize needs --view or --window")
-        try:
-            param = parametrize(source)
-        except NotBiconvexError as exc:
-            _emit({"biconvex": False, "reason": str(exc)}, args)
-            return 1
-        _emit(param_to_json(param), args)
-        return 0
-    if args.action == "classify":
-        if not args.window:
-            raise UsageError("classify needs --window")
-        window = _window_from_json(rs, _parse_json(args.window, "window"))
-        try:
-            case, witness = classify_biconvex(window)
-        except NotBiconvexError as exc:
-            _emit({"biconvex": False, "reason": str(exc)}, args)
-            return 1
-        payload = {"biconvex": True, "case": case}
-        if case in ("a", "b"):
-            payload["element"] = element_to_json(witness)
-        else:
-            payload["param"] = param_to_json(witness)
-        _emit(payload, args)
-        return 0
-    if args.action == "enumerate":
-        J = _parse_subset(args.J) or rs.index_set
-        sub = sub_system(rs, J)
-        cutoff = args.cutoff if args.cutoff is not None else 2
-        sets = enumerate_biconvex(
-            sub, cutoff, args.max_size, window_limit=args.window_limit
-        )
-        _emit(
-            {
-                "count": len(sets),
-                "sets": [
-                    [
-                        affine_root_to_json(b)
-                        for b in sorted(s, key=lambda b: (b.level, b.classical or ()))
-                    ]
-                    for s in sets
-                ],
-                "printed": [sorted(str(b) for b in s) for s in sets],
-            },
-            args,
-        )
-        return 0
-    raise UsageError(f"unknown biconvex action {args.action!r}")
+def cmd_realize(args) -> None:
+    param = param_from_json(args.type, _parse_json(args.param, "parameter"))
+    window = realize(param, args.cutoff)
+    data = view_to_json(window)
+    data["cutoff"] = args.cutoff  # the listed depth; finite roots above it stay listed
+    data["members"] = [str(b) for b in sorted(window.truncate(args.cutoff))]
+    _emit(data, args)
 
 
-def cmd_word(args) -> int:
-    rs = build_root_system(args.type)
-    if args.action == "make":
-        if args.param:
-            param = param_from_json(rs, _parse_json(args.param, "parameter"))
-            word = word_of_param(param)
-        else:
-            J = _parse_subset(args.J) or rs.index_set
-            sub = sub_system(rs, J)
-            word = translation_word(sub, _parse_subset(args.K))
-        data = word_to_json(word)
-        if args.cutoff is not None:
-            data["inversions"] = [
-                str(b) for b in sorted(limit_inversions(word, args.cutoff))
-            ]
-        _emit(data, args)
-        return 0
-    if not args.word:
-        raise UsageError(f"word {args.action} needs --word")
-    word = word_from_json(rs, _parse_json(args.word, "word"))
-    if args.action == "act":
-        if not args.x:
-            raise UsageError("word act needs --x")
-        x = element_from_json(rs, _parse_json(args.x, "element"))
-        _emit(word_to_json(act_on_word(x, word)), args)
-        return 0
-    if args.action == "equiv":
-        if not args.word2:
-            raise UsageError("word equiv needs --word2")
-        other = word_from_json(rs, _parse_json(args.word2, "word"))
-        _emit({"equivalent": words_equivalent(word, other)}, args)
-        return 0
-    if args.action == "classify":
-        cls = classify_word(word)
-        _emit({"K": list(cls.K), "param": param_to_json(cls.param)}, args)
-        return 0
-    raise UsageError(f"unknown word action {args.action!r}")
+def cmd_parametrize(args) -> int | None:
+    if args.view is not None:
+        view_data = _parse_json(args.view, "view")
+        if not args.J:
+            raise UsageError("parametrize --view needs --J")
+        source = view_from_json(args.type, args.J, view_data)
+    else:
+        source = _window_from_json(args.type, _parse_json(args.window, "window"))
+    try:
+        param = parametrize(source)
+    except NotBiconvexError as exc:
+        _emit({"biconvex": False, "reason": str(exc)}, args)
+        return 1
+    _emit(param_to_json(param), args)
+
+
+def cmd_classify_window(args) -> int | None:
+    window = _window_from_json(args.type, _parse_json(args.window, "window"))
+    try:
+        case, witness = classify_biconvex(window)
+    except NotBiconvexError as exc:
+        _emit({"biconvex": False, "reason": str(exc)}, args)
+        return 1
+    payload = {"biconvex": True, "case": case}
+    if case in ("a", "b"):
+        payload["element"] = element_to_json(witness)
+    else:
+        payload["param"] = param_to_json(witness)
+    _emit(payload, args)
+
+
+def cmd_enumerate(args) -> None:
+    rs = args.type
+    sets = enumerate_biconvex(
+        sub_system(rs, args.J or rs.index_set), args.cutoff, args.max_size,
+        window_limit=args.window_limit,
+    )
+    _emit(
+        {
+            "count": len(sets),
+            "sets": [
+                [
+                    affine_root_to_json(b)
+                    for b in sorted(s, key=lambda b: (b.level, b.classical or ()))
+                ]
+                for s in sets
+            ],
+            "printed": [sorted(str(b) for b in s) for s in sets],
+        },
+        args,
+    )
+
+
+def cmd_make(args) -> None:
+    rs = args.type
+    if args.param:
+        word = word_of_param(param_from_json(rs, _parse_json(args.param, "parameter")))
+    else:
+        word = translation_word(sub_system(rs, args.J or rs.index_set), args.K)
+    data = word_to_json(word)
+    if args.cutoff is not None:
+        data["inversions"] = [str(b) for b in sorted(limit_inversions(word, args.cutoff))]
+    _emit(data, args)
+
+
+def cmd_act(args) -> None:
+    word = word_from_json(args.type, _parse_json(args.word, "word"))
+    x = element_from_json(args.type, _parse_json(args.x, "element"))
+    _emit(word_to_json(act_on_word(x, word)), args)
+
+
+def cmd_equiv(args) -> None:
+    word = word_from_json(args.type, _parse_json(args.word, "word"))
+    other = word_from_json(args.type, _parse_json(args.word2, "word"))
+    _emit({"equivalent": words_equivalent(word, other)}, args)
+
+
+def cmd_classify_word(args) -> None:
+    cls = classify_word(word_from_json(args.type, _parse_json(args.word, "word")))
+    _emit({"K": list(cls.K), "param": param_to_json(cls.param)}, args)
 
 
 def cmd_verify(args) -> int:
@@ -331,6 +316,17 @@ def cmd_verify(args) -> int:
     return 0 if result.passed else 1
 
 
+def _command(commands, name, func, help=None, *, typed=True):
+    """A command's parser: the output flags, a required ``--type`` if ``typed``, ``func``."""
+    sub = commands.add_parser(name, help=help)
+    sub.add_argument("--format", choices=("json", "table"), default=argparse.SUPPRESS)
+    sub.add_argument("--out", default=argparse.SUPPRESS)
+    if typed:
+        sub.add_argument("--type", required=True, type=_root_system)
+    sub.set_defaults(func=func)
+    return sub
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="weylwords",
@@ -341,59 +337,53 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="write output to a file instead of stdout")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def output_flags(sub):
-        sub.add_argument(
-            "--format", choices=("json", "table"), default=argparse.SUPPRESS
-        )
-        sub.add_argument("--out", default=argparse.SUPPRESS)
+    p = _command(commands, "roots", cmd_roots, "root system and window listing")
+    p.add_argument("--J", type=_parse_subset, default=())
+    p.add_argument("--cutoff", "-N", type=_count)
 
-    p_roots = commands.add_parser("roots", help="root system and window listing")
-    p_roots.add_argument("--type", required=True)
-    p_roots.add_argument("--J")
-    p_roots.add_argument("--cutoff", "-N", type=_count)
-    output_flags(p_roots)
-    p_roots.set_defaults(func=cmd_roots)
+    p = _command(commands, "weyl", cmd_weyl, "inspect a finite Weyl element")
+    p.add_argument("--word", help="comma-separated simple indices")
+    p.add_argument("--J", type=_parse_subset, default=())
 
-    p_weyl = commands.add_parser("weyl", help="inspect a finite Weyl element")
-    p_weyl.add_argument("--type", required=True)
-    p_weyl.add_argument("--word", help="comma-separated simple indices")
-    p_weyl.add_argument("--J")
-    output_flags(p_weyl)
-    p_weyl.set_defaults(func=cmd_weyl)
+    biconvex = commands.add_parser("biconvex", help="biconvex set operations")
+    actions = biconvex.add_subparsers(dest="action", required=True)
+    p = _command(actions, "realize", cmd_realize)
+    p.add_argument("--param", required=True, help="parameter triple as JSON")
+    p.add_argument("--cutoff", "-N", type=_count, default=3)
+    p = _command(actions, "parametrize", cmd_parametrize)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--view", help="view JSON (tail/finite/cutoff); needs --J")
+    source.add_argument("--window", help="window JSON (J/elements/tail/cutoff)")
+    p.add_argument("--J", type=_parse_subset, default=())
+    p = _command(actions, "classify", cmd_classify_window)
+    p.add_argument("--window", required=True, help="window JSON (J/elements/tail/cutoff)")
+    p = _command(actions, "enumerate", cmd_enumerate)
+    p.add_argument("--J", type=_parse_subset, default=())
+    p.add_argument("--cutoff", "-N", type=_count, default=2)
+    p.add_argument("--max-size", type=_count, default=4)
+    p.add_argument("--window-limit", type=_count, default=64)
 
-    p_bi = commands.add_parser("biconvex", help="biconvex set operations")
-    p_bi.add_argument("action", choices=("realize", "parametrize", "classify", "enumerate"))
-    p_bi.add_argument("--type", required=True)
-    p_bi.add_argument("--param", help="parameter triple as JSON")
-    p_bi.add_argument("--view", help="view JSON (tail/finite/cutoff)")
-    p_bi.add_argument("--window", help="window JSON (elements/tail/cutoff)")
-    p_bi.add_argument("--J")
-    p_bi.add_argument("--cutoff", "-N", type=_count)
-    p_bi.add_argument("--max-size", type=_count, default=4)
-    p_bi.add_argument("--window-limit", type=_count, default=64)
-    output_flags(p_bi)
-    p_bi.set_defaults(func=cmd_biconvex)
+    word = commands.add_parser("word", help="infinite reduced word operations")
+    actions = word.add_subparsers(dest="action", required=True)
+    p = _command(actions, "make", cmd_make)
+    p.add_argument("--J", type=_parse_subset, default=())
+    p.add_argument("--K", type=_parse_subset, default=())
+    p.add_argument("--param", help="make the standard word of this parameter")
+    p.add_argument("--cutoff", "-N", type=_count)
+    p = _command(actions, "act", cmd_act)
+    p.add_argument("--word", required=True, help="word JSON (J/head/period)")
+    p.add_argument("--x", required=True, help="acting element as JSON (lambda/wbar)")
+    p = _command(actions, "equiv", cmd_equiv)
+    p.add_argument("--word", required=True, help="word JSON (J/head/period)")
+    p.add_argument("--word2", required=True, help="second word JSON")
+    p = _command(actions, "classify", cmd_classify_word)
+    p.add_argument("--word", required=True, help="word JSON (J/head/period)")
 
-    p_word = commands.add_parser("word", help="infinite reduced word operations")
-    p_word.add_argument("action", choices=("make", "act", "equiv", "classify"))
-    p_word.add_argument("--type", required=True)
-    p_word.add_argument("--J")
-    p_word.add_argument("--K")
-    p_word.add_argument("--param", help="make the standard word of this parameter")
-    p_word.add_argument("--word", help="word JSON (J/head/period)")
-    p_word.add_argument("--word2", help="second word JSON for equiv")
-    p_word.add_argument("--x", help="acting element as JSON (lambda/wbar)")
-    p_word.add_argument("--cutoff", "-N", type=_count)
-    output_flags(p_word)
-    p_word.set_defaults(func=cmd_word)
-
-    p_verify = commands.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=sorted(SUITES))
-    p_verify.add_argument("--type", help="comma-separated type labels")
-    p_verify.add_argument("--len", type=_count, help="main size bound of the suite")
-    p_verify.add_argument("--cutoff", "-N", type=_count)
-    output_flags(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
+    p = _command(commands, "verify", cmd_verify, "run a verification suite", typed=False)
+    p.add_argument("suite", choices=sorted(SUITES))
+    p.add_argument("--type", help="comma-separated type labels")
+    p.add_argument("--len", type=_count, help="main size bound of the suite")
+    p.add_argument("--cutoff", "-N", type=_count)
     return parser
 
 
@@ -407,7 +397,7 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
-        return args.func(args)
+        return args.func(args) or 0  # a command that returns nothing succeeded
     except SystemExit as exc:  # --help; a parse error raises UsageError instead
         return 2 if exc.code not in (0, None) else 0
     except (UsageError, ValueError) as exc:

@@ -168,20 +168,23 @@ def check_finite_bijection(
             bad = []
             if len(inv) != dist:
                 bad.append(f"{label}: |inversions| != length for {x!r}")
-            if not is_biconvex_window(inv, full, cutoff):
+            if not is_biconvex_window(inv, full, max([cutoff, *(b.level for b in inv)])):
                 bad.append(f"{label}: inversion set of {x!r} not biconvex")
             if inv in inversions:
                 bad.append(f"{label}: {x!r} collides with {inversions[inv]!r}")
             inversions[inv] = x
             yield bad
-        brute = set(enumerate_biconvex(full, cutoff, brute_size))
+        # Compare only sets the ball can hold.  The pair test decides a set
+        # exactly up to half its cutoff, so the brute force runs at least 2 * brute_level deep.
+        size = min(brute_size, max_length)
+        brute = set(enumerate_biconvex(full, max(cutoff, 2 * brute_level), size))
         for S in brute:
             if all(b.level <= brute_level for b in S):
                 yield [] if S in inversions else [
                     f"{label}: brute-force set {sorted(map(str, S))} is not an inversion set"
                 ]
         for inv, x in inversions.items():
-            if len(inv) <= brute_size and all(b.level <= brute_level for b in inv):
+            if len(inv) <= size and all(b.level <= brute_level for b in inv):
                 yield [] if inv in brute else [
                     f"{label}: inversion set of {x!r} missed by brute force"
                 ]

@@ -158,6 +158,23 @@ def test_nonsymmetrizable_cycle_rejected():
         build_root_system(matrix)
 
 
+@pytest.mark.parametrize("matrix", [
+    [[2, -1.5], [-1, 2]],    # would truncate to A2
+    [[2.0, -1], [-1, 2]],
+    [[2, "-1"], [-1, 2]],
+    [[2, -1], [-1, None]],
+])
+def test_non_integer_cartan_entries_rejected(matrix):
+    with pytest.raises(ValueError, match="integers"):
+        build_root_system(matrix)
+
+
+def test_decomposable_matrix_named_as_such():
+    for matrix in ([[2, 0], [0, 2]], [[2, 0, -1], [0, 2, 0], [-1, 0, 2]]):
+        with pytest.raises(ValueError, match="indecomposable"):
+            build_root_system(matrix)
+
+
 def test_bad_labels_rejected():
     for label in ("Z9", "A0", "E9", "D3", "B1", "q"):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -126,6 +127,57 @@ A1_PARAM = '{"J":[1],"K":[],"u":[],"y":{"lambda":[0],"wbar":[]}}'
         "view-cutoff", "window-cutoff"])
 def test_negative_cutoff_or_bound_is_usage_error(capsys, argv):
     _one_error_line(*run(capsys, *argv))
+
+
+A1_WORD = '{"J":[1],"head":[],"period":[{"a":1},{"c":1}]}'
+
+
+# Each biconvex and word action parses only the flags it reads: a missing
+# required flag, a flag of another action, or both sources of parametrize.
+@pytest.mark.parametrize("argv, message", [
+    (("biconvex", "realize", "--type", "A1"), "required: --param"),
+    (("biconvex", "classify", "--type", "A1", "--window",
+      '{"J":[1],"cutoff":1,"elements":[]}', "--cutoff", "3"),
+     "unrecognized arguments: --cutoff 3"),
+    (("biconvex", "parametrize", "--type", "A1", "--J", "1",
+      "--view", '{"tail":[[-1]],"finite":[],"cutoff":3}', "--window", "{}"), "not allowed with"),
+    (("word", "act", "--type", "A1", "--word", A1_WORD, "--x", '{"lambda":[0],"wbar":[1]}',
+      "--K", "1"), "unrecognized arguments: --K 1"),
+], ids=["realize-no-param", "classify-cutoff", "view-and-window", "act-K"])
+def test_action_parsers_reject_what_the_action_does_not_read(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    _one_error_line(code, out, err)
+    assert message in err
+
+
+# The flags each action declares besides --type, --format and --out.
+ACTION_FLAGS = {
+    ("biconvex", "realize"): {"--param", "--cutoff"},
+    ("biconvex", "parametrize"): {"--view", "--window", "--J"},
+    ("biconvex", "classify"): {"--window"},
+    ("biconvex", "enumerate"): {"--J", "--cutoff", "--max-size", "--window-limit"},
+    ("word", "make"): {"--J", "--K", "--param", "--cutoff"},
+    ("word", "act"): {"--word", "--x"},
+    ("word", "equiv"): {"--word", "--word2"},
+    ("word", "classify"): {"--word"},
+}
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_each_action_declares_only_the_flags_it_reads():
+    commands = _subcommands(cli.build_parser())
+    declared = {
+        (group, name): {a.option_strings[0] for a in leaf._actions if a.option_strings}
+        - {"-h", "--type", "--format", "--out"}
+        for group in ("biconvex", "word")
+        for name, leaf in _subcommands(commands[group]).items()
+    }
+    assert declared == ACTION_FLAGS
+    assert sum(map(len, declared.values())) == 19
 
 
 def test_window_member_of_wrong_length_is_named_by_its_coordinates(capsys):

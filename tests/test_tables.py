@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from weylwords.affine import affine_inversion_set, affine_window, bfs_elements
 from weylwords.biconvex import _window_sum_triples, is_biconvex_window, realize
-from weylwords.cartan import _connected, build_root_system, cartan_adjugate, sub_system
+from weylwords.cartan import build_root_system, cartan_adjugate, sub_system
 from weylwords.finweyl import (
     WeylElement,
     from_word,
@@ -84,7 +84,7 @@ def test_reflect_matches_the_rational_formula_on_all_roots(label):
 def _connected_subsets(rs):
     for k in range(1, rs.rank + 1):
         for J in combinations(rs.index_set, k):
-            if _connected([[rs.cartan[i - 1][j - 1] for j in J] for i in J]):
+            if len(sub_system(rs, J).components) == 1:
                 yield J
 
 

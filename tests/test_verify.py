@@ -7,7 +7,7 @@ from functools import wraps
 import pytest
 
 from weylwords import verify
-from weylwords.affine import bfs_elements
+from weylwords.affine import affine_inversion_set, bfs_elements
 from weylwords.cartan import build_root_system, sub_system
 from weylwords.cli import main
 from weylwords.verify import SUITES
@@ -51,6 +51,25 @@ def test_len_and_cutoff_reach_the_suite_as_a_direct_call_would(name, monkeypatch
 def test_len_on_a_suite_without_a_size_bound_is_a_usage_error(name, capsys):
     assert main(["verify", name, "--len", "1"]) == 2
     assert capsys.readouterr().err == f"error: --len does not apply to suite {name!r}\n"
+
+
+# Brute-force sets larger than the ball, inversion sets above the cutoff and
+# cutoffs below twice the brute level each once gave false counterexamples.
+@pytest.mark.parametrize("label, length, cutoff", [
+    ("A1", 2, 6), ("A1", 5, 4), ("A1", 3, 1), ("A1", 5, 2), ("A1", 4, 0),
+    ("A2", 2, 6), ("A2", 3, 2), ("A2", 4, 1), ("A2", 4, 3),
+])
+def test_finite_bijection_holds_at_every_length_and_cutoff(label, length, cutoff):
+    result = verify.check_finite_bijection(labels=(label,), max_length=length, cutoff=cutoff)
+    assert result.passed, result.counterexamples[:3]
+    # One check per ball element, and two per inversion set within the
+    # brute-force bounds (size 5, level 2): one from each side.
+    rs = build_root_system(label)
+    full = sub_system(rs, rs.index_set)
+    ball = bfs_elements(full, length)
+    low = [x for x, d in ball.items() if d <= 5
+           and all(b.level <= 2 for b in affine_inversion_set(x, full))]
+    assert result.checked == len(ball) + 2 * len(low)
 
 
 def test_misclassified_base_word_fails_orbit_without_a_check(monkeypatch):
