@@ -110,8 +110,11 @@ def _emit(data, args) -> None:
     else:
         text = _as_table(data)
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     else:
         try:
             print(text)

@@ -163,8 +163,12 @@ def in_subgroup(w: WeylElement, sub: SubSystem) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
-def _weyl_elements_cached(sub: SubSystem) -> tuple[WeylElement, ...]:
+def _left_search(sub: SubSystem, K) -> tuple[WeylElement, ...]:
+    """W^J_K: the w in W_J with each w(alpha_k), k in K, positive, ordered by
+    (length, reduced word), no word computed.  Layer l + 1 grows from layer l
+    by s_i on the left, i ascending outermost, keeping first finds in W^J_K.
+    As ``word`` is greedy left descent and W^J_K is closed under left
+    prefixes, v is first found as s_i (s_i v) for its least left descent i."""
     e = identity(sub.rs)
     seen = {e.images: e}  # in discovery order, which is the output order
     layer, length = [e], 0
@@ -173,7 +177,7 @@ def _weyl_elements_cached(sub: SubSystem) -> tuple[WeylElement, ...]:
         for i in sub.J:
             for w in layer:
                 v = w._simple_times(i)
-                if v.images not in seen:
+                if v.images not in seen and all(is_positive(v.images[k - 1]) for k in K):
                     seen[v.images] = v
                     v.__dict__["length"] = length  # spare a descent pass
                     new.append(v)
@@ -181,27 +185,20 @@ def _weyl_elements_cached(sub: SubSystem) -> tuple[WeylElement, ...]:
     return tuple(seen.values())
 
 
-def weyl_elements(sub: SubSystem) -> tuple[WeylElement, ...]:
-    """All of W_J, ordered by (length, reduced word), with no word computed.
+@lru_cache(maxsize=None)
+def _weyl_elements_cached(sub: SubSystem) -> tuple[WeylElement, ...]:
+    return _left_search(sub, ())
 
-    ``word`` is greedy left descent, so word(v) = (i,) + word(s_i v) for the
-    smallest left descent i of v.  Layer l + 1 is grown from layer l by s_i
-    on the left, i ascending outermost, keeping first discoveries: v is first
-    found as s_i (s_i v), so the layer comes out in reduced-word order."""
+
+def weyl_elements(sub: SubSystem) -> tuple[WeylElement, ...]:
+    """All of W_J: ``minimal_coset_reps`` with K empty, memoized per subsystem."""
     return _weyl_elements_cached(sub)
 
 
 def minimal_coset_reps(sub: SubSystem, K) -> tuple[WeylElement, ...]:
-    """Elements of W_J sending every alpha_k with k in K to a positive root.
-
-    These are the unique shortest representatives of the cosets w W_K.
-    """
-    K = check_subset(sub, K)
-    return tuple(
-        w
-        for w in weyl_elements(sub)
-        if all(is_positive(w.images[k - 1]) for k in K)
-    )
+    """W^J_K, the shortest representatives of the cosets w W_K, by (length,
+    reduced word); searched without listing W_J, afresh on every call."""
+    return _left_search(sub, check_subset(sub, K))
 
 
 def coset_decompose(w: WeylElement, sub: SubSystem, K):

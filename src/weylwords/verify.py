@@ -32,6 +32,7 @@ from .affine import (
     affine_identity,
     affine_inversion_set,
     affine_length,
+    affine_window,
     bfs_elements,
     from_letters,
     letters_of,
@@ -176,8 +177,9 @@ def check_finite_bijection(
             yield bad
         # Compare only sets the ball can hold.  The pair test decides a set
         # exactly up to half its cutoff, so the brute force runs at least 2 * brute_level deep.
-        size = min(brute_size, max_length)
-        brute = set(enumerate_biconvex(full, max(cutoff, 2 * brute_level), size))
+        size, depth = min(brute_size, max_length), max(cutoff, 2 * brute_level)
+        limit = len(affine_window(full, depth))  # the suite's own bounds size the window
+        brute = set(enumerate_biconvex(full, depth, size, window_limit=limit))
         for S in brute:
             if all(b.level <= brute_level for b in S):
                 yield [] if S in inversions else [
@@ -197,18 +199,15 @@ def check_subset_classification(labels=("A2", "B2", "C2")):
     for label, rs, _ in _systems(labels):
         for J in _subsets(rs.index_set):
             sub = sub_system(rs, J)
-            table = {}
+            table, parabolic = {}, set()
             for K in _subsets(J):
+                base = sub.positives + sub_system(rs, K).negatives  # fixed by W_K
                 for u in minimal_coset_reps(sub, K):
                     image = tail_roots(sub, K, u)
                     if image in table:
                         yield f"{label} J={J}: duplicate tail image"
                     table[image] = (K, u)
-            parabolic = set()
-            for K in _subsets(J):
-                base = list(sub.positives) + list(sub_system(rs, K).negatives)
-                for w in weyl_elements(sub):
-                    parabolic.add(frozenset(w.apply(r) for r in base))
+                    parabolic.add(frozenset(u.apply(r) for r in base))
             for P in _subsets(sub.roots):
                 P = frozenset(P)
                 flags = classify_subset(P, sub)

@@ -384,6 +384,13 @@ def test_verify_out_file(tmp_path, capsys):
     assert "[pass]" in err
 
 
+def test_out_into_a_missing_directory_is_one_error_line(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "roots", "--type", "A1", "--out", str(target))
+    _one_error_line(code, out, err)
+    assert str(target) in err and not target.parent.exists()
+
+
 def test_verify_suite_passes(capsys):
     code, data, err = run_json(
         capsys, "verify", "length", "--type", "A1", "--len", "4"

@@ -25,6 +25,7 @@ from weylwords.finweyl import (
     WeylElement,
     _factor_cached,
     _tail_roots_cached,
+    _weyl_elements_cached,
 )
 
 from oracles import (
@@ -237,6 +238,39 @@ def test_minimal_coset_reps_are_shortest():
         K_sub = sub_system(A2, K)
         order_K = len(weyl_elements(K_sub))
         assert len(reps) * order_K == len(weyl_elements(A2_FULL))
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "G2", "F4"])
+def test_minimal_coset_reps_are_the_filter_over_the_group(label):
+    # The quotient search keeps the elements and the order of the filter
+    # w(alpha_k) > 0 over all of W_J, and presets each length truly.
+    rs = build_root_system(label)
+    full = sub_system(rs, rs.index_set)
+    elements = weyl_elements(full)
+    for K in subsets(rs.index_set):
+        reps = minimal_coset_reps(full, K)
+        assert reps == tuple(
+            w for w in elements if all(is_positive(w.images[k - 1]) for k in K)
+        )
+        assert all(u.length == len(u.word) for u in reps)
+
+
+# |W^J_K| = |W_J| / |W_K| with J the whole type and K all nodes but one.
+@pytest.mark.parametrize("label, outside, size", [
+    ("E6", 1, 27),    # 51,840 / 1,920, W(D5)
+    ("E6", 6, 27),    # 51,840 / 1,920, W(D5)
+    ("E7", 7, 56),    # 2,903,040 / 51,840, W(E6)
+    ("E7", 1, 126),   # 2,903,040 / 23,040, W(D6)
+    ("E8", 8, 240),   # 696,729,600 / 2,903,040, W(E7)
+    ("E8", 1, 2160),  # 696,729,600 / 322,560, W(D7)
+])
+def test_quotient_sizes_without_the_group(label, outside, size):
+    rs = build_root_system(label)
+    K = tuple(k for k in rs.index_set if k != outside)
+    listed = _weyl_elements_cached.cache_info().currsize
+    reps = minimal_coset_reps(sub_system(rs, rs.index_set), K)
+    assert len(reps) == len(set(reps)) == size
+    assert _weyl_elements_cached.cache_info().currsize == listed  # W_J never listed
 
 
 def test_classify_subset_examples():
