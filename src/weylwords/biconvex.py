@@ -221,8 +221,8 @@ class WindowSet:
 
     @cached_property
     def finite_part(self) -> frozenset[AffineRoot]:
-        """The members outside the tower of the tail promise."""
-        return self.elements - tower(self.sub.rs, self.tail, self.cutoff)
+        """The members whose classical part is outside the tail promise."""
+        return frozenset(b for b in self.elements if b.classical not in self.tail)
 
     def truncate(self, cutoff: int) -> frozenset[AffineRoot]:
         """The members with level at most ``cutoff`` (no more than the window's)."""
@@ -231,7 +231,8 @@ class WindowSet:
         return frozenset(b for b in self.elements if b.level <= cutoff)
 
     def complement(self) -> "WindowSet":
-        window = frozenset(affine_window(self.sub, self.cutoff))
+        window = tower(self.sub.rs, self.sub.roots, self.cutoff).union(
+            AffineRoot(m, None) for m in range(1, self.cutoff + 1))
         return WindowSet(
             sub=self.sub,
             cutoff=self.cutoff,

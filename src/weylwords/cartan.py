@@ -270,13 +270,6 @@ class RootSystem:
                 total += c * sum(map(operator.mul, v, row))
         return total
 
-    def simple_reflect(self, i: int, v):
-        """Image of ``v`` under s_i, using integer Cartan arithmetic."""
-        coeff = self.simple_coroot_pairing(v, i)
-        return tuple(
-            x - coeff * int(j == i - 1) for j, x in enumerate(v)
-        )
-
     def coroot_coords(self, root: Root) -> tuple[int, ...]:
         """Coordinates of the coroot of ``root`` over the simple coroots,
         looked up in the table built with the roots.  ValueError for a

@@ -301,7 +301,9 @@ def cmd_verify(args) -> int:
         if bound is None:
             raise UsageError(f"--len does not apply to suite {args.suite!r}")
         kwargs[bound] = args.len
-    if args.cutoff is not None and "cutoff" in params:
+    if args.cutoff is not None:
+        if "cutoff" not in params:
+            raise UsageError(f"--cutoff does not apply to suite {args.suite!r}")
         kwargs["cutoff"] = args.cutoff
     result = suite(**kwargs)
     _emit(

@@ -26,7 +26,6 @@ from .cartan import (
     add,
     check_subset,
     complement_roots,
-    height,
     is_positive,
     negate,
     sub_system,
@@ -127,16 +126,20 @@ def identity(rs: RootSystem) -> WeylElement:
     return _generators(rs)[0]
 
 
-def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
+def _index(rs: RootSystem, i: int) -> int:
     if not 1 <= i <= rs.rank:
         raise ValueError(f"simple reflection index {i} out of range 1..{rs.rank}")
-    return _generators(rs)[i]
+    return i
+
+
+def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
+    return _generators(rs)[_index(rs, i)]
 
 
 def from_word(rs: RootSystem, word) -> WeylElement:
     w = identity(rs)
     for i in word:
-        w = w * simple_reflection(rs, i)
+        w = w._times_simple(_index(rs, i))
     return w
 
 
@@ -260,38 +263,33 @@ def classify_subset(P, sub: SubSystem) -> SubsetClassification:
     )
 
 
-def _positive_part_height(P) -> int:
-    return sum(height(r) for r in P if is_positive(r))
-
-
 def push_negative(P, sub: SubSystem) -> WeylElement:
     """Some w in W_J with w(P) inside the negative roots of the subsystem.
 
-    Requires P pointed and closed.  Greedily applies the smallest simple
-    reflection that strictly lowers the total height of the positive part;
-    if no single reflection helps, falls back to scanning W_J for the
-    shortest element that works.
+    Requires P pointed and closed.  While Q = w(P) has positive roots, w
+    becomes s_j w for the smallest j in J with <v, alpha_j-check> > 0, v the
+    sum of Q's positive roots.  This s_j exists and is the smallest that
+    lowers the total height h of those roots (Bourbaki, Lie VI 1.7, Prop. 22):
+    s_j changes h by -<v, alpha_j-check> + [alpha_j in Q] + [-alpha_j in Q].
+    For beta != alpha_j positive in Q, the alpha_j-string through beta is
+    positive, and Q, closed, meets it in an upper segment if alpha_j is in Q
+    (pairings summing to >= 0, so <v, alpha_j-check> >= 2), in a lower one
+    if -alpha_j is in Q (so <v, alpha_j-check> <= 0).  So s_j lowers h iff
+    the pairing is positive, and then no negative root of Q turns positive.
+    Some j in J pairs positively: v is a sum of roots of J and (v|v) > 0.
     """
     P = frozenset(P)
     flags = classify_subset(P, sub)
     if not (flags.pointed and flags.closed):
         raise ValueError("push_negative requires a pointed closed set")
     rs = sub.rs
-    w = identity(rs)
-    current = P
-    while any(is_positive(r) for r in current):
-        h = _positive_part_height(current)
-        for j in sub.J:
-            moved = frozenset(rs.simple_reflect(j, r) for r in current)
-            if _positive_part_height(moved) < h:
-                current = moved
-                w = w._simple_times(j)
-                break
-        else:
-            for v in weyl_elements(sub):
-                if all(not is_positive(v.apply(r)) for r in current):
-                    return v * w
-            raise RuntimeError("no Weyl element sends the set negative")
+    w, rest = identity(rs), P
+    while rest := [r for r in rest if is_positive(w.apply(r))]:
+        v = w.apply(tuple(map(sum, zip(*rest))))
+        j = next((j for j in sub.J if rs.simple_coroot_pairing(v, j) > 0), None)
+        if j is None:
+            raise RuntimeError("no simple coroot pairs positively with the positive part")
+        w = w._simple_times(j)
     return w
 
 

@@ -228,10 +228,10 @@ def _box_candidates(rs: RootSystem, comp, K) -> list[tuple[int, ...]]:
 def act_on_word(x: AffineElement, word: InfiniteWord) -> InfiniteWord:
     """The left action: a representative of x applied to the word's class.
 
-    Steps: find the smallest aligned cut p0 so that every inversion of the
-    inverse of x that the word eventually inverts is already inverted by
-    the p0-prefix; then the new word is a reduced word of x times that
-    prefix, followed by the remaining letters.
+    Steps: find the smallest cut p0 so that every inversion of the inverse
+    of x that the word eventually inverts is already inverted by the
+    p0-prefix; then the new word is a reduced word of x times that prefix,
+    followed by the remaining letters, the period rotated to start at p0.
     """
     sub = word.sub
     if not in_weyl_subgroup(x, sub):

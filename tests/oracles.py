@@ -175,6 +175,31 @@ def brute_force_positivize(weyl_elements, act, roots, negatives):
     return None
 
 
+def height_greedy_push(gram, J, P):
+    """The images of the simple roots under the w that the height greedy
+    builds for a pointed closed P: while w(P) has positive roots, w becomes
+    s_j w for the smallest j in J whose reflection strictly lowers the total
+    height of the positive part.  Reflections come from the Gram form.
+    AssertionError where no single reflection lowers the height.
+    """
+    def positive_height(roots):
+        return sum(sum(r) for r in roots if sum(r) > 0)
+
+    n = len(gram)
+    simple = [tuple(int(i == k) for k in range(n)) for i in range(n)]
+    images, current = simple, set(P)
+    while positive_height(current):
+        for j in J:
+            moved = {gram_reflect(gram, simple[j - 1], r) for r in current}
+            if positive_height(moved) < positive_height(current):
+                break
+        else:
+            raise AssertionError(f"no simple reflection lowers the height of {sorted(current)}")
+        current = moved
+        images = [gram_reflect(gram, simple[j - 1], x) for x in images]
+    return tuple(images)
+
+
 def subsets(iterable):
     items = list(iterable)
     for bits in product([0, 1], repeat=len(items)):

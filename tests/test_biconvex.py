@@ -31,7 +31,7 @@ from weylwords.biconvex import (
     view_from_json,
     view_to_json,
 )
-from weylwords import finweyl
+from weylwords import finweyl, words
 from weylwords.verify import _params_for, check_parametrization_roundtrip
 
 A1 = build_root_system("A1")
@@ -117,6 +117,37 @@ def test_finite_part_of_a_built_window_matches_realize():
     assert "finite_part" not in vars(built)
     assert built.finite_part == view.finite_part
     assert built == view
+
+
+def _unseeded(window):
+    """The same window with nothing cached, ``finite_part`` included."""
+    return WindowSet(sub=window.sub, cutoff=window.cutoff, elements=window.elements,
+                     tail=window.tail, imaginary_tail=window.imaginary_tail)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_finite_part_and_complement_match_the_tower_formulas(label, monkeypatch):
+    # The finite part equals the members outside tower(tail), and the
+    # complement is taken inside affine_window.  Checked on realized windows,
+    # their complements and the windows classify_word builds.
+    rs = build_root_system(label)
+    built = []
+    real = words.parametrize
+    monkeypatch.setattr(words, "parametrize", lambda window: built.append(window) or real(window))
+    windows = []
+    for J in ((1,), (1, 2)):
+        for param in _params_for(rs, J, 2):
+            for cutoff in (0, 2):
+                window = realize(param, cutoff)
+                windows += [window, window.complement()]
+            if param.names_infinite_set:
+                words.classify_word(words.word_of_param(param))
+    assert built
+    for window in windows + built + [b.complement() for b in built]:
+        old = window.elements - tower(rs, window.tail, window.cutoff)
+        assert window.finite_part == _unseeded(window).finite_part == old
+        full = frozenset(affine_window(window.sub, window.cutoff))
+        assert _unseeded(window).complement().elements == full - window.elements
 
 
 def test_complement_membership_beyond_cutoff():

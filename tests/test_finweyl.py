@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from weylwords import finweyl
 from weylwords.cartan import (
     add,
     build_root_system,
@@ -32,6 +35,7 @@ from oracles import (
     bfs_word_lengths,
     brute_force_positivize,
     gram_reflect,
+    height_greedy_push,
     subgroup_by_supports,
     subsets,
 )
@@ -47,7 +51,7 @@ def inversions_by_formula(rs, word):
     for n, i in enumerate(word):
         beta = rs.simple_root(i)
         for j in reversed(word[:n]):
-            beta = rs.simple_reflect(j, beta)
+            beta = simple_reflection(rs, j).apply(beta)
         values.append(beta)
     return values
 
@@ -326,10 +330,11 @@ def test_push_negative_examples():
 
 
 def test_push_negative_highest_root_only():
-    # {theta} contains no simple root, which exercises the non-obvious
-    # branch of the greedy descent.
+    # {theta} contains no simple root.  theta pairs positively with both
+    # simple coroots, so the rule takes s_1, and then s_2 for s_1(theta) = alpha_2.
     w = push_negative({(1, 1)}, A2_FULL)
     assert not is_positive(w.apply((1, 1)))
+    assert w == from_word(A2, [2, 1])
 
 
 @pytest.mark.parametrize("label", ["A2", "C2", "G2"])
@@ -350,6 +355,67 @@ def test_push_negative_all_pointed_closed(label):
         else:
             with pytest.raises(ValueError):
                 push_negative(P, full)
+
+
+def _no_group(sub):
+    raise AssertionError("weyl_elements was called")
+
+
+def _closure(rs, roots):
+    """The least closed set holding ``roots``: add every sum that is a root."""
+    closed, new = set(roots), set(roots)
+    while new:
+        new = {s for a in new for b in closed if (s := add(a, b)) in rs.root_set} - closed
+        closed |= new
+    return frozenset(closed)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_push_negative_is_the_height_greedy_on_every_pointed_closed_set(label, monkeypatch):
+    monkeypatch.setattr(finweyl, "weyl_elements", _no_group)
+    rs = build_root_system(label)
+    full = sub_system(rs, rs.index_set)
+    count = 0
+    for P in subsets(full.roots):
+        flags = classify_subset(P, full)
+        if flags.pointed and flags.closed:
+            images = height_greedy_push(rs.gram, full.J, P)
+            assert push_negative(P, full).images == images, sorted(P)
+            count += 1
+    assert count > len(full.roots)
+
+
+@pytest.mark.parametrize("label", ["B3", "C3", "D4"])
+def test_push_negative_is_the_height_greedy_on_moved_closures(label, monkeypatch):
+    # Closures of random sets of positive roots are pointed and closed, and
+    # so are their images under random words.
+    monkeypatch.setattr(finweyl, "weyl_elements", _no_group)
+    rs = build_root_system(label)
+    rng = random.Random(label)
+    for J in (rs.index_set, rs.index_set[1:]):
+        sub = sub_system(rs, J)
+        for _ in range(40):
+            base = _closure(rs, rng.sample(sub.positives, rng.randint(1, len(sub.positives))))
+            u = from_word(rs, [rng.choice(J) for _ in range(rng.randint(0, 10))])
+            P = frozenset(map(u.apply, base))
+            w = push_negative(P, sub)
+            assert w.images == height_greedy_push(rs.gram, J, P), sorted(P)
+            assert in_subgroup(w, sub) and not any(is_positive(w.apply(r)) for r in P)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "F4", "G2"])
+def test_from_word_is_the_product_of_simple_reflections(label):
+    rs = build_root_system(label)
+    rng = random.Random(label)
+    for _ in range(30):
+        word = [rng.randint(1, rs.rank) for _ in range(rng.randint(0, 12))]
+        folded = identity(rs)
+        for i in word:
+            folded = folded * simple_reflection(rs, i)
+        assert from_word(rs, word) == folded, word
+    for bad in (0, -1, rs.rank + 1):
+        with pytest.raises(ValueError, match=f"index {bad} out of range 1..{rs.rank}"):
+            from_word(rs, [1, bad])
 
 
 def test_element_from_inversions_round_trip():

@@ -37,9 +37,10 @@ def test_len_and_cutoff_reach_the_suite_as_a_direct_call_would(name, monkeypatch
     # A wrapper that keeps the signature, as a tracing wrapper would.
     real, seen = SUITES[name], []
     monkeypatch.setitem(SUITES, name, wraps(real)(lambda **kw: seen.append(kw) or real(**kw)))
-    code = main(["verify", name, "--type", "A1", "--len", "5", "--cutoff", "6"])
-    data = json.loads(capsys.readouterr().out)
     bound, takes_cutoff = SIZED[name]
+    cutoff = ["--cutoff", "6"] if takes_cutoff else []
+    code = main(["verify", name, "--type", "A1", "--len", "5", *cutoff])
+    data = json.loads(capsys.readouterr().out)
     kwargs = {"labels": ("A1",), bound: 5} | ({"cutoff": 6} if takes_cutoff else {})
     direct = real(**kwargs)
     assert seen == [kwargs]
@@ -51,6 +52,15 @@ def test_len_and_cutoff_reach_the_suite_as_a_direct_call_would(name, monkeypatch
 def test_len_on_a_suite_without_a_size_bound_is_a_usage_error(name, capsys):
     assert main(["verify", name, "--len", "1"]) == 2
     assert capsys.readouterr().err == f"error: --len does not apply to suite {name!r}\n"
+
+
+@pytest.mark.parametrize("name", ["roundtrip", "diagram", "length", "subsets", "orbit"])
+def test_cutoff_on_a_suite_without_a_cutoff_is_a_usage_error(name, capsys):
+    assert "cutoff" not in inspect.signature(SUITES[name]).parameters
+    assert main(["verify", name, "--type", "A1", "--cutoff", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --cutoff does not apply to suite {name!r}\n"
 
 
 # Brute-force sets larger than the ball, inversion sets above the cutoff and
