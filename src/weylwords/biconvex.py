@@ -258,10 +258,8 @@ def _assemble(sub: SubSystem, tail, finite, cutoff: int) -> WindowSet:
     """The set tower(tail) plus the finite roots, windowed at a cutoff raised
     to the top finite level, so that the window alone determines the set."""
     cutoff = max([cutoff, *(b.level for b in finite)])
-    pattern = tower(sub.rs, tail, cutoff)
-    window = WindowSet(sub=sub, cutoff=cutoff, elements=pattern | finite, tail=tail)
-    window.__dict__["finite_part"] = finite - pattern  # spare a second tower
-    return window
+    elements = tower(sub.rs, tail, cutoff) | finite
+    return WindowSet(sub=sub, cutoff=cutoff, elements=elements, tail=tail)
 
 
 def realize(param: BiconvexParam, cutoff: int) -> WindowSet:

@@ -83,13 +83,8 @@ class WeylElement:
         ))
 
     def _simple_times(self, i: int) -> WeylElement:
-        """s_i * self: each image x loses <x, alpha_i^vee> from coordinate i."""
-        row, k = self.rs.cartan[i - 1], i - 1
-        images = []
-        for img in self.images:
-            c = sum(map(mul, img, row))
-            images.append(img[:k] + (img[k] - c,) + img[i:] if c else img)
-        return WeylElement(self.rs, tuple(images))
+        """s_i * self, which applies s_i to each image."""
+        return WeylElement(self.rs, _reflect(self.rs, self.images, i))
 
     @cached_property
     def inverse(self) -> WeylElement:
@@ -113,6 +108,16 @@ class WeylElement:
     @cached_property
     def length(self) -> int:
         return len(self.word)
+
+
+def _reflect(rs: RootSystem, vectors, i: int) -> tuple:
+    """s_i applied to each vector: x loses <x, alpha_i^vee> from coordinate i."""
+    row, k = rs.cartan[i - 1], i - 1
+    out = []
+    for x in vectors:
+        c = sum(map(mul, x, row))
+        out.append(x[:k] + (x[k] - c,) + x[i:] if c else x)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -182,7 +187,9 @@ def _left_search(sub: SubSystem, K) -> tuple[WeylElement, ...]:
                 v = w._simple_times(i)
                 if v.images not in seen and all(is_positive(v.images[k - 1]) for k in K):
                     seen[v.images] = v
-                    v.__dict__["length"] = length  # spare a descent pass
+                    # Kept fast path: whole-group listings read .length of
+                    # every element, and the layer already knows it.
+                    v.__dict__["length"] = length
                     new.append(v)
         layer = new
     return tuple(seen.values())
@@ -279,17 +286,18 @@ def push_negative(P, sub: SubSystem) -> WeylElement:
     Some j in J pairs positively: v is a sum of roots of J and (v|v) > 0.
     """
     P = frozenset(P)
-    flags = classify_subset(P, sub)
-    if not (flags.pointed and flags.closed):
+    if not P <= sub.root_set:
+        raise ValueError("subset contains vectors outside the subsystem")
+    if any(negate(r) in P for r in P) or not _is_closed(P, sub.root_set):
         raise ValueError("push_negative requires a pointed closed set")
     rs = sub.rs
-    w, rest = identity(rs), P
-    while rest := [r for r in rest if is_positive(w.apply(r))]:
-        v = w.apply(tuple(map(sum, zip(*rest))))
+    w, Q = identity(rs), tuple(P)  # Q = w(P), less the roots already negative
+    while Q := tuple(r for r in Q if is_positive(r)):
+        v = tuple(map(sum, zip(*Q)))
         j = next((j for j in sub.J if rs.simple_coroot_pairing(v, j) > 0), None)
         if j is None:
             raise RuntimeError("no simple coroot pairs positively with the positive part")
-        w = w._simple_times(j)
+        w, Q = w._simple_times(j), _reflect(rs, Q, j)
     return w
 
 

@@ -329,6 +329,11 @@ def test_push_negative_examples():
     assert w == simple_reflection(A2, 1)
 
 
+def test_push_negative_rejects_roots_outside_the_subsystem():
+    with pytest.raises(ValueError, match="subset contains vectors outside the subsystem"):
+        push_negative({(1, 0)}, sub_system(A2, (2,)))
+
+
 def test_push_negative_highest_root_only():
     # {theta} contains no simple root.  theta pairs positively with both
     # simple coroots, so the rule takes s_1, and then s_2 for s_1(theta) = alpha_2.

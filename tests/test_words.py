@@ -395,6 +395,21 @@ def test_word_structure_matches_plain_products(word):
     assert limit_inversions(word, 2) == {b for b in inversions if b.level <= 2}
 
 
+@pytest.mark.parametrize("word", STRUCTURE_WORDS, ids=lambda w: w.sub.rs.label)
+def test_undoing_a_prefix_past_the_first_block_rotates_the_period(word):
+    # Cuts in the first period, past one block of d periods, and inside the
+    # third block: the action removes the prefix and starts at the cut.
+    H, n = len(word.head), len(word.period)
+    block = _period_order(word) * n
+    for p in (H + 1, H + block + 1, H + 2 * block + 3):
+        x = prefix_element(word, p).inverse
+        acted = act_on_word(x, word)
+        shift = (p - H) % n
+        assert acted.head == ()
+        assert acted.period == word.period[shift:] + word.period[:shift]
+        assert limit_inversions(acted, 6) == _action_formula(x, word, 6)
+
+
 @pytest.mark.parametrize("label,period,position", [
     ("A1", "c1", 2),
     ("A1", "c1 a1 c1", 4),
