@@ -386,15 +386,19 @@ def affine_reduced_word(x: AffineElement, sub: SubSystem) -> tuple[Letter, ...]:
 
 
 def element_from_affine_inversions(F, sub: SubSystem) -> AffineElement:
-    """The element of the subgroup whose inversion set is the finite set F,
-    whose word the descent walk spells from F's real roots (imaginary ones are
-    left to the final check).  Raises ValueError for any other set F."""
+    """The element of the subgroup with the finite inversion set F; any other
+    F raises ValueError.  The descent walk spells its word from F's real roots,
+    taking only left descents, so the word is reduced and its pivots (each
+    prefix on the next letter's root) are N(x): F is read back iff it equals them."""
     F = frozenset(F)
     word = _walk_letters(sub, ((1, beta.classical) for beta in F if beta.is_real))
     if word is None:
         raise ValueError("set is not an affine inversion set")
-    result = from_letters(sub, word)
-    if affine_inversion_set(result, sub) != F:
+    result, pivots = affine_identity(sub.rs), set()
+    for letter in word:
+        pivot, result = _step(result, sub, letter)
+        pivots.add(pivot)
+    if pivots != F:
         raise ValueError("set is not an affine inversion set")
     return result
 

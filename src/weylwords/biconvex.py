@@ -207,8 +207,11 @@ class WindowSet:
     def __post_init__(self):
         if self.cutoff < 0:
             raise ValueError("cutoff must be non-negative")
-        for beta in self.elements:
-            _check_window_member(self.sub, beta, self.cutoff)
+        root_set, cutoff = self.sub.root_set, self.cutoff
+        for m, c in self.elements:
+            if not ((0 < m <= cutoff or m == 0 and c is not None and is_positive(c))
+                    and (c is None or c in root_set)):
+                _check_window_member(self.sub, AffineRoot(m, c), cutoff)  # raises the reason
         if not self.tail <= self.sub.root_set:
             raise ValueError("tail promise contains non-roots")
 
@@ -280,8 +283,11 @@ def parametrize(B: WindowSet) -> BiconvexParam:
     """Recover the unique (K, u, y) naming a real biconvex set.
 
     The input must carry its tail support (the classical directions whose
-    whole towers eventually lie inside).  The factorization is validated by
-    a full round trip; anything inconsistent raises NotBiconvexError.
+    whole towers eventually lie inside); anything inconsistent raises
+    NotBiconvexError.  Once tail_roots(K, u) is the tail, u(N_K(y)) the
+    finite part and each member positive up to the cutoff, realize gives
+    tower(tail) plus the finite part.  The other members lie in that tower,
+    so the round trip holds iff they number sum(cutoff + [eps > 0]) over the tail.
     """
     sub = B.sub
     if not B.is_real:
@@ -290,17 +296,15 @@ def parametrize(B: WindowSet) -> BiconvexParam:
         K, u = factor_pointed_biclosed(B.tail, sub)
     except ValueError as exc:
         raise NotBiconvexError(f"tail support is not pointed biclosed: {exc}") from exc
-    u_inv = u.inverse
     pulled = frozenset(
-        AffineRoot(b.level, u_inv.apply(b.classical)) for b in B.finite_part
+        AffineRoot(b.level, u.inverse.apply(b.classical)) for b in B.finite_part
     )
-    K_sub = sub_system(sub.rs, K)
     try:
-        y = element_from_affine_inversions(pulled, K_sub)
+        y = element_from_affine_inversions(pulled, sub_system(sub.rs, K))
     except ValueError as exc:
         raise NotBiconvexError(f"finite part is not an inversion set: {exc}") from exc
     param = BiconvexParam(sub=sub, K=K, u=u, y=y)
-    if realize(param, B.cutoff).elements != B.elements:
+    if len(B.elements) - len(B.finite_part) != sum(B.cutoff + is_positive(e) for e in B.tail):
         raise NotBiconvexError("window does not round-trip through its parameters")
     return param
 

@@ -152,10 +152,7 @@ def inversion_set(w: WeylElement, sub: SubSystem | None = None) -> frozenset[Roo
     """Positive roots of the subsystem sent negative by the inverse."""
     if sub is None:
         sub = sub_system(w.rs, w.rs.index_set)
-    w_inv = w.inverse
-    return frozenset(
-        beta for beta in sub.positives if not is_positive(w_inv.apply(beta))
-    )
+    return frozenset(b for b in sub.positives if not is_positive(w.inverse.apply(b)))
 
 
 def in_subgroup(w: WeylElement, sub: SubSystem) -> bool:
@@ -304,7 +301,9 @@ def push_negative(P, sub: SubSystem) -> WeylElement:
 def element_from_inversions(F, sub: SubSystem) -> WeylElement:
     """The unique element of W_J whose inversion set is F: the descent walk
     over J from 2 rho - 2 sum F spells its reduced word, as w(2 rho) =
-    2 rho - 2 sum N(w).  Raises ValueError if F is not an inversion set."""
+    2 rho - 2 sum N(w).  The walk takes only left descents, so its pivots
+    w(alpha_j) before each step w s_j are N(w): F is read back iff it
+    equals them, and raises ValueError otherwise."""
     F, rs, J = frozenset(F), sub.rs, sub.J
     total = tuple(map(sum, zip(*F)))
     steps = _descent_walk(
@@ -313,8 +312,11 @@ def element_from_inversions(F, sub: SubSystem) -> WeylElement:
     )
     if steps is None:
         raise ValueError("set is not an inversion set")
-    w = from_word(rs, [J[s] for s in steps])
-    if inversion_set(w, sub) != F:
+    w, pivots = identity(rs), set()
+    for s in steps:
+        pivots.add(w.images[J[s] - 1])
+        w = w._times_simple(J[s])
+    if pivots != F:
         raise ValueError("set is not an inversion set")
     return w
 

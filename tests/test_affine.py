@@ -338,11 +338,13 @@ def test_element_from_affine_inversions_round_trip():
         element_from_affine_inversions({AffineRoot(1, (1, 1))}, full)
 
 
-@pytest.mark.parametrize("label", ["A1", "A2", "C2"])
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2"])
 def test_element_from_affine_inversions_exactly_on_inversion_sets(label):
     # Every set of at most 4 roots of the level-1 window, imaginary roots
     # included: a set is read back exactly when it is some N(x), and any
-    # other set raises ValueError (never TypeError).
+    # other set raises ValueError (never TypeError or RuntimeError).  So
+    # does every N(x) with one non-positive root added: a level-0 negative
+    # classical root, or the negative -alpha_s of a letter's root.
     rs = build_root_system(label)
     full = sub_system(rs, rs.index_set)
     table = {affine_inversion_set(x, full): x for x in bfs_elements(full, 4)}
@@ -354,6 +356,12 @@ def test_element_from_affine_inversions_exactly_on_inversion_sets(label):
             else:
                 with pytest.raises(ValueError):
                     element_from_affine_inversions(F, full)
+    non_positive = {AffineRoot(0, eps) for eps in full.negatives}
+    non_positive |= {-letter_root(full, letter) for letter in letters_of(full)}
+    for F in table:
+        for beta in non_positive:
+            with pytest.raises(ValueError):
+                element_from_affine_inversions(F | {beta}, full)
 
 
 def test_bfs_lengths_match_inversion_counts():

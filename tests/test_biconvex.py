@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from weylwords.cartan import build_root_system, sub_system
+from weylwords.cartan import build_root_system, is_positive, sub_system
 from weylwords.finweyl import from_word, identity, minimal_coset_reps
 from weylwords.affine import (
     AffineRoot,
@@ -238,6 +238,47 @@ def test_parametrize_rejects_bad_windows():
                 tail=frozenset(),
             )
         )
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_parametrize_decides_windows_one_step_from_a_realized_one(label):
+    # Every window one member away from a realized W, dropped or added from
+    # affine_window, is either rejected or read back as parameters whose
+    # realized window at W's cutoff is that window, with W's tail.
+    rs = build_root_system(label)
+    params = [p for size in range(1, rs.rank + 1)
+              for J in combinations(rs.index_set, size) for p in _params_for(rs, J, 2)]
+    accepted = rejected = 0
+    for param in params:
+        W = realize(param, 1)
+        assert parametrize(W) == param
+        full = affine_window(W.sub, W.cutoff)
+        near = [W.elements - {b} for b in W.elements]
+        near += [W.elements | {b} for b in full if b not in W.elements]
+        for elements in near:
+            window = WindowSet(sub=W.sub, cutoff=W.cutoff, elements=elements, tail=W.tail)
+            try:
+                p = parametrize(window)
+            except NotBiconvexError:
+                rejected += 1
+                continue
+            back = realize(p, W.cutoff)
+            assert (back.elements, back.tail) == (elements, W.tail), (param, elements)
+            accepted += 1
+    assert accepted and rejected
+
+
+def test_parametrize_rejects_holes_in_the_tail_tower():
+    # One hole at the top level, one at level 0 of a positive tail root:
+    # the tail and the finite part still factor, so only the count fails.
+    W = realize(make_param(A2, (1, 2), (1,), [2], (0, 0), [1]), 3)
+    positive = next(eps for eps in sorted(W.tail) if is_positive(eps))
+    for hole in (AffineRoot(W.cutoff, min(W.tail)), AffineRoot(0, positive)):
+        assert hole in W.elements
+        window = WindowSet(sub=W.sub, cutoff=W.cutoff, elements=W.elements - {hole},
+                           tail=W.tail)
+        with pytest.raises(NotBiconvexError, match="does not round-trip"):
+            parametrize(window)
 
 
 def test_parametrize_rejects_imaginary():

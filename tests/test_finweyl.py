@@ -433,7 +433,9 @@ def test_element_from_inversions_round_trip():
 @pytest.mark.parametrize("label", ["A2", "B2", "C2", "G2", "A3", "B3"])
 def test_element_from_inversions_exactly_on_inversion_sets(label):
     # Every subset of the positive roots of every nonempty J: the descent
-    # walk either reads the element off its inversion set or fails cleanly.
+    # walk either reads the element off its inversion set or fails cleanly,
+    # with ValueError (never TypeError or RuntimeError).  So does every
+    # inversion set with one negative root of J added, -alpha_j among them.
     rs = build_root_system(label)
     for J in subsets(rs.index_set):
         if not J:
@@ -446,6 +448,10 @@ def test_element_from_inversions_exactly_on_inversion_sets(label):
             else:
                 with pytest.raises(ValueError):
                     element_from_inversions(F, sub)
+        for F in table:
+            for beta in sub.negatives:
+                with pytest.raises(ValueError):
+                    element_from_inversions(F | {beta}, sub)
 
 
 def test_word_of_a_non_element_is_an_internal_fault():
