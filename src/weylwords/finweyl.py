@@ -9,7 +9,7 @@ first, so every output is deterministic.
 
 Tails u(Phi^-_J minus Phi_K) and the factorization of a pointed biclosed
 set into (K, u) are kept in two bounded memos, of ``TAIL_MEMO_SIZE``
-entries each: a miss runs every check, and a failure is never kept.
+entries each: a miss runs the reconstruction, and a failure is never kept.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .cartan import (
     complement_roots,
     is_positive,
     negate,
-    sub_system,
 )
 
 
@@ -148,10 +147,8 @@ def from_word(rs: RootSystem, word) -> WeylElement:
     return w
 
 
-def inversion_set(w: WeylElement, sub: SubSystem | None = None) -> frozenset[Root]:
-    """Positive roots of the subsystem sent negative by the inverse."""
-    if sub is None:
-        sub = sub_system(w.rs, w.rs.index_set)
+def inversion_set(w: WeylElement, sub: SubSystem) -> frozenset[Root]:
+    """N(w): the positive roots of the subsystem sent negative by w^-1."""
     return frozenset(b for b in sub.positives if not is_positive(w.inverse.apply(b)))
 
 
@@ -341,25 +338,28 @@ def factor_pointed_biclosed(P, sub: SubSystem):
     """Write a pointed biclosed set as u applied to the negative roots
     outside K, for a unique K inside J and minimal representative u.
 
-    Returns (K, u).  The reconstruction is verified by recomputation, once
-    per set: the last ``TAIL_MEMO_SIZE`` distinct (P, J) are memoized, and
-    a set that fails a check raises again on every call.
+    Returns (K, u), deciding by reconstruction: u has inversion set P & Phi+,
+    K is the j in J with u(alpha_j) outside +-P, and P is accepted iff
+    tail_roots(K, u) is P.  (=>) P = u(Phi^-_J minus Phi_K) with u in W^J_K
+    puts u(Phi^-_K) in Phi-, so P & Phi+ = N(u): u and then K are read back
+    and the round trip holds.  (<=) Every u(Phi^-_J minus Phi_K), u in W_J,
+    is pointed biclosed.  The last ``TAIL_MEMO_SIZE`` distinct (P, J) are
+    memoized; failures are not.
     """
     return _factor_cached(frozenset(P), sub)
 
 
 @lru_cache(maxsize=TAIL_MEMO_SIZE)
 def _factor_cached(P: frozenset[Root], sub: SubSystem):
-    flags = classify_subset(P, sub)
-    if not (flags.pointed and flags.biclosed_in_J):
-        raise ValueError("set is not pointed and biclosed in the subsystem")
-    F = frozenset(beta for beta in P if is_positive(beta))
+    if not P <= sub.root_set:
+        raise ValueError("subset contains vectors outside the subsystem")
     try:
-        u = element_from_inversions(F, sub)
-    except ValueError as exc:
-        raise RuntimeError(f"inversion reconstruction failed: {exc}") from exc
-    sym = P | frozenset(negate(r) for r in P)
-    K = tuple(j for j in sub.J if u.images[j - 1] not in sym)
-    if tail_roots(sub, K, u) != P:
-        raise RuntimeError("pointed biclosed factorization did not round-trip")
-    return K, u
+        u = element_from_inversions(frozenset(b for b in P if is_positive(b)), sub)
+    except ValueError:
+        pass
+    else:
+        sym = P | frozenset(negate(r) for r in P)
+        K = tuple(j for j in sub.J if u.images[j - 1] not in sym)
+        if tail_roots(sub, K, u) == P:
+            return K, u
+    raise ValueError("set is not pointed and biclosed in the subsystem")

@@ -27,12 +27,10 @@ from .affine import (
     AffineRoot,
     Letter,
     _step,
-    _times_letter,
     affine_identity,
     affine_inversion_set,
     affine_reduced_word,
     from_letters,
-    in_weyl_subgroup,
     letter_from_json,
     letter_to_json,
     lift,
@@ -212,24 +210,22 @@ def _box_candidates(rs: RootSystem, comp, K) -> list[tuple[int, ...]]:
 def act_on_word(x: AffineElement, word: InfiniteWord) -> InfiniteWord:
     """The left action: a representative of x applied to the word's class.
 
-    Steps: find the smallest cut p0 so that every inversion of the inverse
-    of x that the word eventually inverts is already inverted by the
-    p0-prefix, stepping x through the letters on the way; then the new word
-    is a reduced word of x times that prefix, followed by the remaining
+    x steps through the letters up to the smallest cut p0 whose prefix
+    inverts every root of N(x^-1) that the word inverts.  The step at p has
+    pivot x z_(p-1)(alpha_(s_p)) = x(phi_p), negative exactly when phi_p is
+    in N(x^-1); a word's inversions are distinct, so p0 is the last negative
+    pivot.  The new word is a reduced word of x z_p0, then the remaining
     letters, the period rotated to start at p0.
     """
     sub = word.sub
-    if not in_weyl_subgroup(x, sub):
-        raise ValueError("element is not in the subgroup for J")
     finite_inversions = affine_inversion_set(x.inverse, sub)
     max_level = max((b.level for b in finite_inversions), default=0)
-    target = finite_inversions & limit_inversions(word, max_level)
-    seen: set[AffineRoot] = set()
+    negative = len(finite_inversions & limit_inversions(word, max_level))
     front, p0 = x, 0
-    while not target <= seen:
+    while negative:
         p0 += 1
-        seen.add(inversion_at(word, p0))
-        front = _times_letter(front, sub, word.letter_at(p0))
+        pivot, front = _step(front, sub, word.letter_at(p0))
+        negative -= not pivot.is_positive
     # Kept fast path: x often undoes a prefix (about 600 of the 1,400 acts of
     # a verify sweep), and even the identity's reduced word is a descent walk.
     new_head = () if front.is_identity else affine_reduced_word(front, sub)

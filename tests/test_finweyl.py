@@ -471,7 +471,10 @@ def test_factor_pointed_biclosed_examples():
     assert K == (1,) and u.is_identity
 
 
-@pytest.mark.parametrize("label", ["A2", "B2", "C2"])
+NOT_POINTED_BICLOSED = "set is not pointed and biclosed in the subsystem"
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "C2", "G2", "A3"])
 def test_factorization_matches_exhaustive_search(label):
     # Oracle: tabulate u(complement negatives) for every (K, u); the map
     # must be injective and must exactly cover the pointed biclosed sets.
@@ -494,7 +497,7 @@ def test_factorization_matches_exhaustive_search(label):
             if pointed_biclosed:
                 assert factor_pointed_biclosed(P, sub) == table[P]
             else:
-                with pytest.raises(ValueError):
+                with pytest.raises(ValueError, match=NOT_POINTED_BICLOSED):
                     factor_pointed_biclosed(P, sub)
 
 
@@ -519,11 +522,15 @@ def test_factorization_memos_return_what_a_cold_call_does(label):
 def test_factorization_failures_are_not_memoized():
     # Not biclosed, not pointed, and not roots of the subsystem.
     a1_only = sub_system(A2, (1,))
-    bad = [({(1, 0)}, A2_FULL), ({(1, 0), (-1, 0)}, A2_FULL), ({(0, -1)}, a1_only)]
-    for P, sub in bad:
+    bad = [
+        ({(1, 0)}, A2_FULL, NOT_POINTED_BICLOSED),
+        ({(1, 0), (-1, 0)}, A2_FULL, NOT_POINTED_BICLOSED),
+        ({(0, -1)}, a1_only, "subset contains vectors outside the subsystem"),
+    ]
+    for P, sub, reason in bad:
         before = _factor_cached.cache_info().currsize
         for _ in range(2):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=reason):
                 factor_pointed_biclosed(P, sub)
         assert _factor_cached.cache_info().currsize == before
 

@@ -10,6 +10,8 @@ from weylwords.affine import (
     Letter,
     affine_identity,
     affine_inversion_set,
+    affine_reduced_word,
+    bfs_elements,
     from_letters,
     letter_element,
     letter_root,
@@ -238,8 +240,10 @@ def test_act_with_negative_overlap():
 def test_act_rejects_outsiders():
     half = sub_system(A2, (1,))
     word = translation_word(half, ())
-    with pytest.raises(ValueError):
-        act_on_word(lift(from_word(A2, [2])), word)
+    # A reflection outside J, and a translation supported outside J.
+    for x in (lift(from_word(A2, [2])), translation(A2, (0, 1))):
+        with pytest.raises(ValueError, match="element is not in the subgroup for J"):
+            act_on_word(x, word)
 
 
 def test_word_of_param_examples():
@@ -408,6 +412,35 @@ def test_undoing_a_prefix_past_the_first_block_rotates_the_period(word):
         assert acted.head == ()
         assert acted.period == word.period[shift:] + word.period[:shift]
         assert limit_inversions(acted, 6) == _action_formula(x, word, 6)
+
+
+def _cut_by_inclusion(x, word):
+    """The action's head and period, cut the old way: at the smallest p0
+    with N(x^-1) & Inv(word) inside the first p0 inversions, the head being
+    a reduced word of x times the p0-prefix."""
+    sub = word.sub
+    finite = affine_inversion_set(x.inverse, sub)
+    target = finite & limit_inversions(word, max((b.level for b in finite), default=0))
+    p0, seen = 0, set()
+    while not target <= seen:
+        p0 += 1
+        phi = inversion_at(word, p0)
+        seen.add(phi)
+        # The pivot of step p0 is x(phi): negative exactly on the target.
+        assert x.act(phi).is_positive != (phi in target)
+    head = affine_reduced_word(x * prefix_element(word, p0), sub)
+    H, n = len(word.head), len(word.period)
+    if p0 <= H:
+        return tuple(head) + word.head[p0:], word.period
+    shift = (p0 - H) % n
+    return tuple(head), word.period[shift:] + word.period[:shift]
+
+
+@pytest.mark.parametrize("word", STRUCTURE_WORDS, ids=lambda w: w.sub.rs.label)
+def test_act_cuts_where_the_inclusion_test_does(word):
+    for x in bfs_elements(word.sub, 3):
+        acted = act_on_word(x, word)
+        assert (acted.head, acted.period) == _cut_by_inclusion(x, word), x
 
 
 @pytest.mark.parametrize("label,period,position", [
