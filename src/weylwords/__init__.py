@@ -15,8 +15,8 @@ from .finweyl import (WeylElement, classify_subset, coset_decompose,
                       simple_reflection, weyl_elements)
 from .affine import (AffineElement, AffineRoot, Letter, affine_identity,
                      affine_inversion_set, affine_length, affine_reduced_word,
-                     affine_window, bfs_elements, in_weyl_subgroup, letter_element,
-                     letters_of, tail_set, tower, translation)
+                     affine_window, bfs_elements, in_weyl_subgroup, letters_of,
+                     tail_set, tower, translation)
 from .biconvex import (BiconvexParam, NotBiconvexError, WindowSet,
                        classify_biconvex, contained_mod_finite, enumerate_biconvex,
                        is_biconvex_window, parametrize, realize)
@@ -33,8 +33,8 @@ __all__ = [
     "push_negative", "simple_reflection", "weyl_elements",
     "AffineElement", "AffineRoot", "Letter", "affine_identity",
     "affine_inversion_set", "affine_length", "affine_reduced_word", "affine_window",
-    "bfs_elements", "in_weyl_subgroup", "letter_element", "letters_of", "tail_set",
-    "tower", "translation",
+    "bfs_elements", "in_weyl_subgroup", "letters_of", "tail_set", "tower",
+    "translation",
     "BiconvexParam", "NotBiconvexError", "WindowSet",
     "classify_biconvex", "contained_mod_finite", "enumerate_biconvex",
     "is_biconvex_window", "parametrize", "realize",

@@ -253,11 +253,6 @@ def _letter_data(sub: SubSystem, letter: Letter) -> _LetterData:
     return data
 
 
-def letter_element(sub: SubSystem, letter: Letter) -> AffineElement:
-    """The reflection named by a letter: s_j, or t_{theta-check} s_theta."""
-    return _times_letter(affine_identity(sub.rs), sub, letter)
-
-
 def _step(x: AffineElement, sub: SubSystem, letter: Letter) -> tuple[AffineRoot, AffineElement]:
     """x(alpha_s) and x s for the letter's reflection s.  Classical and affine
     letters alike, x s sends alpha_k to x(alpha_k) - <alpha_k, alpha_s-check>
@@ -363,16 +358,16 @@ def affine_length(x: AffineElement, sub: SubSystem) -> int:
     return sum(len(levels) for _, levels in _inverted_levels(x, sub))
 
 
-def _inverted_levels(x: AffineElement, sub: SubSystem):
+def _inverted_levels(x: AffineElement, sub: SubSystem, of_inverse: bool = False):
     """Each root eps of the subsystem with the range of levels m at which
-    m*delta + eps is an inversion of x (see ``affine_inversion_set``)."""
+    m*delta + eps is an inversion of x, or of its inverse read off x alone."""
     if not in_weyl_subgroup(x, sub):
         raise ValueError("element is not in the subgroup for J")
-    w_inv, pairs = x.finite.inverse, x._pairings()
+    w, pairs = (x.finite, x.levels) if of_inverse else (x.finite.inverse, x._pairings())
     for eps in sub.roots:
         c = sum(map(mul, eps, pairs))
         start = 0 if is_positive(eps) else 1
-        stop = -c + (-c >= start and not is_positive(w_inv.apply(eps)))
+        stop = -c + (-c >= start and not is_positive(w.apply(eps)))
         yield eps, range(start, stop)
 
 

@@ -89,6 +89,15 @@ class BiconvexParam:
         if not in_weyl_subgroup(self.y, sub_system(sub.rs, K)):
             raise ValueError("y is not in the subgroup attached to K")
 
+    @classmethod
+    def _trusted(cls, sub, K, u, y) -> "BiconvexParam":
+        """A triple the caller has just proved valid: only the empty-J check runs."""
+        if not sub.J:
+            raise ValueError("parameters require a non-empty J")
+        param = object.__new__(cls)
+        param.__dict__.update(sub=sub, K=K, u=u, y=y)
+        return param
+
     def __repr__(self) -> str:
         return f"BiconvexParam(J={self.sub.J}, K={self.K}, u={self.u!r}, y={self.y!r})"
 
@@ -303,7 +312,10 @@ def parametrize(B: WindowSet) -> BiconvexParam:
         y = element_from_affine_inversions(pulled, sub_system(sub.rs, K))
     except ValueError as exc:
         raise NotBiconvexError(f"finite part is not an inversion set: {exc}") from exc
-    param = BiconvexParam(sub=sub, K=K, u=u, y=y)
+    # Valid by construction: factor_pointed_biclosed gives K sorted inside J
+    # and u in W_J with N(u) = P & Phi+ (so u(alpha_k) < 0 would put k outside
+    # K: u is minimal), and y is a walk over the letters of K's subsystem.
+    param = BiconvexParam._trusted(sub, K, u, y)
     if len(B.elements) - len(B.finite_part) != sum(B.cutoff + is_positive(e) for e in B.tail):
         raise NotBiconvexError("window does not round-trip through its parameters")
     return param

@@ -18,17 +18,18 @@ word's equivalence class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
-from .cartan import (RootSystem, SubSystem, _json_field, _json_ints, cartan_adjugate,
-                     check_subset, sub_system)
+from .cartan import (RootSystem, SubSystem, _json_field, _json_ints, add, cartan_adjugate,
+                     check_subset, negate, sub_system)
 from .affine import (
     AffineElement,
     AffineRoot,
     Letter,
+    _inverted_levels,
     _step,
+    _walk_letters,
     affine_identity,
-    affine_inversion_set,
     affine_reduced_word,
     from_letters,
     letter_from_json,
@@ -50,6 +51,11 @@ class _Structure:
     (m >= 0, 1 <= i <= d*n) is ``phis[H + i - 1]`` raised by m*slope_r
     levels, r being i's place in the period.  slope_r is the level that
     translation adds to phi_{H+r}; every slope is positive.
+
+    The action transports a certificate: if x cuts the word at p0 and the
+    new head is h, inversion |h| + q of the result is x(phi_{p0+q}).  x fixes
+    delta, so slopes are kept, rotated with the cut by (p0 - H) mod n when
+    p0 > H; the period product is conjugated, so d is unchanged.
     """
 
     phis: tuple[AffineRoot, ...]  # inversions 1 .. H + d*n
@@ -70,6 +76,13 @@ class InfiniteWord:
         if not self.period:
             raise ValueError("period must be non-empty")
         self._structure  # certify at construction time
+
+    @classmethod
+    def _certified(cls, sub, head, period, structure: _Structure) -> "InfiniteWord":
+        """A word whose certificate the caller has just established: no climb."""
+        word = object.__new__(cls)
+        word.__dict__.update(sub=sub, head=head, period=period, _structure=structure)
+        return word
 
     def letter_at(self, p: int) -> Letter:
         if p < 1:
@@ -160,16 +173,19 @@ def translation_word(sub: SubSystem, K) -> InfiniteWord:
     searched in integers, its last coordinate solved from the integrality
     congruence: d^(m-1) candidates for a component with m indices outside K.
     """
-    period = _translation_period(sub, check_subset(sub, K))
-    return InfiniteWord(sub=sub, head=(), period=period)
+    period, structure = _translation_period(sub, check_subset(sub, K))
+    return InfiniteWord._certified(sub, (), period, structure)
 
 
 @lru_cache(maxsize=None)
-def _translation_period(sub: SubSystem, K: tuple[int, ...]) -> tuple[Letter, ...]:
-    """The period of ``translation_word(sub, K)``, for K as a sorted tuple.
-
-    Periods are kept, not words: a word holds its certified inversions."""
-    return affine_reduced_word(translation(sub.rs, _translation_lambda(sub, K)), sub)
+def _translation_period(sub: SubSystem, K: tuple[int, ...]):
+    """The period of ``translation_word(sub, K)`` (K sorted) and its certificate,
+    climbed once; its classical parts are the subsystem's own root tuples."""
+    period = affine_reduced_word(translation(sub.rs, _translation_lambda(sub, K)), sub)
+    st = InfiniteWord(sub=sub, head=(), period=period)._structure
+    roots = {r: r for r in sub.roots}
+    phis = tuple(AffineRoot(phi.level, roots[phi.classical]) for phi in st.phis)
+    return period, _Structure(phis=phis, slopes=st.slopes)
 
 
 def _translation_lambda(sub: SubSystem, K) -> tuple[int, ...]:
@@ -210,34 +226,51 @@ def _box_candidates(rs: RootSystem, comp, K) -> list[tuple[int, ...]]:
 def act_on_word(x: AffineElement, word: InfiniteWord) -> InfiniteWord:
     """The left action: a representative of x applied to the word's class.
 
-    x steps through the letters up to the smallest cut p0 whose prefix
-    inverts every root of N(x^-1) that the word inverts.  The step at p has
-    pivot x z_(p-1)(alpha_(s_p)) = x(phi_p), negative exactly when phi_p is
-    in N(x^-1); a word's inversions are distinct, so p0 is the last negative
-    pivot.  The new word is a reduced word of x z_p0, then the remaining
-    letters, the period rotated to start at p0.
+    The cut p0 is the smallest whose prefix inverts every root of N(x^-1)
+    that the word inverts.  Stepping x through the letters, step p has pivot
+    x z_(p-1)(alpha_(s_p)) = x(phi_p), negative exactly when phi_p is in
+    N(x^-1); a word's inversions are distinct, so p0 is the last negative
+    pivot, found by counting.  The new word is a reduced word h of x z_p0,
+    then the remaining letters, the period rotated to start at p0.  N(x z_p0)
+    is the positive pivots up to p0 and N(x) = -x(N(x^-1)) less the negated
+    negative pivots, so its classical parts sum to w(phi_1 + ... + phi_p0 -
+    sum N(x^-1)), w the finite part of x: all the descent walk for h reads.
+
+    Only h is climbed.  The new prefix of length |h| + q is x z_(p0+q), so
+    the rest of the certificate is transported (see ``_Structure``).  A
+    transported inversion that is not positive, or a repeated one, is a
+    broken invariant, raised as RuntimeError.
     """
     sub = word.sub
-    finite_inversions = affine_inversion_set(x.inverse, sub)
+    finite_inversions = frozenset(
+        AffineRoot(m, eps) for eps, ms in _inverted_levels(x, sub, of_inverse=True) for m in ms
+    )
     max_level = max((b.level for b in finite_inversions), default=0)
     negative = len(finite_inversions & limit_inversions(word, max_level))
-    front, p0 = x, 0
+    total = reduce(add, (negate(b.classical) for b in finite_inversions), (0,) * sub.rs.rank)
+    p0 = 0
     while negative:
         p0 += 1
-        pivot, front = _step(front, sub, word.letter_at(p0))
-        negative -= not pivot.is_positive
-    # Kept fast path: x often undoes a prefix (about 600 of the 1,400 acts of
-    # a verify sweep), and even the identity's reduced word is a descent walk.
-    new_head = () if front.is_identity else affine_reduced_word(front, sub)
-    H, n = len(word.head), len(word.period)
-    if p0 <= H:
-        head = tuple(new_head) + word.head[p0:]
-        period = word.period
-    else:
-        shift = (p0 - H) % n
-        head = tuple(new_head)
-        period = word.period[shift:] + word.period[:shift]
-    return InfiniteWord(sub=sub, head=head, period=period)
+        phi = inversion_at(word, p0)
+        total = add(total, phi.classical)
+        negative -= phi in finite_inversions
+    new_head = _walk_letters(sub, [(1, x.finite.apply(total))])
+    if new_head is None:
+        raise RuntimeError("descent walk of the acted head did not reach 2 rho")
+    st, H, n = word._structure, len(word.head), len(word.period)
+    shift = max(p0 - H, 0) % n
+    period = word.period[shift:] + word.period[:shift]
+    slopes = st.slopes[shift:] + st.slopes[:shift]
+    phis, z = [], affine_identity(sub.rs)
+    for letter in new_head:
+        phi, z = _step(z, sub, letter)
+        phis.append(phi)
+    last = p0 + len(word.head[p0:]) + len(st.phis) - H  # inversion H' + d*n
+    phis.extend(x.act(inversion_at(word, p)) for p in range(p0 + 1, last + 1))
+    if not all(phi.is_positive for phi in phis) or len(set(phis)) != len(phis):
+        raise RuntimeError("transported certificate has a non-positive or repeated inversion")
+    head = new_head + word.head[p0:]
+    return InfiniteWord._certified(sub, head, period, _Structure(tuple(phis), slopes))
 
 
 @dataclass(frozen=True)

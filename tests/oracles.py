@@ -43,6 +43,25 @@ def gram_coroot(gram, root):
     return tuple(Fraction(c) * gram[j][j] / norm for j, c in enumerate(root))
 
 
+def letter_element(sub, letter):
+    """The reflection in the letter's simple root beta, from the textbook
+    formula s_beta(alpha_k) = alpha_k - <alpha_k, beta-check> beta with the
+    pairing from the Gram form (delta pairs to 0 with everything).  Only the
+    letter's root and the element type come from the library."""
+    from weylwords.affine import AffineElement, letter_root
+    from weylwords.finweyl import WeylElement
+
+    rs = sub.rs
+    level, root = letter_root(sub, letter)
+    levels, images = [], []
+    for alpha in rs.simple_roots:
+        c = 2 * gram_pairing(rs.gram, alpha, root) / gram_pairing(rs.gram, root, root)
+        assert c.denominator == 1, (letter, alpha)
+        levels.append(int(-c * level))
+        images.append(tuple(int(a - c * r) for a, r in zip(alpha, root)))
+    return AffineElement(tuple(levels), WeylElement(rs, tuple(images)))
+
+
 def hand_pairing(label, a, b):
     return gram_pairing(HAND_GRAM[label], a, b)
 

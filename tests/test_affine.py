@@ -23,7 +23,6 @@ from weylwords.affine import (
     element_to_json,
     from_letters,
     in_weyl_subgroup,
-    letter_element,
     letter_root,
     letters_of,
     lift,
@@ -33,7 +32,7 @@ from weylwords.affine import (
 )
 from weylwords.words import InfiniteWord
 
-from oracles import TranslationForm, subgroup_by_supports, subsets
+from oracles import TranslationForm, letter_element, subgroup_by_supports, subsets
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")

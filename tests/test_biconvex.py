@@ -32,7 +32,7 @@ from weylwords.biconvex import (
     view_to_json,
 )
 from weylwords import finweyl, words
-from weylwords.verify import _params_for, check_parametrization_roundtrip
+from weylwords.verify import _depth, _params_for, _subsets, check_parametrization_roundtrip
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -536,3 +536,27 @@ def test_enumerate_leaves_no_garbage():
         gc.set_debug(0)
         gc.garbage.clear()
     assert sets and garbage == 0
+
+
+@pytest.mark.parametrize("labels,max_y,count", [
+    (("A1", "A2"), 4, 124),
+    (("A3", "B3", "C3", "G2"), 1, 1323),
+])
+def test_parametrize_builds_what_the_validating_constructor_accepts(labels, max_y, count):
+    # parametrize builds its result without the constructor's checks; on the
+    # roundtrip sweeps every result passes them and compares equal.
+    seen = 0
+    for label in labels:
+        rs = build_root_system(label)
+        for J in filter(None, _subsets(rs.index_set)):
+            for param in _params_for(rs, J, max_y):
+                got = parametrize(realize(param, _depth(param)))
+                assert got == BiconvexParam(sub=got.sub, K=got.K, u=got.u, y=got.y) == param
+                seen += 1
+    assert seen == count
+
+
+def test_parametrize_keeps_the_empty_j_error():
+    window = WindowSet(sub=sub_system(A2, ()), cutoff=2, elements=frozenset(), tail=frozenset())
+    with pytest.raises(ValueError, match="parameters require a non-empty J"):
+        parametrize(window)

@@ -13,7 +13,6 @@ from weylwords.affine import (
     affine_reduced_word,
     bfs_elements,
     from_letters,
-    letter_element,
     letter_root,
     letters_of,
     lift,
@@ -22,8 +21,11 @@ from weylwords.affine import (
 )
 from weylwords.biconvex import BiconvexParam, realize
 from weylwords.verify import _action_formula
+from weylwords import words
+from weylwords.affine import _step
 from weylwords.words import (
     InfiniteWord,
+    _Structure,
     _translation_period,
     act_on_word,
     classify_word,
@@ -38,7 +40,7 @@ from weylwords.words import (
     words_equivalent,
 )
 
-from oracles import subsets
+from oracles import letter_element, subsets
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -65,8 +67,6 @@ def test_prefix_far_out_matches_direct_product():
 
 
 def _letter_elem(word, p):
-    from weylwords.affine import letter_element
-
     return letter_element(word.sub, word.letter_at(p))
 
 
@@ -472,3 +472,62 @@ def test_translation_periods_are_memoized_per_subset():
         with pytest.raises(ValueError):
             translation_word(sub, bad)
     assert _translation_period.cache_info().currsize == 2
+
+
+def _fresh(word):
+    """The certificate of the same letters, climbed by the public constructor."""
+    return InfiniteWord(word.sub, word.head, word.period)._structure
+
+
+def _certificate_cases(label, radius):
+    """Base words for every J and proper K, then the words with a head that
+    four fixed elements of the ball give; and the ball itself."""
+    rs = build_root_system(label)
+    for J in filter(None, subsets(rs.index_set)):
+        sub = sub_system(rs, J)
+        ball = list(bfs_elements(sub, radius))
+        bases = [translation_word(sub, K) for K in subsets(J) if len(K) < len(J)]
+        headed = [act_on_word(x, base) for base in bases for x in ball[-4:]]
+        yield bases, bases + headed, ball
+
+
+@pytest.mark.parametrize("label,radius", [("A2", 3), ("C2", 3), ("G2", 3), ("B3", 2)])
+def test_preset_certificates_equal_a_fresh_climb(label, radius):
+    checked = headed = 0
+    for bases, words, ball in _certificate_cases(label, radius):
+        for base in bases:
+            assert base._structure == _fresh(base)
+        for word in words:
+            for x in ball:
+                acted = act_on_word(x, word)
+                assert acted._structure == _fresh(acted), (word, x)
+                checked += 1
+                headed += bool(acted.head)
+    assert headed > checked // 2
+
+
+def test_memoized_base_words_make_no_letter_step(monkeypatch):
+    sub = sub_system(build_root_system("B3"), (1, 2, 3))
+    translation_word(sub, (2,))
+    steps = []
+
+    def counted(*args):
+        steps.append(args)
+        return _step(*args)
+
+    monkeypatch.setattr(words, "_step", counted)
+    word = translation_word(sub, (2,))
+    assert steps == []
+    InfiniteWord(sub, (), word.period)  # the counter sees a real climb
+    assert len(steps) == len(word._structure.phis)
+
+
+@pytest.mark.parametrize("phis", [
+    (AffineRoot(1, (-1,)), AffineRoot(1, (-1,))),
+    (AffineRoot(1, (-1,)), AffineRoot(-1, (1,))),
+], ids=["repeated", "negative"])
+def test_a_broken_transported_certificate_is_an_internal_fault(phis):
+    period = (Letter("a", 1), Letter("c", 1))
+    broken = InfiniteWord._certified(A1_FULL, (), period, _Structure(phis, (2, 2)))
+    with pytest.raises(RuntimeError, match="transported certificate"):
+        act_on_word(affine_identity(A1), broken)
