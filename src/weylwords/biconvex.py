@@ -11,16 +11,21 @@ level.  ``realize`` builds the set a triple names, with the cutoff raised
 to reach its whole finite part, and ``parametrize`` inverts it.
 
 Sums inside a window come from one table per subsystem, free of any
-cutoff: the pairs of classical parts whose sum is a root or zero.  The
-window test packs each part's member levels into one integer and closes
-them with one product per pair; the window's index triples, which the
-enumerator walks, are read off the same table.
+cutoff: the pairs of classical parts whose sum is a root or zero.  Its
+slots (each root of the subsystem, then the imaginary roots) key a
+window's storage: one integer per slot, level m at bit m * w with
+w = (cutoff + 1).bit_length() + 1.  A real biconvex set meets each string
+eps + Z delta in an initial segment, so the masks are its string lengths,
+windowed.  The window test closes them with one product per pair.  The
+public ``WindowSet`` constructor checks every member; ``realize`` and
+``complement`` fill masks they have just built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import xor
 from typing import NamedTuple
 
 from .cartan import (
@@ -106,18 +111,12 @@ class BiconvexParam:
         return set(self.K) != set(self.sub.J)
 
 
-def _check_window_member(sub: SubSystem, beta: AffineRoot, cutoff: int) -> None:
-    if not beta.is_positive or beta.level > cutoff:
-        raise ValueError(f"{beta} is outside the level-{cutoff} window")
-    if beta.classical is not None and beta.classical not in sub.root_set:
-        raise ValueError(f"{list(beta.classical)} is not a root of the subsystem")
-
-
 class _ClassSums(NamedTuple):
     """The window's sums by classical part (``None`` for imaginary roots)."""
 
-    slot: dict[Root | None, int]  # each part's index: positives, negatives, None
-    positives: int  # parts below this index are positive: level 0 is in the window
+    parts: tuple[Root | None, ...]  # each slot's part: positives, negatives, None
+    slot: dict[Root | None, int]  # each part's slot
+    positives: int  # slots below this index are positive: level 0 is in the window
     pairs: tuple[tuple[int, int, int], ...]  # (x, y, z): x <= y, part x + part y = part z
 
 
@@ -135,7 +134,7 @@ def _class_sum_pairs(sub: SubSystem) -> _ClassSums:
             total = affine_add(AffineRoot(1, a), AffineRoot(0, parts[y]), sub.rs)
             if total is not None and total.classical in slot:
                 pairs.append((x, y, slot[total.classical]))
-    return _ClassSums(slot, len(sub.positives), tuple(pairs))
+    return _ClassSums(parts, slot, len(sub.positives), tuple(pairs))
 
 
 @lru_cache(maxsize=None)
@@ -159,103 +158,140 @@ def _window_sum_triples(sub: SubSystem, cutoff: int):
     return index, tuple(triples)
 
 
+def _window_masks(sub: SubSystem, cutoff: int) -> tuple[int, tuple[int, ...]]:
+    """The bits w per level field, which can count cutoff + 1 level sums, and
+    each slot's window: levels 0..cutoff for a positive part, 1..cutoff else."""
+    if cutoff < 0:
+        raise ValueError("cutoff must be non-negative")
+    w, table = (cutoff + 1).bit_length() + 1, _class_sum_pairs(sub)
+    levels = ((1 << w * (cutoff + 1)) - 1) // ((1 << w) - 1)  # bit 0 of fields 0..cutoff
+    return w, (levels,) * table.positives + (levels - 1,) * (len(table.parts) - table.positives)
+
+
+def _pack(sub: SubSystem, cutoff: int, elements):
+    """(w, the window masks, the elements' level masks); raises for a root outside."""
+    (w, window), slot = _window_masks(sub, cutoff), _class_sum_pairs(sub).slot
+    masks = [0] * len(window)
+    for m, c in elements:
+        x = slot.get(c)
+        if x is None or not 0 <= m <= cutoff or not window[x] >> m * w & 1:
+            if not AffineRoot(m, c).is_positive or m > cutoff:
+                raise ValueError(f"{AffineRoot(m, c)} is outside the level-{cutoff} window")
+            raise ValueError(f"{list(c)} is not a root of the subsystem")
+        masks[x] |= 1 << m * w
+    return w, window, tuple(masks)
+
+
 def is_biconvex_window(S, sub: SubSystem, cutoff: int) -> bool:
     """Pairwise closure test inside the level-bounded window.
 
     Checks both closure of S and closure of its complement for every pair
-    of window roots whose sum stays in the window.  Each classical part's
-    member levels are packed into one integer, level m in a field of w
-    bits.  A field of the product of two parts' masks is nonzero exactly
-    when its level is a sum m + n of their levels, and the field counts at
-    most cutoff + 1 such pairs, below 2^w, so no field carries into the
-    next.  Closure of S is then one product per class sum pair, ANDed with
-    the window levels of the sum's part outside S; closure of the
-    complement is the same with the complement's masks.  Necessary at
-    every cutoff; exact for sets that agree with a tail pattern beyond it.
+    of window roots whose sum stays in the window, on S's level masks (a
+    ``WindowSet`` over sub at this cutoff is tested as stored).  A field of
+    the product of two parts' masks is nonzero exactly when its level is a
+    sum m + n of their levels, and the field counts at most cutoff + 1 such
+    pairs, below 2^w, so no field carries into the next.  Closure of S is
+    then one product per class sum pair, ANDed with the window levels of
+    the sum's part outside S; closure of the complement is the same with
+    the complement's masks.  Necessary at every cutoff; exact for sets that
+    agree with a tail pattern beyond it.
     """
-    if cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
-    slot, positives, pairs = _class_sum_pairs(sub)
-    w = (cutoff + 1).bit_length() + 1
+    if not isinstance(S, WindowSet):
+        w, window, member = _pack(sub, cutoff, S)
+    elif S.sub is not sub or S.cutoff != cutoff:
+        raise ValueError("the window is over another subsystem or cutoff")
+    else:
+        (w, window), member = _window_masks(sub, cutoff), S._masks
     field = (1 << w) - 1
-    levels = ((1 << w * (cutoff + 1)) - 1) // field  # bit 0 of fields 0..cutoff
-    window = [levels] * positives + [levels - 1] * (len(slot) - positives)
-    member = [0] * len(slot)
-    for beta in S:
-        x, m = slot.get(beta.classical), beta.level
-        if x is None or not 0 <= m <= cutoff or not window[x] >> m * w & 1:
-            _check_window_member(sub, beta, cutoff)  # raises: not in the window
-        member[x] |= 1 << m * w
     outside = [win ^ s for win, s in zip(window, member)]
     inside_fields = [s * field for s in member]
     outside_fields = [s * field for s in outside]
-    for x, y, z in pairs:
+    for x, y, z in _class_sum_pairs(sub).pairs:
         if (member[x] * member[y] & outside_fields[z]
                 or outside[x] * outside[y] & inside_fields[z]):
             return False
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WindowSet:
     """A set of positive affine roots: its members up to a cutoff, plus a
     promise for every level beyond.
 
-    ``elements`` lists every member with level at most ``cutoff`` (real or
-    imaginary); beyond the cutoff, a real root belongs iff its classical
-    part is in ``tail``, and an imaginary root belongs iff
-    ``imaginary_tail``.  Membership is thus answered at any level.
+    Stored as one level mask per slot of ``_class_sum_pairs(sub)``, level
+    m at bit m * w with w from ``_window_masks``: the window test's format.
+    ``elements``, derived from the masks on first read, lists every member
+    with level at most ``cutoff`` (real or imaginary); beyond the cutoff, a
+    real root belongs iff its classical part is in ``tail``, and an
+    imaginary root belongs iff ``imaginary_tail``.  Membership is thus
+    answered at any level.  The public constructor checks every member and
+    the tail; ``realize`` and ``complement`` fill masks they have just built
+    through ``_filled``.  Equal fields mean equal member sets.
     """
 
     sub: SubSystem
     cutoff: int
-    elements: frozenset[AffineRoot]
-    tail: frozenset[Root] = frozenset()
-    imaginary_tail: bool = False
+    _masks: tuple[int, ...]
+    tail: frozenset[Root]
+    imaginary_tail: bool
 
-    def __post_init__(self):
-        if self.cutoff < 0:
-            raise ValueError("cutoff must be non-negative")
-        root_set, cutoff = self.sub.root_set, self.cutoff
-        for m, c in self.elements:
-            if not ((0 < m <= cutoff or m == 0 and c is not None and is_positive(c))
-                    and (c is None or c in root_set)):
-                _check_window_member(self.sub, AffineRoot(m, c), cutoff)  # raises the reason
-        if not self.tail <= self.sub.root_set:
+    def __init__(self, sub, cutoff, elements, tail=frozenset(), imaginary_tail=False):
+        masks = _pack(sub, cutoff, elements)[2]
+        if not (tail := frozenset(tail)) <= sub.root_set:
             raise ValueError("tail promise contains non-roots")
+        self.__dict__.update(sub=sub, cutoff=cutoff, _masks=masks, tail=tail,
+                             imaginary_tail=imaginary_tail)
+
+    @classmethod
+    def _filled(cls, sub, cutoff, masks, tail, imaginary_tail=False) -> "WindowSet":
+        """A window whose masks hold only window levels: nothing is checked."""
+        window = object.__new__(cls)
+        window.__dict__.update(sub=sub, cutoff=cutoff, _masks=masks, tail=tail,
+                               imaginary_tail=imaginary_tail)
+        return window
 
     def __contains__(self, beta: AffineRoot) -> bool:
-        if beta.level <= self.cutoff:
+        m, c = beta
+        if m <= self.cutoff:
             return beta in self.elements
-        if beta.classical is None:
-            return self.imaginary_tail
-        return beta.classical in self.tail
+        return self.imaginary_tail if c is None else c in self.tail
+
+    def _members(self, top: int, skip=frozenset()) -> frozenset[AffineRoot]:
+        """The members of level at most top whose classical part is not in skip."""
+        w, parts = _window_masks(self.sub, self.cutoff)[0], _class_sum_pairs(self.sub).parts
+        return frozenset(AffineRoot(m, part) for part, mask in zip(parts, self._masks)
+                         if mask and part not in skip
+                         for m in range(top + 1) if mask >> m * w & 1)
+
+    @cached_property
+    def elements(self) -> frozenset[AffineRoot]:
+        """Every member with level at most the cutoff."""
+        return self._members(self.cutoff)
 
     @cached_property
     def finite_part(self) -> frozenset[AffineRoot]:
         """The members whose classical part is outside the tail promise."""
-        return frozenset(b for b in self.elements if b.classical not in self.tail)
+        return self._members(self.cutoff, self.tail)
 
     def truncate(self, cutoff: int) -> frozenset[AffineRoot]:
         """The members with level at most ``cutoff`` (no more than the window's)."""
+        if cutoff < 0:
+            raise ValueError("cutoff must be non-negative")
         if cutoff > self.cutoff:
             raise ValueError(f"level {cutoff} is above the window's cutoff {self.cutoff}")
-        return frozenset(b for b in self.elements if b.level <= cutoff)
+        return self._members(cutoff)
 
     def complement(self) -> "WindowSet":
-        window = tower(self.sub.rs, self.sub.roots, self.cutoff).union(
-            AffineRoot(m, None) for m in range(1, self.cutoff + 1))
-        return WindowSet(
-            sub=self.sub,
-            cutoff=self.cutoff,
-            elements=window - self.elements,
-            tail=frozenset(self.sub.roots) - self.tail,
-            imaginary_tail=not self.imaginary_tail,
-        )
+        # Valid by construction: the XOR with the window masks keeps every
+        # bit inside the window, and the roots of J less the tail are roots.
+        # A list first: tuple(iterator) resizes, and resized tuples pile up in a free list.
+        masks = [*map(xor, _window_masks(self.sub, self.cutoff)[1], self._masks)]
+        return WindowSet._filled(self.sub, self.cutoff, tuple(masks),
+                                 frozenset(self.sub.roots) - self.tail, not self.imaginary_tail)
 
     @property
     def is_real(self) -> bool:
-        return not self.imaginary_tail and all(b.is_real for b in self.elements)
+        return not self.imaginary_tail and not self._masks[-1]  # the imaginary slot
 
     @property
     def is_finite(self) -> bool:
@@ -266,26 +302,27 @@ def window_of_view(window: WindowSet) -> WindowSet:
     return window  # perfbench/workloads.py still calls this; a view is a window now
 
 
-def _assemble(sub: SubSystem, tail, finite, cutoff: int) -> WindowSet:
-    """The set tower(tail) plus the finite roots, windowed at a cutoff raised
-    to the top finite level, so that the window alone determines the set."""
-    cutoff = max([cutoff, *(b.level for b in finite)])
-    elements = tower(sub.rs, tail, cutoff) | finite
-    return WindowSet(sub=sub, cutoff=cutoff, elements=elements, tail=tail)
-
-
 def realize(param: BiconvexParam, cutoff: int) -> WindowSet:
     """The biconvex set named by (K, u, y): the tower over the tail
-    u(negative roots of J outside K) plus the finite part u(N(y))."""
-    sub = param.sub
-    tail = tail_roots(sub, param.K, param.u)
-    finite = frozenset(
-        AffineRoot(b.level, param.u.apply(b.classical))
-        for b in affine_inversion_set(param.y, sub_system(sub.rs, param.K))
-    )
-    if any(not b.is_positive for b in finite):
-        raise RuntimeError("finite part left the positive roots")
-    return _assemble(sub, tail, finite, cutoff)
+    u(negative roots of J outside K) plus the finite part u(N(y)), at a
+    cutoff raised to the top finite level, so the window holds the set."""
+    sub, u = param.sub, param.u
+    tail = tail_roots(sub, param.K, u)
+    finite = [(m, u.apply(beta))
+              for m, beta in affine_inversion_set(param.y, sub_system(sub.rs, param.K))]
+    cutoff = max([cutoff, *(m for m, _ in finite)])
+    (w, window), slot = _window_masks(sub, cutoff), _class_sum_pairs(sub).slot
+    masks = [0] * len(window)
+    for eps in tail:
+        masks[slot[eps]] = window[slot[eps]]
+    for m, eps in finite:
+        if m == 0 and not is_positive(eps):
+            raise RuntimeError("finite part left the positive roots")
+        masks[slot[eps]] |= 1 << m * w
+    # Valid by construction: u is in W_J, so the tail u(Phi_J^- \ Phi_K) and
+    # each u(beta), beta in Phi_K, are roots of J; tail slots take their
+    # window levels, and each finite root is positive, at most the cutoff.
+    return WindowSet._filled(sub, cutoff, tuple(masks), tail)
 
 
 def parametrize(B: WindowSet) -> BiconvexParam:
@@ -296,7 +333,7 @@ def parametrize(B: WindowSet) -> BiconvexParam:
     NotBiconvexError.  Once tail_roots(K, u) is the tail, u(N_K(y)) the
     finite part and each member positive up to the cutoff, realize gives
     tower(tail) plus the finite part.  The other members lie in that tower,
-    so the round trip holds iff they number sum(cutoff + [eps > 0]) over the tail.
+    so the round trip holds iff each tail slot holds its whole window.
     """
     sub = B.sub
     if not B.is_real:
@@ -316,7 +353,8 @@ def parametrize(B: WindowSet) -> BiconvexParam:
     # and u in W_J with N(u) = P & Phi+ (so u(alpha_k) < 0 would put k outside
     # K: u is minimal), and y is a walk over the letters of K's subsystem.
     param = BiconvexParam._trusted(sub, K, u, y)
-    if len(B.elements) - len(B.finite_part) != sum(B.cutoff + is_positive(e) for e in B.tail):
+    slot, window = _class_sum_pairs(sub).slot, _window_masks(sub, B.cutoff)[1]
+    if any(B._masks[slot[e]] != window[slot[e]] for e in B.tail):
         raise NotBiconvexError("window does not round-trip through its parameters")
     return param
 
@@ -427,10 +465,10 @@ def view_to_json(window: WindowSet) -> dict:
 
 
 def view_from_json(rs: RootSystem, J, data: dict) -> WindowSet:
-    """A view's set; the cutoff is raised to reach every listed finite root."""
-    return _assemble(
-        sub_system(rs, J),
-        frozenset(_json_ints(data, "tail", 2)),
-        frozenset(affine_root_from_json(b) for b in _json_field(data, "finite", list)),
-        _json_field(data, "cutoff", int),
-    )
+    """A view's set, checked as outside input; the cutoff is raised to reach
+    every listed finite root."""
+    sub = sub_system(rs, J)
+    tail = frozenset(_json_ints(data, "tail", 2))
+    finite = frozenset(affine_root_from_json(b) for b in _json_field(data, "finite", list))
+    cutoff = max([_json_field(data, "cutoff", int), *(b.level for b in finite)])
+    return WindowSet(sub=sub, cutoff=cutoff, elements=tower(rs, tail, cutoff) | finite, tail=tail)

@@ -149,12 +149,14 @@ def _random_element(rng, sub, max_letters):
 
 def _params_for(rs, J, max_y, proper_only=False):
     sub = sub_system(rs, J)
-    for K in _proper(J) if proper_only else _subsets(J):
+    for K in _proper(sub.J) if proper_only else _subsets(sub.J):
         K_sub = sub_system(rs, K)
         ys = list(bfs_elements(K_sub, max_y)) if K else [affine_identity(rs)]
         for u in minimal_coset_reps(sub, K):
             for y in ys:
-                yield BiconvexParam(sub=sub, K=K, u=u, y=y)
+                # Valid by construction: K is a sorted subset of sub.J, u is in
+                # W^J_K by minimal_coset_reps, and y is in K's own BFS ball.
+                yield BiconvexParam._trusted(sub, K, u, y)
 
 
 @_suite("finite-bijection")
@@ -253,7 +255,7 @@ def check_parametrization_roundtrip(labels=("A1", "A2"), max_y=4):
                 bad = []
                 if recovered != param:
                     bad.append(f"{label}: {param!r} came back as {recovered!r}")
-                if not is_biconvex_window(window.elements, param.sub, window.cutoff):
+                if not is_biconvex_window(window, param.sub, window.cutoff):
                     bad.append(f"{label} {param!r}: window {window.cutoff} not biconvex")
                 yield bad
     return f"all parameters with bounded finite part over {', '.join(labels)}"

@@ -298,6 +298,74 @@ def biconvex_by_closure(S, window):
 
 
 
+def _positive_root(eps):
+    return all(c >= 0 for c in eps)
+
+
+class WindowModel:
+    """A window of positive affine roots held as a frozenset, from the
+    definition.  Roots are (level, classical) pairs, with None for the
+    imaginary part.  The members up to the cutoff are listed; beyond it a
+    real root belongs iff its classical part is in the tail, and an
+    imaginary root iff imaginary_tail.  ``roots`` are the subsystem's roots."""
+
+    def __init__(self, roots, cutoff, elements, tail=frozenset(), imaginary_tail=False):
+        self.roots, self.cutoff = tuple(roots), cutoff
+        self.elements = frozenset((m, c) for m, c in elements)
+        self.tail, self.imaginary_tail = frozenset(tail), imaginary_tail
+
+    @classmethod
+    def assembled(cls, roots, cutoff, tail, finite):
+        """tower(tail) plus the finite roots, the cutoff raised to reach them."""
+        cutoff = max([cutoff, *(m for m, _ in finite)])
+        tower = {(m, e) for e in tail for m in range(1 - _positive_root(e), cutoff + 1)}
+        return cls(roots, cutoff, tower | set(finite), tail)
+
+    def window(self):
+        """Every positive affine root of level at most the cutoff."""
+        top = self.cutoff + 1
+        reals = {(m, e) for e in self.roots for m in range(1 - _positive_root(e), top)}
+        return frozenset(reals | {(m, None) for m in range(1, top)})
+
+    def __contains__(self, beta):
+        m, c = beta
+        if m <= self.cutoff:
+            return beta in self.elements
+        return self.imaginary_tail if c is None else c in self.tail
+
+    @property
+    def finite_part(self):
+        return frozenset(b for b in self.elements if b[1] not in self.tail)
+
+    def truncate(self, cutoff):
+        return frozenset(b for b in self.elements if b[0] <= cutoff)
+
+    def complement(self):
+        return WindowModel(self.roots, self.cutoff, self.window() - self.elements,
+                           frozenset(self.roots) - self.tail, not self.imaginary_tail)
+
+    @property
+    def is_real(self):
+        return not self.imaginary_tail and all(c is not None for _, c in self.elements)
+
+    @property
+    def is_finite(self):
+        return not self.tail and not self.imaginary_tail
+
+    def mismatches(self, window):
+        """What a library window answers differently from this model: its
+        fields, finite part, every truncation, and the membership of every
+        root of levels -1 .. cutoff + 2."""
+        bad = [name for name in ("cutoff", "tail", "imaginary_tail", "elements",
+                                 "finite_part", "is_real", "is_finite")
+               if getattr(window, name) != getattr(self, name)]
+        bad += [f"truncate({c})" for c in range(self.cutoff + 1)
+                if window.truncate(c) != self.truncate(c)]
+        bad += [f"membership of {(m, c)}" for m in range(-1, self.cutoff + 3)
+                for c in (*self.roots, None) if ((m, c) in window) != ((m, c) in self)]
+        return bad
+
+
 class TranslationForm:
     """Affine Weyl elements t_lambda w in translation form, from the hand
     Gram matrices: a pair (lambda, images) with lambda a rational vector over

@@ -1,4 +1,6 @@
 import gc
+import json
+import re
 from itertools import combinations
 
 import pytest
@@ -31,8 +33,11 @@ from weylwords.biconvex import (
     view_from_json,
     view_to_json,
 )
-from weylwords import finweyl, words
+from weylwords import affine, biconvex, finweyl, words
+from weylwords.cli import _window_from_json, main
 from weylwords.verify import _depth, _params_for, _subsets, check_parametrization_roundtrip
+
+from oracles import WindowModel
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -119,35 +124,124 @@ def test_finite_part_of_a_built_window_matches_realize():
     assert built == view
 
 
-def _unseeded(window):
-    """The same window with nothing cached, ``finite_part`` included."""
-    return WindowSet(sub=window.sub, cutoff=window.cutoff, elements=window.elements,
-                     tail=window.tail, imaginary_tail=window.imaginary_tail)
+def _model_of(param, cutoff):
+    """The realized set as a frozenset model: tower(u(Phi_J^- minus Phi_K))
+    plus u(N(y)), the cutoff raised to reach the finite part."""
+    sub, K, u = param.sub, param.K, param.u
+    tail = {u.apply(r) for r in sub.negatives
+            if any(c and i not in K for i, c in enumerate(r, 1))}  # r outside Phi_K
+    finite = {(m, u.apply(c)) for m, c in affine_inversion_set(param.y, sub_system(sub.rs, K))}
+    return WindowModel.assembled(sub.roots, cutoff, tail, finite)
+
+
+def _check_against_model(window, model):
+    assert model.mismatches(window) == []
+    assert model.window() == frozenset(affine_window(window.sub, window.cutoff))
+    rebuilt = WindowSet(sub=window.sub, cutoff=model.cutoff, elements=model.elements,
+                        tail=model.tail, imaginary_tail=model.imaginary_tail)
+    assert rebuilt == window and hash(rebuilt) == hash(window)
+    assert (is_biconvex_window(window, window.sub, window.cutoff)
+            == is_biconvex_window(window.elements, window.sub, window.cutoff))
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
 def test_finite_part_and_complement_match_the_tower_formulas(label, monkeypatch):
-    # The finite part equals the members outside tower(tail), and the
-    # complement is taken inside affine_window.  Checked on realized windows,
-    # their complements and the windows classify_word builds.
+    # Mask windows answer as the frozenset model: the members are tower(tail)
+    # plus the finite part, the complement is taken inside affine_window, and
+    # membership beyond the cutoff comes from the tail.  Checked on every
+    # window realized at cutoffs 0..3, the windows classify_word builds, and
+    # their complements.
     rs = build_root_system(label)
     built = []
     real = words.parametrize
     monkeypatch.setattr(words, "parametrize", lambda window: built.append(window) or real(window))
-    windows = []
-    for J in ((1,), (1, 2)):
+    checked = 0
+    for J in filter(None, _subsets(rs.index_set)):
         for param in _params_for(rs, J, 2):
-            for cutoff in (0, 2):
-                window = realize(param, cutoff)
-                windows += [window, window.complement()]
+            pairs = [(realize(param, cutoff), _model_of(param, cutoff)) for cutoff in range(4)]
             if param.names_infinite_set:
                 words.classify_word(words.word_of_param(param))
-    assert built
-    for window in windows + built + [b.complement() for b in built]:
-        old = window.elements - tower(rs, window.tail, window.cutoff)
-        assert window.finite_part == _unseeded(window).finite_part == old
-        full = frozenset(affine_window(window.sub, window.cutoff))
-        assert _unseeded(window).complement().elements == full - window.elements
+                pairs.append((built[-1], _model_of(param, built[-1].cutoff)))
+            for window, model in pairs:
+                _check_against_model(window, model)
+                _check_against_model(window.complement(), model.complement())
+                checked += 2
+    assert checked == {"A2": 560, "B2": 672, "G2": 912}[label]
+
+
+def test_window_operations_build_no_tower(monkeypatch):
+    # realize, parametrize, the window test and complement work on the level
+    # masks; none of them lists a tower of roots.
+    params = [(param, _depth(param)) for label in ("A2", "B2", "G2")
+              for rs in [build_root_system(label)] for J in filter(None, _subsets(rs.index_set))
+              for param in _params_for(rs, J, 2)]
+
+    def no_tower(*args):
+        raise AssertionError("tower was called")
+
+    for module in (affine, biconvex):
+        monkeypatch.setattr(module, "tower", no_tower)
+    for param, depth in params:
+        window = realize(param, depth)
+        assert parametrize(window) == param
+        assert is_biconvex_window(window, param.sub, window.cutoff)
+        complement = window.complement()
+        assert complement.complement() == window
+        witness = param if param.names_infinite_set else param.y
+        assert classify_biconvex(complement)[1] == witness
+    assert check_parametrization_roundtrip(labels=("A2", "G2"), max_y=2).passed
+
+
+def test_window_test_takes_only_its_own_window():
+    window = realize(make_param(A2, (1, 2), (1,), [2], (0, 0), [1]), 3)
+    assert is_biconvex_window(window, A2_FULL, 3)
+    for sub, cutoff in ((A2_FULL, 2), (sub_system(A2, (1, 2)), 4), (sub_system(A2, (1,)), 3)):
+        with pytest.raises(ValueError, match="another subsystem or cutoff"):
+            is_biconvex_window(window, sub, cutoff)
+
+
+# (cutoff, members, tail, error text, the view's text where it differs)
+WINDOW_FAULTS = [
+    (-1, [], [], "cutoff must be non-negative", None),
+    (2, [(-1, (1, 0))], [], "-1d+a1 is outside the level-2 window", None),
+    (2, [(0, (-1, 0))], [], "-a1 is outside the level-2 window", None),
+    (2, [(0, None)], [], "0d is outside the level-2 window", None),
+    (2, [(1, (0, 1))], [], "[0, 1] is not a root of the subsystem", None),
+    (2, [], [(2, 2)], "tail promise contains non-roots", "tower base must consist of roots"),
+]
+
+
+@pytest.mark.parametrize("cutoff,members,tail,text,view_text", WINDOW_FAULTS)
+def test_window_errors_keep_their_text_on_every_route(cutoff, members, tail, text, view_text,
+                                                      capsys):
+    roots = [{"level": m, "classical": c and list(c)} for m, c in members]
+    tails = [list(r) for r in tail]
+    window = {"J": [1], "cutoff": cutoff, "elements": roots, "tail": tails}
+    view = {"tail": tails, "finite": roots, "cutoff": cutoff}
+    view_text = view_text or text
+    sub = sub_system(A2, (1,))
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        WindowSet(sub=sub, cutoff=cutoff, tail=frozenset(tail),
+                  elements=frozenset(AffineRoot(m, c) for m, c in members))
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        _window_from_json(A2, window)
+    with pytest.raises(ValueError, match=f"^{re.escape(view_text)}$"):
+        view_from_json(A2, (1,), view)
+    for argv, reason in (
+        (["biconvex", "classify", "--type", "A2", "--window", json.dumps(window)], text),
+        (["biconvex", "parametrize", "--type", "A2", "--J", "1", "--view", json.dumps(view)],
+         view_text),
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {reason}\n")
+
+
+def test_truncate_rejects_a_negative_cutoff():
+    window = realize(make_param(A1, (1,), (), [], (0,), []), 2)
+    assert window.truncate(0) == frozenset()
+    with pytest.raises(ValueError, match="cutoff must be non-negative"):
+        window.truncate(-1)
 
 
 def test_complement_membership_beyond_cutoff():
@@ -543,13 +637,15 @@ def test_enumerate_leaves_no_garbage():
     (("A3", "B3", "C3", "G2"), 1, 1323),
 ])
 def test_parametrize_builds_what_the_validating_constructor_accepts(labels, max_y, count):
-    # parametrize builds its result without the constructor's checks; on the
-    # roundtrip sweeps every result passes them and compares equal.
+    # _params_for and parametrize build without the constructor's checks; on
+    # the roundtrip sweeps every triple and every result passes them and
+    # compares equal.
     seen = 0
     for label in labels:
         rs = build_root_system(label)
         for J in filter(None, _subsets(rs.index_set)):
             for param in _params_for(rs, J, max_y):
+                assert param == BiconvexParam(sub=param.sub, K=param.K, u=param.u, y=param.y)
                 got = parametrize(realize(param, _depth(param)))
                 assert got == BiconvexParam(sub=got.sub, K=got.K, u=got.u, y=got.y) == param
                 seen += 1
