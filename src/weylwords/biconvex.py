@@ -168,20 +168,6 @@ def _window_masks(sub: SubSystem, cutoff: int) -> tuple[int, tuple[int, ...]]:
     return w, (levels,) * table.positives + (levels - 1,) * (len(table.parts) - table.positives)
 
 
-def _pack(sub: SubSystem, cutoff: int, elements):
-    """(w, the window masks, the elements' level masks); raises for a root outside."""
-    (w, window), slot = _window_masks(sub, cutoff), _class_sum_pairs(sub).slot
-    masks = [0] * len(window)
-    for m, c in elements:
-        x = slot.get(c)
-        if x is None or not 0 <= m <= cutoff or not window[x] >> m * w & 1:
-            if not AffineRoot(m, c).is_positive or m > cutoff:
-                raise ValueError(f"{AffineRoot(m, c)} is outside the level-{cutoff} window")
-            raise ValueError(f"{list(c)} is not a root of the subsystem")
-        masks[x] |= 1 << m * w
-    return w, window, tuple(masks)
-
-
 def is_biconvex_window(S, sub: SubSystem, cutoff: int) -> bool:
     """Pairwise closure test inside the level-bounded window.
 
@@ -197,11 +183,10 @@ def is_biconvex_window(S, sub: SubSystem, cutoff: int) -> bool:
     agree with a tail pattern beyond it.
     """
     if not isinstance(S, WindowSet):
-        w, window, member = _pack(sub, cutoff, S)
+        S = WindowSet(sub, cutoff, S)
     elif S.sub is not sub or S.cutoff != cutoff:
         raise ValueError("the window is over another subsystem or cutoff")
-    else:
-        (w, window), member = _window_masks(sub, cutoff), S._masks
+    (w, window), member = _window_masks(sub, cutoff), S._masks
     field = (1 << w) - 1
     outside = [win ^ s for win, s in zip(window, member)]
     inside_fields = [s * field for s in member]
@@ -236,10 +221,18 @@ class WindowSet:
     imaginary_tail: bool
 
     def __init__(self, sub, cutoff, elements, tail=frozenset(), imaginary_tail=False):
-        masks = _pack(sub, cutoff, elements)[2]
+        (w, window), slot = _window_masks(sub, cutoff), _class_sum_pairs(sub).slot
+        masks = [0] * len(window)
+        for m, c in elements:
+            x = slot.get(c)
+            if x is None or not 0 <= m <= cutoff or not window[x] >> m * w & 1:
+                if not AffineRoot(m, c).is_positive or m > cutoff:
+                    raise ValueError(f"{AffineRoot(m, c)} is outside the level-{cutoff} window")
+                raise ValueError(f"{list(c)} is not a root of the subsystem")
+            masks[x] |= 1 << m * w
         if not (tail := frozenset(tail)) <= sub.root_set:
             raise ValueError("tail promise contains non-roots")
-        self.__dict__.update(sub=sub, cutoff=cutoff, _masks=masks, tail=tail,
+        self.__dict__.update(sub=sub, cutoff=cutoff, _masks=tuple(masks), tail=tail,
                              imaginary_tail=imaginary_tail)
 
     @classmethod
@@ -325,6 +318,25 @@ def realize(param: BiconvexParam, cutoff: int) -> WindowSet:
     return WindowSet._filled(sub, cutoff, tuple(masks), tail)
 
 
+def _parameters(sub: SubSystem, tail, finite) -> BiconvexParam:
+    """The triple (K, u, y) of tower(tail) plus the finite part, whose roots
+    lie off the tail: (K, u) factors the tail, and y is the element whose
+    inversion set is the finite part pulled back by u^-1."""
+    try:
+        K, u = factor_pointed_biclosed(tail, sub)
+    except ValueError as exc:
+        raise NotBiconvexError(f"tail support is not pointed biclosed: {exc}") from exc
+    pulled = frozenset(AffineRoot(m, u.inverse.apply(c)) for m, c in finite)
+    try:
+        y = element_from_affine_inversions(pulled, sub_system(sub.rs, K))
+    except ValueError as exc:
+        raise NotBiconvexError(f"finite part is not an inversion set: {exc}") from exc
+    # Valid by construction: factor_pointed_biclosed gives K sorted inside J
+    # and u in W_J with N(u) = P & Phi+ (so u(alpha_k) < 0 would put k outside
+    # K: u is minimal), and y is a walk over the letters of K's subsystem.
+    return BiconvexParam._trusted(sub, K, u, y)
+
+
 def parametrize(B: WindowSet) -> BiconvexParam:
     """Recover the unique (K, u, y) naming a real biconvex set.
 
@@ -335,25 +347,10 @@ def parametrize(B: WindowSet) -> BiconvexParam:
     tower(tail) plus the finite part.  The other members lie in that tower,
     so the round trip holds iff each tail slot holds its whole window.
     """
-    sub = B.sub
     if not B.is_real:
         raise NotBiconvexError("parametrize expects a real set")
-    try:
-        K, u = factor_pointed_biclosed(B.tail, sub)
-    except ValueError as exc:
-        raise NotBiconvexError(f"tail support is not pointed biclosed: {exc}") from exc
-    pulled = frozenset(
-        AffineRoot(b.level, u.inverse.apply(b.classical)) for b in B.finite_part
-    )
-    try:
-        y = element_from_affine_inversions(pulled, sub_system(sub.rs, K))
-    except ValueError as exc:
-        raise NotBiconvexError(f"finite part is not an inversion set: {exc}") from exc
-    # Valid by construction: factor_pointed_biclosed gives K sorted inside J
-    # and u in W_J with N(u) = P & Phi+ (so u(alpha_k) < 0 would put k outside
-    # K: u is minimal), and y is a walk over the letters of K's subsystem.
-    param = BiconvexParam._trusted(sub, K, u, y)
-    slot, window = _class_sum_pairs(sub).slot, _window_masks(sub, B.cutoff)[1]
+    param = _parameters(B.sub, B.tail, B.finite_part)
+    slot, window = _class_sum_pairs(B.sub).slot, _window_masks(B.sub, B.cutoff)[1]
     if any(B._masks[slot[e]] != window[slot[e]] for e in B.tail):
         raise NotBiconvexError("window does not round-trip through its parameters")
     return param
@@ -436,6 +433,17 @@ def enumerate_biconvex(
 # ---------------------------------------------------------------------------
 # JSON encodings
 
+MAX_INPUT_CUTOFF = 1000  # a window's size grows with its cutoff, even when empty
+
+
+def input_cutoff(cutoff: int) -> int:
+    """A cutoff read from outside input, refused above ``MAX_INPUT_CUTOFF``.
+    Cutoffs the library raises itself, as ``realize`` does, are not bounded."""
+    if cutoff > MAX_INPUT_CUTOFF:
+        raise ValueError(f"cutoff {cutoff} is above the limit {MAX_INPUT_CUTOFF}")
+    return cutoff
+
+
 def param_to_json(param: BiconvexParam) -> dict:
     return {
         "J": list(param.sub.J),
@@ -470,5 +478,5 @@ def view_from_json(rs: RootSystem, J, data: dict) -> WindowSet:
     sub = sub_system(rs, J)
     tail = frozenset(_json_ints(data, "tail", 2))
     finite = frozenset(affine_root_from_json(b) for b in _json_field(data, "finite", list))
-    cutoff = max([_json_field(data, "cutoff", int), *(b.level for b in finite)])
+    cutoff = input_cutoff(max([_json_field(data, "cutoff", int), *(b.level for b in finite)]))
     return WindowSet(sub=sub, cutoff=cutoff, elements=tower(rs, tail, cutoff) | finite, tail=tail)

@@ -39,6 +39,7 @@ from .biconvex import (
     WindowSet,
     classify_biconvex,
     enumerate_biconvex,
+    input_cutoff,
     param_from_json,
     param_to_json,
     parametrize,
@@ -75,6 +76,14 @@ def _count(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
+
+
+def _cutoff(text: str) -> int:
+    """The ``--cutoff``/``-N`` converter: a count no larger than the input bound."""
+    try:
+        return input_cutoff(_count(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _root_system(label: str):
@@ -190,7 +199,7 @@ def _window_from_json(rs, data) -> WindowSet:
     data = {"tail": [], "imaginary_tail": False} | data  # the optional fields
     return WindowSet(
         sub=sub,
-        cutoff=_json_field(data, "cutoff", int),
+        cutoff=input_cutoff(_json_field(data, "cutoff", int)),
         elements=frozenset(affine_root_from_json(b) for b in _json_field(data, "elements", list)),
         tail=frozenset(_json_ints(data, "tail", 2)),
         imaginary_tail=_json_field(data, "imaginary_tail", bool),
@@ -344,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(commands, "roots", cmd_roots, "root system and window listing")
     p.add_argument("--J", type=_parse_subset, default=())
-    p.add_argument("--cutoff", "-N", type=_count)
+    p.add_argument("--cutoff", "-N", type=_cutoff)
 
     p = _command(commands, "weyl", cmd_weyl, "inspect a finite Weyl element")
     p.add_argument("--word", help="comma-separated simple indices")
@@ -354,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     actions = biconvex.add_subparsers(dest="action", required=True)
     p = _command(actions, "realize", cmd_realize)
     p.add_argument("--param", required=True, help="parameter triple as JSON")
-    p.add_argument("--cutoff", "-N", type=_count, default=3)
+    p.add_argument("--cutoff", "-N", type=_cutoff, default=3)
     p = _command(actions, "parametrize", cmd_parametrize)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--view", help="view JSON (tail/finite/cutoff); needs --J")
@@ -364,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", required=True, help="window JSON (J/elements/tail/cutoff)")
     p = _command(actions, "enumerate", cmd_enumerate)
     p.add_argument("--J", type=_parse_subset, default=())
-    p.add_argument("--cutoff", "-N", type=_count, default=2)
+    p.add_argument("--cutoff", "-N", type=_cutoff, default=2)
     p.add_argument("--max-size", type=_count, default=4)
     p.add_argument("--window-limit", type=_count, default=64)
 
@@ -374,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--J", type=_parse_subset, default=())
     p.add_argument("--K", type=_parse_subset, default=())
     p.add_argument("--param", help="make the standard word of this parameter")
-    p.add_argument("--cutoff", "-N", type=_count)
+    p.add_argument("--cutoff", "-N", type=_cutoff)
     p = _command(actions, "act", cmd_act)
     p.add_argument("--word", required=True, help="word JSON (J/head/period)")
     p.add_argument("--x", required=True, help="acting element as JSON (lambda/wbar)")
@@ -388,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--type", help="comma-separated type labels")
     p.add_argument("--len", type=_count, help="main size bound of the suite")
-    p.add_argument("--cutoff", "-N", type=_count)
+    p.add_argument("--cutoff", "-N", type=_cutoff)
     return parser
 
 

@@ -37,7 +37,7 @@ from .affine import (
     lift,
     translation,
 )
-from .biconvex import BiconvexParam, NotBiconvexError, WindowSet, parametrize
+from .biconvex import BiconvexParam, NotBiconvexError, _parameters
 
 
 @dataclass(frozen=True)
@@ -284,33 +284,34 @@ class WordClass:
         return self.param.K
 
 
-def classify_word(word: InfiniteWord) -> WordClass:
-    """Canonical parameters (K, u, y) of the word's inversion set.
+def _inversion_parts(word: InfiniteWord) -> tuple[frozenset, frozenset[AffineRoot]]:
+    """The word's inversion set as (tail, finite part), read off its certificate.
 
-    ``parametrize`` runs on the word's window: its inversions up to a depth
-    past every head inversion and every progression's first level, with the
-    progressions' classical parts as the tail.  A certified word that fails
-    to parametrize is an internal fault, raised as RuntimeError.
+    A real biconvex set meets each string eps + Z delta in an initial
+    segment (its complement holds every m delta and is closed), so each
+    progression's whole string is inside: the tail is the progressions'
+    classical parts, and the rest is the head inversions off those parts.
     """
-    phis = word._structure.phis
-    depth = max(b.level for b in phis) + 1
-    window = WindowSet(
-        sub=word.sub,
-        cutoff=depth,
-        elements=limit_inversions(word, depth),
-        tail=frozenset(b.classical for b in phis[len(word.head):]),
-    )
+    phis, H = word._structure.phis, len(word.head)
+    tail = frozenset(phi.classical for phi in phis[H:])
+    return tail, frozenset(phi for phi in phis[:H] if phi.classical not in tail)
+
+
+def classify_word(word: InfiniteWord) -> WordClass:
+    """Canonical parameters (K, u, y) of the word's inversion set, read off
+    ``_inversion_parts``; a failure is an internal fault, a RuntimeError."""
     try:
-        return WordClass(parametrize(window))
+        return WordClass(_parameters(word.sub, *_inversion_parts(word)))
     except NotBiconvexError as exc:
         raise RuntimeError(f"word classification failed: {exc}") from exc
 
 
 def words_equivalent(a: InfiniteWord, b: InfiniteWord) -> bool:
-    """Whether two words have the same inversion set (the same class)."""
+    """Whether two words have the same inversion set (the same class): the
+    same tail and the same finite part."""
     if a.sub is not b.sub:
         raise ValueError("words live over different subsystems")
-    return classify_word(a) == classify_word(b)
+    return _inversion_parts(a) == _inversion_parts(b)
 
 
 def orbit_invariant(word: InfiniteWord) -> tuple[int, ...]:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from weylwords import cli
+from weylwords.biconvex import MAX_INPUT_CUTOFF
 from weylwords.cli import main
 
 
@@ -127,6 +128,54 @@ A1_PARAM = '{"J":[1],"K":[],"u":[],"y":{"lambda":[0],"wbar":[]}}'
         "view-cutoff", "window-cutoff"])
 def test_negative_cutoff_or_bound_is_usage_error(capsys, argv):
     _one_error_line(*run(capsys, *argv))
+
+
+def _cutoff_routes(n):
+    """Each way a cutoff enters from outside, at cutoff n."""
+    view = {"tail": [[-1]], "finite": [], "cutoff": n}
+    raised = {"tail": [], "finite": [{"level": n, "classical": [1]}], "cutoff": 0}
+    window = json.dumps({"J": [1], "cutoff": n, "elements": []})
+    return {
+        "roots": ("roots", "--type", "A1", "-N", str(n)),
+        "realize": ("biconvex", "realize", "--type", "A1", "--param", A1_PARAM,
+                    "--cutoff", str(n)),
+        "word-make": ("word", "make", "--type", "A2", "--K", "1", "--cutoff", str(n)),
+        "verify": ("verify", "words", "--type", "A1", "--cutoff", str(n)),
+        "classify-window": ("biconvex", "classify", "--type", "A1", "--window", window),
+        "parametrize-window": ("biconvex", "parametrize", "--type", "A1", "--window", window),
+        "view": ("biconvex", "parametrize", "--type", "A1", "--J", "1",
+                 "--view", json.dumps(view)),
+        "view-raised": ("biconvex", "parametrize", "--type", "A1", "--J", "1",
+                        "--view", json.dumps(raised)),
+    }
+
+
+@pytest.mark.parametrize("route", list(_cutoff_routes(0)))
+def test_outside_cutoffs_are_bounded(capsys, route):
+    # A window's size grows with its cutoff even when it is empty, so every
+    # cutoff read from outside stops at one bound.
+    bound = MAX_INPUT_CUTOFF
+    code, out, err = run(capsys, *_cutoff_routes(bound + 1)[route])
+    _one_error_line(code, out, err)
+    assert f"cutoff {bound + 1} is above the limit {bound}" in err
+    code, out, err = run(capsys, *_cutoff_routes(bound)[route])
+    assert code in (0, 1) and "error" not in err, (code, err)
+
+
+def test_enumerate_cutoff_is_bounded_before_the_window_limit(capsys):
+    bound = MAX_INPUT_CUTOFF
+    for cutoff, text in ((bound + 1, "is above the limit"), (bound, "roots, above the limit 64")):
+        code, out, err = run(capsys, "biconvex", "enumerate", "--type", "A1",
+                             "--cutoff", str(cutoff))
+        _one_error_line(code, out, err)
+        assert text in err, err
+
+
+def test_realize_raises_its_own_cutoff_past_the_bound(capsys):
+    y = {"lambda": [MAX_INPUT_CUTOFF], "wbar": []}
+    param = json.dumps({"J": [1], "K": [1], "u": [], "y": y})
+    code, data, _ = run_json(capsys, "biconvex", "realize", "--type", "A1", "--param", param)
+    assert code == 0 and max(b["level"] for b in data["finite"]) > MAX_INPUT_CUTOFF
 
 
 A1_WORD = '{"J":[1],"head":[],"period":[{"a":1},{"c":1}]}'

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,7 @@ from weylwords.affine import (
 )
 from weylwords.biconvex import BiconvexParam, realize
 from weylwords.verify import _action_formula
-from weylwords import words
+from weylwords import biconvex, words
 from weylwords.affine import _step
 from weylwords.words import (
     InfiniteWord,
@@ -291,21 +292,6 @@ def test_rebracketings_are_equivalent():
     assert not words_equivalent(A1_BASE, A1_OTHER)
 
 
-def test_classify_round_trips_through_realize():
-    rng = random.Random(5)
-    letters = letters_of(A2_FULL)
-    for _ in range(20):
-        word = translation_word(A2_FULL, rng.choice([(), (1,), (2,)]))
-        x = from_letters(A2_FULL, [rng.choice(letters) for _ in range(rng.randint(0, 4))])
-        acted = act_on_word(x, word)
-        param = classify_word(acted).param
-        for cutoff in (2, 5):
-            assert realize(param, cutoff).truncate(cutoff) == limit_inversions(
-                acted, cutoff
-            )
-        assert classify_word(word_of_param(param)).param == param
-
-
 @st.composite
 def bounded_params(draw, max_y=2):
     """A parameter triple with K proper in J and y a product of at most
@@ -365,6 +351,65 @@ def _structure_words(label, seed=11):
 
 
 STRUCTURE_WORDS = [w for label in ("A2", "B2", "G2", "C3") for w in _structure_words(label)]
+
+
+def _acted_groups(labels, radius=3):
+    """For each J and proper K, the base word acted on by every element of
+    J's ball of the radius: one list per (J, K)."""
+    for label in labels:
+        rs = build_root_system(label)
+        for J in filter(None, subsets(rs.index_set)):
+            sub = sub_system(rs, J)
+            ball = bfs_elements(sub, radius)
+            for K in subsets(J):
+                if K != J:
+                    base = translation_word(sub, K)
+                    yield [act_on_word(x, base) for x in ball]
+
+
+def _check_word_classes(groups):
+    """Check that the parameters read off each word's certificate name its
+    whole inversion set: realized a level past the certificate, they give
+    every inversion up to it (beyond, both are the tail), and they are the
+    parameters of their own standard word.  Two words of a group are
+    equivalent exactly when their parameters agree.  Returns the numbers of
+    words and of pairs checked."""
+    checked = compared = 0
+    for group in groups:
+        params = [classify_word(word).param for word in group]
+        for word, param in zip(group, params):
+            depth = max(b.level for b in word._structure.phis) + 1
+            assert realize(param, depth).truncate(depth) == limit_inversions(word, depth), word
+            assert classify_word(word_of_param(param)).param == param
+            checked += 1
+        for (a, p), (b, q) in combinations(zip(group, params), 2):
+            assert words_equivalent(a, b) == (p == q), (a, b)
+            compared += 1
+    return checked, compared
+
+
+def test_classify_round_trips_through_realize():
+    groups = [[w for w in STRUCTURE_WORDS if w.sub is sub]
+              for sub in dict.fromkeys(w.sub for w in STRUCTURE_WORDS)]
+    groups += _acted_groups(("A2", "C2", "G2"))
+    assert _check_word_classes(groups) == (246, 1671)
+
+
+def test_classes_read_no_inversion_window(monkeypatch):
+    # Classification and equivalence read the certificate: no inversions
+    # listed to a depth, no window built.
+    expected = [classify_word(word) for word in STRUCTURE_WORDS]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a window or a listing was built")
+
+    monkeypatch.setattr(words, "limit_inversions", refused)
+    monkeypatch.setattr(biconvex.WindowSet, "__init__", refused)
+    assert [classify_word(word) for word in STRUCTURE_WORDS] == expected
+    for a, b in zip(STRUCTURE_WORDS, STRUCTURE_WORDS[1:] + STRUCTURE_WORDS[:1]):
+        if a.sub is b.sub:
+            assert words_equivalent(a, b) == (classify_word(a) == classify_word(b))
+        assert words_equivalent(a, a)
 
 
 def _period_order(word):
