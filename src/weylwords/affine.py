@@ -12,9 +12,9 @@ Letters name the generators attached to a subsystem J: Classical(j) is the
 simple reflection s_j, Affine(c) is the reflection in delta minus the
 highest root of the c-th component of J.  Letter order is all classical
 letters (by index) before all affine ones; greedy descents use that order.
-Stepping through a word multiplies by one letter at a time on the right,
-in O(rank^2) per letter and by one rule for every letter: x s sends
-alpha_k to x(alpha_k) - <alpha_k, alpha_s-check> x(alpha_s).  Reduced
+Every walk through letters (``_walk``) multiplies by one letter at a time
+on the right, in O(rank^2) per letter and by one rule for every letter: x s
+sends alpha_k to x(alpha_k) - <alpha_k, alpha_s-check> x(alpha_s).  Reduced
 words, and elements read off inversion sets, come from one descent walk
 over the letters' Cartan matrix from 2 rho - 2 sum N(x), as in ``finweyl``.
 """
@@ -38,6 +38,7 @@ from .cartan import (
     height,
     is_positive,
     negate,
+    sub_system,
 )
 from .finweyl import (
     WeylElement,
@@ -266,16 +267,19 @@ def _step(x: AffineElement, sub: SubSystem, letter: Letter) -> tuple[AffineRoot,
     return pivot, AffineElement(levels, x.finite._times_reflection(moved, data.simple_row))
 
 
-def _times_letter(x: AffineElement, sub: SubSystem, letter: Letter) -> AffineElement:
-    """x times the letter's reflection."""
-    return _step(x, sub, letter)[1]
+def _walk(sub: SubSystem, letters, x: AffineElement | None = None) -> tuple[list, AffineElement]:
+    """Step x (the identity when None) through the letters: the pivots, each
+    the element so far applied to the next letter's root, and the end element.
+    The pivots of a reduced word are its inversion set, in order."""
+    x, pivots = affine_identity(sub.rs) if x is None else x, []
+    for letter in letters:
+        pivot, x = _step(x, sub, letter)
+        pivots.append(pivot)
+    return pivots, x
 
 
 def from_letters(sub: SubSystem, word) -> AffineElement:
-    x = affine_identity(sub.rs)
-    for letter in word:
-        x = _times_letter(x, sub, letter)
-    return x
+    return _walk(sub, word)[1]
 
 
 def in_weyl_subgroup(x: AffineElement, sub: SubSystem) -> bool:
@@ -354,8 +358,9 @@ def affine_inversion_set(x: AffineElement, sub: SubSystem) -> frozenset[AffineRo
 
 
 def affine_length(x: AffineElement, sub: SubSystem) -> int:
-    """Length over the subsystem's letters, by counting inversions."""
-    return sum(len(levels) for _, levels in _inverted_levels(x, sub))
+    """Length over the subsystem's letters, by counting the inversions of
+    x^-1 (x and x^-1 have one length), which are read off x uninverted."""
+    return sum(len(levels) for _, levels in _inverted_levels(x, sub, of_inverse=True))
 
 
 def _inverted_levels(x: AffineElement, sub: SubSystem, of_inverse: bool = False):
@@ -389,11 +394,8 @@ def element_from_affine_inversions(F, sub: SubSystem) -> AffineElement:
     word = _walk_letters(sub, ((1, beta.classical) for beta in F if beta.is_real))
     if word is None:
         raise ValueError("set is not an affine inversion set")
-    result, pivots = affine_identity(sub.rs), set()
-    for letter in word:
-        pivot, result = _step(result, sub, letter)
-        pivots.add(pivot)
-    if pivots != F:
+    pivots, result = _walk(sub, word)
+    if set(pivots) != F:
         raise ValueError("set is not an affine inversion set")
     return result
 
@@ -418,7 +420,7 @@ class _Ball:
             new = []
             for x in self.frontier:
                 for letter in self.letters:
-                    y = _times_letter(x, self.sub, letter)
+                    y = _step(x, self.sub, letter)[1]
                     if y not in self.dist:
                         self.dist[y] = self.radius
                         new.append(y)
@@ -469,6 +471,15 @@ def element_to_json(x: AffineElement) -> dict:
     return {"lambda": list(x.translation), "wbar": list(x.finite.word)}
 
 
+MAX_INPUT_LENGTH = 10000  # realizing or acting grows with the element's length
+
+
 def element_from_json(rs: RootSystem, data: dict) -> AffineElement:
+    """An element read from outside input, refused when its length over the
+    full system is above ``MAX_INPUT_LENGTH``; the length lists no inversion."""
     lam, wbar = _json_ints(data, "lambda"), _json_ints(data, "wbar")
-    return translation(rs, lam) * lift(from_word(rs, wbar))
+    x = translation(rs, lam) * lift(from_word(rs, wbar))
+    length = affine_length(x, sub_system(rs, rs.index_set))
+    if length > MAX_INPUT_LENGTH:
+        raise ValueError(f"element length {length} is above the limit {MAX_INPUT_LENGTH}")
+    return x

@@ -86,6 +86,19 @@ def _cutoff(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+MAX_WINDOW_LIMIT = 1000  # the window's sum table grows with the square of its size
+
+
+def _window_limit(text: str) -> int:
+    """The ``--window-limit`` converter: a count no larger than ``MAX_WINDOW_LIMIT``.
+    Library callers of ``enumerate_biconvex`` are not bounded."""
+    limit = _count(text)
+    if limit > MAX_WINDOW_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"window limit {limit} is above the limit {MAX_WINDOW_LIMIT}")
+    return limit
+
+
 def _root_system(label: str):
     """The ``--type`` converter: the root system of a type label."""
     try:
@@ -375,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--J", type=_parse_subset, default=())
     p.add_argument("--cutoff", "-N", type=_cutoff, default=2)
     p.add_argument("--max-size", type=_count, default=4)
-    p.add_argument("--window-limit", type=_count, default=64)
+    p.add_argument("--window-limit", type=_window_limit, default=64)
 
     word = commands.add_parser("word", help="infinite reduced word operations")
     actions = word.add_subparsers(dest="action", required=True)

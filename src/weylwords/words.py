@@ -27,9 +27,8 @@ from .affine import (
     AffineRoot,
     Letter,
     _inverted_levels,
-    _step,
+    _walk,
     _walk_letters,
-    affine_identity,
     affine_reduced_word,
     from_letters,
     letter_from_json,
@@ -92,27 +91,18 @@ class InfiniteWord:
             return self.head[p - 1]
         return self.period[(p - H - 1) % len(self.period)]
 
-    def _climb(self, z: AffineElement, phis: list, stop: int) -> AffineElement:
-        """Step the prefix z = z(len(phis)) to z(stop), recording each new
-        inversion: the prefix so far applied to the next letter's root."""
-        for p in range(len(phis) + 1, stop + 1):
-            phi, z = _step(z, self.sub, self.letter_at(p))
-            if not phi.is_positive:
-                raise ValueError(
-                    f"not an infinite reduced word: inversion {p} is negative"
-                )
-            phis.append(phi)
-        return z
-
     @cached_property
     def _structure(self) -> _Structure:
         H, n = len(self.head), len(self.period)
-        phis: list[AffineRoot] = []
-        base = self._climb(affine_identity(self.sub.rs), phis, H)
+        phis, base = _walk(self.sub, self.head)
         # z(H + k*n) = z_H pi**k has finite part w_H again first at k = d.
-        end = self._climb(base, phis, H + n)
-        while end.finite != base.finite:
-            end = self._climb(end, phis, len(phis) + n)
+        end = base
+        while len(phis) == H or end.finite != base.finite:
+            pivots, end = _walk(self.sub, self.period, end)
+            phis += pivots
+        for p, phi in enumerate(phis, 1):
+            if not phi.is_positive:
+                raise ValueError(f"not an infinite reduced word: inversion {p} is negative")
         shift = end * base.inverse  # the translation z_H pi**d z_H^-1
         slopes = tuple(shift.act(phi).level - phi.level for phi in phis[H:H + n])
         if min(slopes) < 1:
@@ -261,10 +251,7 @@ def act_on_word(x: AffineElement, word: InfiniteWord) -> InfiniteWord:
     shift = max(p0 - H, 0) % n
     period = word.period[shift:] + word.period[:shift]
     slopes = st.slopes[shift:] + st.slopes[:shift]
-    phis, z = [], affine_identity(sub.rs)
-    for letter in new_head:
-        phi, z = _step(z, sub, letter)
-        phis.append(phi)
+    phis = _walk(sub, new_head)[0]
     last = p0 + len(word.head[p0:]) + len(st.phis) - H  # inversion H' + d*n
     phis.extend(x.act(inversion_at(word, p)) for p in range(p0 + 1, last + 1))
     if not all(phi.is_positive for phi in phis) or len(set(phis)) != len(phis):

@@ -7,6 +7,7 @@ does not call into the library's own algorithms, so that library results
 can be checked against a second route.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -297,9 +298,37 @@ def biconvex_by_closure(S, window):
     return True
 
 
-
 def _positive_root(eps):
     return all(c >= 0 for c in eps)
+
+
+def shi_biconvex(n):
+    """Whether a string-length vector names a real biconvex set, by Shi's
+    inequalities.  n maps each root eps of Phi_J (positive and negative) to
+    the number of roots m delta + eps in the set, an integer or math.inf; a
+    real biconvex set meets each string eps + Z delta of positive roots in an
+    initial segment, so e(eps) = [eps < 0] + n(eps) is the first level of the
+    string outside it.  The set is biconvex iff it is pointed (n(eps) and
+    n(-eps) are never both nonzero) and, whenever zeta = eps + eta is a root:
+    - if n(eps), n(eta) > 0, then e(eps) + e(eta) <= e(zeta) + 1 (the set is
+      closed: its top levels e(eps) - 1 and e(eta) - 1 sum below e(zeta));
+    - if e(eps), e(eta) are finite, then e(eps) + e(eta) >= e(zeta) (its
+      complement, which holds every m delta, is closed).
+    For finite vectors these are k(a) + k(b) <= k(a + b) <= k(a) + k(b) + 1."""
+    def e(eps):
+        return (not _positive_root(eps)) + n[eps]
+
+    if any(n[eps] and n[tuple(-c for c in eps)] for eps in n):
+        return False
+    for eps, eta in product(n, repeat=2):
+        zeta = tuple(a + b for a, b in zip(eps, eta))
+        if zeta not in n:
+            continue
+        if n[eps] > 0 and n[eta] > 0 and e(eps) + e(eta) > e(zeta) + 1:
+            return False
+        if e(eps) + e(eta) < e(zeta) and max(e(eps), e(eta)) < math.inf:
+            return False
+    return True
 
 
 class WindowModel:

@@ -9,7 +9,8 @@ from weylwords.finweyl import from_word, identity, inversion_set
 from weylwords.affine import (
     AffineRoot,
     Letter,
-    _times_letter,
+    _step,
+    _walk,
     affine_add,
     affine_identity,
     affine_inversion_set,
@@ -392,7 +393,19 @@ def test_letter_step_matches_the_general_product(sub, data):
     assert any(coxeter.translation)
     for x in (drawn, coxeter):
         for letter in alphabet:
-            assert _times_letter(x, sub, letter) == x * letter_element(sub, letter)
+            assert _step(x, sub, letter)[1] == x * letter_element(sub, letter)
+
+
+@pytest.mark.parametrize("label", ["A2", "C2", "G2"])
+def test_walking_a_reduced_word_records_its_inversions(label):
+    # The pivots of a reduced word are its inversion set, each once.
+    rs = build_root_system(label)
+    full = sub_system(rs, rs.index_set)
+    for x in bfs_elements(full, 3):
+        pivots, end = _walk(full, affine_reduced_word(x, full))
+        assert end == x
+        assert len(set(pivots)) == len(pivots)
+        assert set(pivots) == affine_inversion_set(x, full)
 
 
 @pytest.mark.parametrize(
@@ -423,7 +436,7 @@ def _paired_ball(label, radius):
         new = []
         for x in frontier:
             for letter, g in gens.items():
-                y = _times_letter(x, full, letter)
+                y = _step(x, full, letter)[1]
                 if y not in ball:
                     ball[y] = form.mul(ball[x], g)
                     new.append(y)

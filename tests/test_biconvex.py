@@ -1,7 +1,8 @@
 import gc
 import json
+import math
 import re
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -14,6 +15,7 @@ from weylwords.affine import (
     affine_inversion_set,
     affine_window,
     bfs_elements,
+    element_from_affine_inversions,
     lift,
     tower,
     translation,
@@ -37,7 +39,7 @@ from weylwords import affine, biconvex, finweyl, words
 from weylwords.cli import _window_from_json, main
 from weylwords.verify import _depth, _params_for, _subsets, check_parametrization_roundtrip
 
-from oracles import WindowModel
+from oracles import WindowModel, shi_biconvex
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -659,3 +661,51 @@ def test_parametrize_keeps_the_empty_j_error():
     window = WindowSet(sub=sub_system(A2, ()), cutoff=2, elements=frozenset(), tail=frozenset())
     with pytest.raises(ValueError, match="parameters require a non-empty J"):
         parametrize(window)
+
+
+def _check_string_lengths(label, box):
+    """Shi's inequalities (``oracles.shi_biconvex``) against the window test,
+    on every string-length vector over the roots of the full subsystem with
+    entries in box (math.inf for a whole string).  Each window is filled from
+    its masks at cutoff 2B + 4, B the largest finite entry.  Every accepted
+    vector with an infinite entry parametrizes and realizes back; every
+    finite one reads back as an element.  Returns the number of vectors, of
+    accepted ones and of accepted ones with an infinite entry."""
+    rs = build_root_system(label)
+    sub = sub_system(rs, rs.index_set)
+    cutoff = 2 * max(k for k in box if k < math.inf) + 4
+    w, window = biconvex._window_masks(sub, cutoff)
+    roots = biconvex._class_sum_pairs(sub).parts[:-1]  # the imaginary slot stays empty
+    vectors = accepted = infinite = 0
+    for entries in product(box, repeat=len(roots)):
+        vectors += 1
+        n = dict(zip(roots, entries))
+        masks = tuple(
+            full if k == math.inf else sum(1 << (m + (not is_positive(eps))) * w for m in range(k))
+            for eps, k, full in zip(roots, entries, window)
+        ) + (0,)
+        tail = frozenset(eps for eps, k in n.items() if k == math.inf)
+        S = WindowSet._filled(sub, cutoff, masks, tail)
+        shi = shi_biconvex(n)
+        assert shi == is_biconvex_window(S, sub, cutoff), (label, n)
+        if not shi:
+            continue
+        accepted += 1
+        if tail:
+            infinite += 1
+            again = realize(parametrize(S), cutoff)
+            assert again.tail == tail and again.truncate(cutoff) == S.elements, (label, n)
+        else:
+            x = element_from_affine_inversions(S.elements, sub)
+            assert affine_inversion_set(x, sub) == S.elements, (label, n)
+    return vectors, accepted, infinite
+
+
+@pytest.mark.parametrize("label,box,counts", [
+    ("A2", (0, 1, 2, 3, math.inf), (15625, 121, 48)),
+    ("B2", (0, 1, 2, math.inf), (65536, 97, 48)),
+], ids=["A2", "B2"])
+def test_string_length_inequalities_match_the_window_test(label, box, counts):
+    # A real biconvex set is its string-length vector; Shi's inequalities on
+    # the vector decide biconvexity, as the window test does on its masks.
+    assert _check_string_lengths(label, box) == counts

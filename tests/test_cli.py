@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from weylwords import cli
+from weylwords.affine import MAX_INPUT_LENGTH
 from weylwords.biconvex import MAX_INPUT_CUTOFF
-from weylwords.cli import main
+from weylwords.cli import MAX_WINDOW_LIMIT, main
 
 
 def run(capsys, *argv):
@@ -179,6 +180,47 @@ def test_realize_raises_its_own_cutoff_past_the_bound(capsys):
 
 
 A1_WORD = '{"J":[1],"head":[],"period":[{"a":1},{"c":1}]}'
+
+
+def _length_routes(above):
+    """Each way an element enters from outside, at length MAX_INPUT_LENGTH,
+    or one more if above."""
+    def element(lam):
+        if above:  # t_-lambda s_1, one letter longer than t_lambda
+            return {"lambda": [-lam[0], *lam[1:]], "wbar": [1]}
+        return {"lambda": lam, "wbar": []}
+
+    a1, a2 = element([MAX_INPUT_LENGTH // 2]), element([MAX_INPUT_LENGTH // 4, 0])
+    return {
+        "realize": ("biconvex", "realize", "--type", "A1", "--param",
+                    json.dumps({"J": [1], "K": [1], "u": [], "y": a1})),
+        "word-make": ("word", "make", "--type", "A2", "--param",
+                      json.dumps({"J": [1, 2], "K": [1], "u": [], "y": a2})),
+        "word-act": ("word", "act", "--type", "A1", "--word", A1_WORD, "--x", json.dumps(a1)),
+    }
+
+
+@pytest.mark.parametrize("route", list(_length_routes(False)))
+def test_outside_element_lengths_are_bounded(capsys, route):
+    # Realizing and acting grow with the element's length, so every element
+    # read from outside stops at one bound, on its length over the full system.
+    code, out, err = run(capsys, *_length_routes(True)[route])
+    _one_error_line(code, out, err)
+    limit = MAX_INPUT_LENGTH
+    assert err == f"error: element length {limit + 1} is above the limit {limit}\n"
+    code, out, err = run(capsys, *_length_routes(False)[route])
+    assert code == 0 and err == "", (code, err)
+
+
+def test_window_limit_is_bounded(capsys):
+    # The sum table grows with the square of the window; the library's own
+    # callers size their limits and stay unbounded.
+    argv = ("biconvex", "enumerate", "--type", "A1", "--window-limit")
+    code, out, err = run(capsys, *argv, str(MAX_WINDOW_LIMIT + 1))
+    _one_error_line(code, out, err)
+    assert f"window limit {MAX_WINDOW_LIMIT + 1} is above the limit {MAX_WINDOW_LIMIT}" in err
+    code, data, err = run_json(capsys, *argv, str(MAX_WINDOW_LIMIT))
+    assert code == 0 and err == "" and data["count"] > 0
 
 
 # Each biconvex and word action parses only the flags it reads: a missing

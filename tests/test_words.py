@@ -22,7 +22,7 @@ from weylwords.affine import (
 )
 from weylwords.biconvex import BiconvexParam, realize
 from weylwords.verify import _action_formula
-from weylwords import biconvex, words
+from weylwords import affine, biconvex, words
 from weylwords.affine import _step
 from weylwords.words import (
     InfiniteWord,
@@ -488,18 +488,26 @@ def test_act_cuts_where_the_inclusion_test_does(word):
         assert (acted.head, acted.period) == _cut_by_inclusion(x, word), x
 
 
-@pytest.mark.parametrize("label,period,position", [
-    ("A1", "c1", 2),
-    ("A1", "c1 a1 c1", 4),
-    ("A2", "c1 c2", 4),
-    ("B2", "c1 c2", 5),
-    ("G2", "c1 c2", 7),
-])
-def test_rejection_names_the_first_negative_inversion(label, period, position):
+REJECTED_WORDS = [
+    ("A1", "", "c1", 2),
+    ("A1", "", "c1 a1 c1", 4),
+    ("A2", "", "c1 c2", 4),
+    ("B2", "", "c1 c2", 5),
+    ("G2", "", "c1 c2", 7),
+    # Faults in the head: the periods are walked before the scan, yet the
+    # first non-positive pivot is named (the second word's periods have one too).
+    ("A1", "c1 c1", "a1 c1", 2),
+    ("A1", "a1 c1 c1", "a1 c1", 3),
+]
+
+
+@pytest.mark.parametrize("label,head,period,position", REJECTED_WORDS,
+                         ids=["-".join(filter(None, map(str, case))) for case in REJECTED_WORDS])
+def test_rejection_names_the_first_negative_inversion(label, head, period, position):
     rs = build_root_system(label)
-    letters = tuple(Letter(t[0], int(t[1:])) for t in period.split())
+    head, period = (tuple(Letter(t[0], int(t[1:])) for t in s.split()) for s in (head, period))
     with pytest.raises(ValueError, match=f"inversion {position} is negative"):
-        InfiniteWord(sub_system(rs, rs.index_set), (), letters)
+        InfiniteWord(sub_system(rs, rs.index_set), head, period)
 
 
 def test_translation_periods_are_memoized_per_subset():
@@ -560,7 +568,7 @@ def test_memoized_base_words_make_no_letter_step(monkeypatch):
         steps.append(args)
         return _step(*args)
 
-    monkeypatch.setattr(words, "_step", counted)
+    monkeypatch.setattr(affine, "_step", counted)
     word = translation_word(sub, (2,))
     assert steps == []
     InfiniteWord(sub, (), word.period)  # the counter sees a real climb
