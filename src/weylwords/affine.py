@@ -120,7 +120,7 @@ def letter_root(sub: SubSystem, letter: Letter) -> AffineRoot:
     return AffineRoot(1, negate(theta))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AffineElement:
     """x = t_lambda w, stored as its images of the simple roots: x(alpha_k) =
     levels[k] delta + finite(alpha_k), with levels[k] = -<w alpha_k, lambda>.
@@ -132,14 +132,6 @@ class AffineElement:
     @property
     def rs(self) -> RootSystem:
         return self.finite.rs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AffineElement):
-            return NotImplemented
-        return self.levels == other.levels and self.finite == other.finite
-
-    def __hash__(self) -> int:
-        return hash((self.levels, self.finite))
 
     def __repr__(self) -> str:
         return f"AffineElement(t{list(self.translation)}, {self.finite!r})"

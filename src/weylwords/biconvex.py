@@ -48,8 +48,8 @@ from .finweyl import (
 from .affine import (
     AffineElement,
     AffineRoot,
+    _inverted_levels,
     affine_add,
-    affine_inversion_set,
     affine_root_from_json,
     affine_root_to_json,
     affine_window,
@@ -252,9 +252,10 @@ class WindowSet:
     def _members(self, top: int, skip=frozenset()) -> frozenset[AffineRoot]:
         """The members of level at most top whose classical part is not in skip."""
         w, parts = _window_masks(self.sub, self.cutoff)[0], _class_sum_pairs(self.sub).parts
+        # One pass per slot: every w-th binary digit from the lowest spells the levels.
         return frozenset(AffineRoot(m, part) for part, mask in zip(parts, self._masks)
                          if mask and part not in skip
-                         for m in range(top + 1) if mask >> m * w & 1)
+                         for m, bit in enumerate(f"{mask:b}"[::-w][:top + 1]) if bit == "1")
 
     @cached_property
     def elements(self) -> frozenset[AffineRoot]:
@@ -301,20 +302,19 @@ def realize(param: BiconvexParam, cutoff: int) -> WindowSet:
     cutoff raised to the top finite level, so the window holds the set."""
     sub, u = param.sub, param.u
     tail = tail_roots(sub, param.K, u)
-    finite = [(m, u.apply(beta))
-              for m, beta in affine_inversion_set(param.y, sub_system(sub.rs, param.K))]
-    cutoff = max([cutoff, *(m for m, _ in finite)])
+    strings = [(eps, u.apply(eps), levels.stop) for eps, levels in
+               _inverted_levels(param.y, sub_system(sub.rs, param.K)) if levels]
+    if any(is_positive(eps) != is_positive(image) for eps, image, _ in strings):
+        raise RuntimeError("finite part left the positive roots")  # masks are exact only then
+    cutoff = max([cutoff, *(stop - 1 for *_, stop in strings)])
     (w, window), slot = _window_masks(sub, cutoff), _class_sum_pairs(sub).slot
     masks = [0] * len(window)
     for eps in tail:
         masks[slot[eps]] = window[slot[eps]]
-    for m, eps in finite:
-        if m == 0 and not is_positive(eps):
-            raise RuntimeError("finite part left the positive roots")
-        masks[slot[eps]] |= 1 << m * w
-    # Valid by construction: u is in W_J, so the tail u(Phi_J^- \ Phi_K) and
-    # each u(beta), beta in Phi_K, are roots of J; tail slots take their
-    # window levels, and each finite root is positive, at most the cutoff.
+    for _, eps, stop in strings:
+        masks[slot[eps]] = window[slot[eps]] & ((1 << w * stop) - 1)
+    # Valid by construction: u is in W_J, so the tail u(Phi_J^- \ Phi_K) and each u(eps),
+    # eps in Phi_K, are roots of J; N(y) meets eps + Z delta in an initial segment.
     return WindowSet._filled(sub, cutoff, tuple(masks), tail)
 
 

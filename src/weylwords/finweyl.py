@@ -31,20 +31,12 @@ from .cartan import (
 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class WeylElement:
     """An element of the finite Weyl group, as images of the simple roots."""
 
     rs: RootSystem
     images: tuple[Root, ...]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self.rs is other.rs and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash((id(self.rs), self.images))
 
     def __repr__(self) -> str:
         word = ",".join(map(str, self.word))

@@ -5,8 +5,8 @@ validity (every prefix reduced) is certified exactly: writing the period
 product as translation-times-finite with finite part of order d, the d-th
 power is a pure translation, so each inversion past the head advances
 along an arithmetic progression in the level.  The word is infinite
-reduced iff all inversions up to head + d periods are positive and every
-progression has positive slope.  Words failing this are rejected at
+reduced iff all inversions up to head + d periods are positive; every
+progression then has positive slope.  Words failing this are rejected at
 construction time.
 
 The inversion set of a word is the union of its prefix inversion sets; it
@@ -93,6 +93,13 @@ class InfiniteWord:
 
     @cached_property
     def _structure(self) -> _Structure:
+        """Climb the head and d periods: positive pivots certify the word.
+        pi^d = t_nu for pi the period's product.  N(t_k nu), the levels m with
+        m + k(eps|nu) < 0 (or 0, eps negative), and N(z_H^-1), z_H the head's
+        product, are initial segments of their strings eps + Z delta; N(t_k nu)
+        is k times N(t_nu) on the same strings.  So if head + d periods is
+        reduced, N(t_k nu) misses N(z_H^-1), lengths add, head + dk periods is
+        reduced, and its inversions are distinct and positive: slopes climb."""
         H, n = len(self.head), len(self.period)
         phis, base = _walk(self.sub, self.head)
         # z(H + k*n) = z_H pi**k has finite part w_H again first at k = d.
@@ -105,13 +112,8 @@ class InfiniteWord:
                 raise ValueError(f"not an infinite reduced word: inversion {p} is negative")
         shift = end * base.inverse  # the translation z_H pi**d z_H^-1
         slopes = tuple(shift.act(phi).level - phi.level for phi in phis[H:H + n])
-        if min(slopes) < 1:
-            raise ValueError(
-                "not an infinite reduced word: a periodic inversion"
-                " fails to climb in level"
-            )
-        if len(set(phis)) != len(phis):
-            raise RuntimeError("certified word produced a repeated inversion")
+        if min(slopes) < 1 or len(set(phis)) != len(phis):
+            raise RuntimeError("certified word has a slope below 1 or a repeated inversion")
         return _Structure(phis=tuple(phis), slopes=slopes)
 
 

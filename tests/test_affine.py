@@ -4,7 +4,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylwords.cartan import build_root_system, complement_roots, height, sub_system
+from weylwords.cartan import (build_root_system, cartan_matrix, complement_roots, height,
+                              sub_system)
 from weylwords.finweyl import from_word, identity, inversion_set
 from weylwords.affine import (
     AffineRoot,
@@ -76,6 +77,27 @@ def test_identity_acts_trivially():
     e = affine_identity(A2)
     for beta in affine_window(A2_FULL, 2):
         assert e.act(beta) == beta
+
+
+def test_elements_are_values_over_one_root_system():
+    # Equal images over one root system object are one element, whatever the
+    # word; a label and its explicit Cartan matrix build two distinct objects.
+    labelled = build_root_system("B2")
+    explicit = build_root_system(cartan_matrix("B2"))
+    assert labelled is not explicit and labelled.cartan == explicit.cartan
+    w, v = from_word(labelled, [1, 2, 1, 2]), from_word(labelled, [2, 1, 2, 1])
+    assert w == v and hash(w) == hash(v) and len({w, v}) == 1
+    other = from_word(explicit, [1, 2, 1, 2])
+    assert other.images == w.images and other != w and len({w, other}) == 2
+    x = translation(labelled, (1, -1)) * lift(w)
+    y = translation(labelled, (1, -1)) * lift(v)
+    z = translation(explicit, (1, -1)) * lift(other)
+    assert x == y and hash(x) == hash(y)
+    assert (z.levels, z.finite.images) == (x.levels, x.finite.images) and z != x
+    for element, fields in ((w, (w.rs, w.images)), (x, (x.levels, x.finite))):
+        assert element != fields and element != "e" and element != None
+        assert (element == 0) is False
+    assert x != w and lift(w) != w
 
 
 def test_letter_elements_are_involutions():

@@ -174,6 +174,57 @@ def test_finite_part_and_complement_match_the_tower_formulas(label):
     assert checked == {"A2": 560, "B2": 672, "G2": 912}[label]
 
 
+@pytest.mark.parametrize("label,K,lam,top", [
+    ("A1", (1,), (50,), 100), ("A1", (1,), (500,), 1000),
+    ("B2", (1,), (20, 0), 40), ("G2", (2,), (0, 15), 30),
+], ids=["A1-t50", "A1-t500", "B2", "G2"])
+def test_deep_realizations_match_the_model(label, K, lam, top):
+    # realize writes each string's length as one mask, and windows decode each
+    # slot in one pass; deep finite parts answer as the frozenset model.  Asked
+    # below the top finite level, the cutoff is raised to it.  u is the longest
+    # minimal coset representative.
+    rs = build_root_system(label)
+    full = sub_system(rs, rs.index_set)
+    param = BiconvexParam(sub=full, K=K, u=minimal_coset_reps(full, K)[-1],
+                          y=translation(rs, lam))
+    window = realize(param, top - 1)
+    assert window.cutoff == top and window == realize(param, top)
+    assert hash(window) == hash(realize(param, top))
+    for window in (window, realize(param, top + 2)):
+        model = _model_of(param, window.cutoff)
+        _check_against_model(window, model)
+        _check_against_model(window.complement(), model.complement())
+
+
+def test_realize_lists_no_inversion_set(monkeypatch):
+    # realize reads N(y) string by string; it never lists the inversion set.
+    params = [(param, _depth(param)) for label in ("A2", "B2", "G2")
+              for rs in [build_root_system(label)] for J in filter(None, _subsets(rs.index_set))
+              for param in _params_for(rs, J, 2)]
+    models = [_model_of(param, depth) for param, depth in params]
+
+    def no_inversion_set(*args):
+        raise AssertionError("affine_inversion_set was called")
+
+    # Patched in affine, and in biconvex wherever it imports the name.
+    monkeypatch.setattr(affine, "affine_inversion_set", no_inversion_set)
+    monkeypatch.setattr(biconvex, "affine_inversion_set", no_inversion_set, raising=False)
+    for (param, depth), model in zip(params, models):
+        assert model.mismatches(realize(param, depth)) == []
+    assert len(params) == 226
+
+
+@pytest.mark.parametrize("y", [lift(from_word(A2, [1])), translation(A2, (1, 0))],
+                         ids=["positive-root", "negative-root"])
+def test_realize_refuses_a_u_that_moves_a_sign_of_phi_k(y):
+    # u = s1 is not minimal for K = {1}: it sends alpha_1 to -alpha_1.  N(y)
+    # holds level 0 of alpha_1, or levels 1.. of -alpha_1; either string's
+    # window levels would land in the wrong slot's window.
+    param = BiconvexParam._trusted(A2_FULL, (1,), from_word(A2, [1]), y)
+    with pytest.raises(RuntimeError, match="^finite part left the positive roots$"):
+        realize(param, 3)
+
+
 def test_window_operations_build_no_tower(monkeypatch):
     # realize, parametrize, the window test and complement work on the level
     # masks; none of them lists a tower of roots.

@@ -108,6 +108,15 @@ def test_parse_error_is_one_error_line(capsys, argv):
     _one_error_line(*run(capsys, *argv))
 
 
+@pytest.mark.parametrize("argv,reason", [
+    (("roots", "--type", "A2", "--J", "1,x"), "argument --J: bad index list '1,x'"),
+    (("biconvex", "parametrize", "--type", "A1",
+      "--view", '{"tail":[[-1]],"finite":[],"cutoff":3}'), "parametrize --view needs --J"),
+], ids=["bad-index-list", "view-without-J"])
+def test_usage_error_names_its_reason(capsys, argv, reason):
+    assert run(capsys, *argv) == (2, "", f"error: {reason}\n")
+
+
 def test_help_still_exits_zero(capsys):
     code, out, err = run(capsys, "verify", "--help")
     assert code == 0 and "--len" in out and err == ""

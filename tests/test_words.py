@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+import re
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,7 @@ from weylwords.affine import (
 from weylwords.biconvex import BiconvexParam, realize
 from weylwords.verify import _action_formula
 from weylwords import affine, biconvex, words
-from weylwords.affine import _step
+from weylwords.affine import _step, _walk
 from weylwords.words import (
     InfiniteWord,
     _Structure,
@@ -105,10 +106,10 @@ def test_invalid_words_rejected():
 
 
 def test_finite_order_period_rejected_despite_positive_inversions():
-    # (s1 s2) repeated: every prefix inversion over three periods stays
-    # positive, but the period product has finite order, so the word is
-    # not infinite reduced.  The slope certificate must catch it.
-    with pytest.raises(ValueError):
+    # (s1 s2) repeated: the first three inversions are positive, but the
+    # period product has finite order 3, so the word is not infinite reduced.
+    # The climb through head + 3 periods meets the negative fourth inversion.
+    with pytest.raises(ValueError, match="inversion 4 is negative"):
         InfiniteWord(A2_FULL, (), (Letter("c", 1), Letter("c", 2)))
 
 
@@ -508,6 +509,34 @@ def test_rejection_names_the_first_negative_inversion(label, head, period, posit
     head, period = (tuple(Letter(t[0], int(t[1:])) for t in s.split()) for s in (head, period))
     with pytest.raises(ValueError, match=f"inversion {position} is negative"):
         InfiniteWord(sub_system(rs, rs.index_set), head, period)
+
+
+def test_positive_pivots_through_d_periods_certify_every_word():
+    # Every head of at most 3 letters and period of 1 to 3 letters over the
+    # full A2, C2 and G2: a word is rejected for a negative inversion, or it
+    # certifies with no internal fault, and three times as many periods as
+    # the certificate climbed still walk with positive, distinct pivots.
+    rejected = re.compile(r"not an infinite reduced word: inversion \d+ is negative")
+    counts = {}
+    for label in ("A2", "C2", "G2"):
+        rs = build_root_system(label)
+        full = sub_system(rs, rs.index_set)
+        letters, certified = letters_of(full), 0
+        cases = [(head, period) for h in range(4) for head in product(letters, repeat=h)
+                 for n in range(1, 4) for period in product(letters, repeat=n)]
+        for head, period in cases:
+            try:
+                word = InfiniteWord(full, head, period)
+            except ValueError as exc:
+                assert rejected.fullmatch(str(exc)), (label, head, period, exc)
+                continue
+            certified += 1
+            periods = 3 * (len(word._structure.phis) - len(head)) // len(period)
+            pivots = _walk(full, head + period * periods)[0]
+            assert all(phi.is_positive for phi in pivots) and len(set(pivots)) == len(pivots)
+            assert pivots == [inversion_at(word, p) for p in range(1, len(pivots) + 1)]
+        counts[label] = (len(cases), certified)
+    assert counts == {"A2": (1560, 66), "C2": (1560, 54), "G2": (1560, 50)}
 
 
 def test_translation_periods_are_memoized_per_subset():
