@@ -6,7 +6,7 @@ the classical part is None.  A group element x = t_lambda o w fixes delta
 and is stored as its images of the simple roots, x(alpha_k) = -<w alpha_k,
 lambda> delta + w alpha_k: ``finweyl``'s images plus one level per image.
 Products and actions are the finite image rules with levels carried along;
-lambda is derived on demand.  Inversion sets follow in closed form.
+lambda is derived on demand.  Inversion sets follow in closed form, as string lengths.
 
 Letters name the generators attached to a subsystem J: Classical(j) is the
 simple reflection s_j, Affine(c) is the reflection in delta minus the
@@ -21,6 +21,7 @@ over the letters' Cartan matrix from 2 rho - 2 sum N(x), as in ``finweyl``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import takewhile
@@ -338,12 +339,8 @@ def tail_set(sub: SubSystem, K, u: WeylElement, cutoff: int) -> frozenset[Affine
 
 
 def affine_inversion_set(x: AffineElement, sub: SubSystem) -> frozenset[AffineRoot]:
-    """Positive roots of the subsystem sent negative by the inverse.
-
-    Closed form: with x = t_lambda o w, the root m*delta + eps is inverted
-    iff m + (eps|lambda) < 0, or the sum is 0 and w-inverse sends eps
-    negative.  Finite for every element of the subgroup.
-    """
+    """Positive roots of the subsystem sent negative by the inverse, listed
+    string by string off the closed form; finite for every element of the subgroup."""
     return frozenset(
         AffineRoot(m, eps) for eps, levels in _inverted_levels(x, sub) for m in levels
     )
@@ -356,16 +353,22 @@ def affine_length(x: AffineElement, sub: SubSystem) -> int:
 
 
 def _inverted_levels(x: AffineElement, sub: SubSystem, of_inverse: bool = False):
-    """Each root eps of the subsystem with the range of levels m at which
-    m*delta + eps is an inversion of x, or of its inverse read off x alone."""
     if not in_weyl_subgroup(x, sub):
         raise ValueError("element is not in the subgroup for J")
+    return _inverted_strings(x, sub, of_inverse)
+
+
+def _inverted_strings(x: AffineElement, sub: SubSystem, of_inverse: bool = False):
+    """Each string eps + Z delta meeting N(x), or N(x^-1) read off x, with its
+    levels.  The inverse sends m delta + eps to (m + c) delta + w eps, inverted
+    iff m + c < 0, or m + c = 0 and w eps < 0; w eps has the sign of its height.
+    Both flip with eps, so for eps > 0, k = c - [w eps < 0] gives both strings."""
     w, pairs = (x.finite, x.levels) if of_inverse else (x.finite.inverse, x._pairings())
-    for eps in sub.roots:
-        c = sum(map(mul, eps, pairs))
-        start = 0 if is_positive(eps) else 1
-        stop = -c + (-c >= start and not is_positive(w.apply(eps)))
-        yield eps, range(start, stop)
+    heights = [sum(img) for img in w.images]
+    for eps in sub.positives:
+        k = sum(map(mul, eps, pairs)) - (sum(map(mul, eps, heights)) < 0)
+        if k:
+            yield (eps, range(0, -k)) if k < 0 else (negate(eps), range(1, k + 1))
 
 
 def affine_reduced_word(x: AffineElement, sub: SubSystem) -> tuple[Letter, ...]:
@@ -377,19 +380,26 @@ def affine_reduced_word(x: AffineElement, sub: SubSystem) -> tuple[Letter, ...]:
     return word
 
 
+def _element_of_strings(sub: SubSystem, strings: dict) -> AffineElement:
+    """The x whose N(x) meets each string eps + Z delta in strings[eps] levels,
+    or ValueError.  The descent walk's pivots are N(x), initial segments, so
+    initial segments of these lengths are N(x) iff the pivots count the same."""
+    word = _walk_letters(sub, ((n, e) for e, n in strings.items()))
+    pivots, x = _walk(sub, word or ())
+    if word is None or strings != Counter(phi.classical for phi in pivots):
+        raise ValueError("set is not an affine inversion set")
+    return x
+
+
 def element_from_affine_inversions(F, sub: SubSystem) -> AffineElement:
     """The element of the subgroup with the finite inversion set F; any other
-    F raises ValueError.  The descent walk spells its word from F's real roots,
-    taking only left descents, so the word is reduced and its pivots (each
-    prefix on the next letter's root) are N(x): F is read back iff it equals them."""
+    F raises ValueError.  Each string's levels must be an initial segment."""
     F = frozenset(F)
-    word = _walk_letters(sub, ((1, beta.classical) for beta in F if beta.is_real))
-    if word is None:
+    counts = Counter(eps for _, eps in F)
+    if None in counts or F != {(m + 1 - is_positive(e), e) for e, n in counts.items()
+                               for m in range(n)}:
         raise ValueError("set is not an affine inversion set")
-    pivots, result = _walk(sub, word)
-    if set(pivots) != F:
-        raise ValueError("set is not an affine inversion set")
-    return result
+    return _element_of_strings(sub, counts)
 
 
 class _Ball:

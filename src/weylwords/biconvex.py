@@ -16,9 +16,9 @@ slots (each root of the subsystem, then the imaginary roots) key a
 window's storage: one integer per slot, level m at bit m * w with
 w = (cutoff + 1).bit_length() + 1.  A real biconvex set meets each string
 eps + Z delta in an initial segment, so the masks are its string lengths,
-windowed.  The window test closes them with one product per pair.  The
-public ``WindowSet`` constructor checks every member; ``realize`` and
-``complement`` fill masks they have just built.
+windowed.  The window test closes them, ``realize`` and ``parametrize`` write
+and read one length per string, and membership reads one bit.  Only the public
+constructor checks members; ``realize`` and ``complement`` fill their own.
 """
 
 from __future__ import annotations
@@ -48,12 +48,12 @@ from .finweyl import (
 from .affine import (
     AffineElement,
     AffineRoot,
-    _inverted_levels,
+    _element_of_strings,
+    _inverted_strings,
     affine_add,
     affine_root_from_json,
     affine_root_to_json,
     affine_window,
-    element_from_affine_inversions,
     element_from_json,
     element_to_json,
     in_weyl_subgroup,
@@ -158,12 +158,15 @@ def _window_sum_triples(sub: SubSystem, cutoff: int):
     return index, tuple(triples)
 
 
+def _field_width(cutoff: int) -> int:
+    return (cutoff + 1).bit_length() + 1  # bits per level field: counts cutoff + 1 level sums
+
+
 def _window_masks(sub: SubSystem, cutoff: int) -> tuple[int, tuple[int, ...]]:
-    """The bits w per level field, which can count cutoff + 1 level sums, and
-    each slot's window: levels 0..cutoff for a positive part, 1..cutoff else."""
+    """w and each slot's window: levels 0..cutoff for a positive part, 1..cutoff else."""
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
-    w, table = (cutoff + 1).bit_length() + 1, _class_sum_pairs(sub)
+    w, table = _field_width(cutoff), _class_sum_pairs(sub)
     levels = ((1 << w * (cutoff + 1)) - 1) // ((1 << w) - 1)  # bit 0 of fields 0..cutoff
     return w, (levels,) * table.positives + (levels - 1,) * (len(table.parts) - table.positives)
 
@@ -245,9 +248,20 @@ class WindowSet:
 
     def __contains__(self, beta: AffineRoot) -> bool:
         m, c = beta
-        if m <= self.cutoff:
-            return beta in self.elements
-        return self.imaginary_tail if c is None else c in self.tail
+        if m > self.cutoff:
+            return self.imaginary_tail if c is None else c in self.tail
+        x, w = _class_sum_pairs(self.sub).slot.get(c), _field_width(self.cutoff)
+        return m >= 0 and x is not None and bool(self._masks[x] & 1 << m * w)
+
+    def _finite_strings(self):
+        """(e, n) per string e + Z delta off the tail; ValueError if not an initial segment."""
+        (w, window), table = _window_masks(self.sub, self.cutoff), _class_sum_pairs(self.sub)
+        for x, (part, mask) in enumerate(zip(table.parts, self._masks)):
+            if mask and part not in self.tail:
+                stop = mask.bit_length() // w + 1  # one past the top level, as w >= 2
+                if mask != window[x] & ((1 << w * stop) - 1):
+                    raise ValueError("set is not an affine inversion set")
+                yield part, stop - (x >= table.positives)
 
     def _members(self, top: int, skip=frozenset()) -> frozenset[AffineRoot]:
         """The members of level at most top whose classical part is not in skip."""
@@ -302,8 +316,9 @@ def realize(param: BiconvexParam, cutoff: int) -> WindowSet:
     cutoff raised to the top finite level, so the window holds the set."""
     sub, u = param.sub, param.u
     tail = tail_roots(sub, param.K, u)
+    # Unchecked: y is in K's subgroup, checked on construction or proved by _trusted's caller.
     strings = [(eps, u.apply(eps), levels.stop) for eps, levels in
-               _inverted_levels(param.y, sub_system(sub.rs, param.K)) if levels]
+               _inverted_strings(param.y, sub_system(sub.rs, param.K))]
     if any(is_positive(eps) != is_positive(image) for eps, image, _ in strings):
         raise RuntimeError("finite part left the positive roots")  # masks are exact only then
     cutoff = max([cutoff, *(stop - 1 for *_, stop in strings)])
@@ -318,17 +333,17 @@ def realize(param: BiconvexParam, cutoff: int) -> WindowSet:
     return WindowSet._filled(sub, cutoff, tuple(masks), tail)
 
 
-def _parameters(sub: SubSystem, tail, finite) -> BiconvexParam:
-    """The triple (K, u, y) of tower(tail) plus the finite part, whose roots
-    lie off the tail: (K, u) factors the tail, and y is the element whose
-    inversion set is the finite part pulled back by u^-1."""
+def _parameters(sub: SubSystem, tail, strings) -> BiconvexParam:
+    """(K, u, y) of tower(tail) plus a finite part off the tail, given by the
+    lengths n of its strings e + Z delta ((e, n) pairs or a mapping), read after
+    the tail.  u keeps the signs of K's roots: N(y) has them pulled back by u^-1."""
     try:
         K, u = factor_pointed_biclosed(tail, sub)
     except ValueError as exc:
         raise NotBiconvexError(f"tail support is not pointed biclosed: {exc}") from exc
-    pulled = frozenset(AffineRoot(m, u.inverse.apply(c)) for m, c in finite)
     try:
-        y = element_from_affine_inversions(pulled, sub_system(sub.rs, K))
+        pulled = {u.inverse.apply(e): n for e, n in dict(strings).items()}
+        y = _element_of_strings(sub_system(sub.rs, K), pulled)
     except ValueError as exc:
         raise NotBiconvexError(f"finite part is not an inversion set: {exc}") from exc
     # Valid by construction: factor_pointed_biclosed gives K sorted inside J
@@ -338,18 +353,13 @@ def _parameters(sub: SubSystem, tail, finite) -> BiconvexParam:
 
 
 def parametrize(B: WindowSet) -> BiconvexParam:
-    """Recover the unique (K, u, y) naming a real biconvex set.
-
-    The input must carry its tail support (the classical directions whose
-    whole towers eventually lie inside); anything inconsistent raises
-    NotBiconvexError.  Once tail_roots(K, u) is the tail, u(N_K(y)) the
-    finite part and each member positive up to the cutoff, realize gives
-    tower(tail) plus the finite part.  The other members lie in that tower,
-    so the round trip holds iff each tail slot holds its whole window.
-    """
+    """Recover the unique (K, u, y) naming a real biconvex set, which must
+    carry its tail support; anything inconsistent raises NotBiconvexError.
+    (K, u) factor the tail and N(y) has the finite slots' lengths, so the
+    round trip holds iff each tail slot holds its whole window."""
     if not B.is_real:
         raise NotBiconvexError("parametrize expects a real set")
-    param = _parameters(B.sub, B.tail, B.finite_part)
+    param = _parameters(B.sub, B.tail, B._finite_strings())
     slot, window = _class_sum_pairs(B.sub).slot, _window_masks(B.sub, B.cutoff)[1]
     if any(B._masks[slot[e]] != window[slot[e]] for e in B.tail):
         raise NotBiconvexError("window does not round-trip through its parameters")
@@ -378,7 +388,7 @@ def classify_biconvex(B: WindowSet):
     if B.is_real:
         if B.is_finite:
             try:
-                z = element_from_affine_inversions(B.elements, sub)
+                z = _element_of_strings(sub, dict(B._finite_strings()))
             except ValueError as exc:
                 raise NotBiconvexError(f"not a finite inversion set: {exc}") from exc
             return "a", z

@@ -361,11 +361,11 @@ class SubSystem:
     highest_roots: tuple[Root, ...]
     root_set: frozenset[Root] = field(repr=False)
 
-    @property
+    @cached_property
     def positives(self) -> tuple[Root, ...]:
         return tuple(r for r in self.roots if is_positive(r))
 
-    @property
+    @cached_property
     def negatives(self) -> tuple[Root, ...]:
         return tuple(r for r in self.roots if not is_positive(r))
 

@@ -12,16 +12,17 @@ construction time.
 The inversion set of a word is the union of its prefix inversion sets; it
 is an infinite real biconvex set, and ``classify_word`` computes the
 parameter triple (K, u, y) naming it, which is the canonical form of the
-word's equivalence class.
+word's equivalence class.  Classes and the action compare string lengths.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 from .cartan import (RootSystem, SubSystem, _json_field, _json_ints, add, cartan_adjugate,
-                     check_subset, negate, sub_system)
+                     check_subset, sub_system)
 from .affine import (
     AffineElement,
     AffineRoot,
@@ -222,11 +223,13 @@ def act_on_word(x: AffineElement, word: InfiniteWord) -> InfiniteWord:
     that the word inverts.  Stepping x through the letters, step p has pivot
     x z_(p-1)(alpha_(s_p)) = x(phi_p), negative exactly when phi_p is in
     N(x^-1); a word's inversions are distinct, so p0 is the last negative
-    pivot, found by counting.  The new word is a reduced word h of x z_p0,
-    then the remaining letters, the period rotated to start at p0.  N(x z_p0)
-    is the positive pivots up to p0 and N(x) = -x(N(x^-1)) less the negated
-    negative pivots, so its classical parts sum to w(phi_1 + ... + phi_p0 -
-    sum N(x^-1)), w the finite part of x: all the descent walk for h reads.
+    pivot.  Both sets meet each string eps + Z delta in an initial segment, so
+    they share sum min(n_x, n_word) roots (n_word = infinity on the tail).  The
+    new word is a reduced word h of x z_p0, then the remaining letters, the
+    period rotated to start at p0.  N(x z_p0) is the positive pivots up to p0
+    and N(x) = -x(N(x^-1)) less the negated negative pivots, so its classical
+    parts sum to w(phi_1 + ... + phi_p0 - sum n_x(eps) eps), w the finite part
+    of x: all the descent walk for h reads.
 
     Only h is climbed.  The new prefix of length |h| + q is x z_(p0+q), so
     the rest of the certificate is transported (see ``_Structure``).  A
@@ -234,18 +237,16 @@ def act_on_word(x: AffineElement, word: InfiniteWord) -> InfiniteWord:
     broken invariant, raised as RuntimeError.
     """
     sub = word.sub
-    finite_inversions = frozenset(
-        AffineRoot(m, eps) for eps, ms in _inverted_levels(x, sub, of_inverse=True) for m in ms
-    )
-    max_level = max((b.level for b in finite_inversions), default=0)
-    negative = len(finite_inversions & limit_inversions(word, max_level))
-    total = reduce(add, (negate(b.classical) for b in finite_inversions), (0,) * sub.rs.rank)
+    inverted = dict(_inverted_levels(x, sub, of_inverse=True))  # N(x^-1), string by string
+    tail, head = _inversion_strings(word)
+    negative = sum(len(ms) if e in tail else min(len(ms), head[e]) for e, ms in inverted.items())
+    total = [-sum(len(ms) * eps[i] for eps, ms in inverted.items()) for i in range(sub.rs.rank)]
     p0 = 0
     while negative:
         p0 += 1
         phi = inversion_at(word, p0)
         total = add(total, phi.classical)
-        negative -= phi in finite_inversions
+        negative -= phi.level in inverted.get(phi.classical, ())
     new_head = _walk_letters(sub, [(1, x.finite.apply(total))])
     if new_head is None:
         raise RuntimeError("descent walk of the acted head did not reach 2 rho")
@@ -273,34 +274,33 @@ class WordClass:
         return self.param.K
 
 
-def _inversion_parts(word: InfiniteWord) -> tuple[frozenset, frozenset[AffineRoot]]:
-    """The word's inversion set as (tail, finite part), read off its certificate.
+def _inversion_strings(word: InfiniteWord) -> tuple[frozenset, Counter]:
+    """The word's inversion set as (tail, head lengths), read off its certificate.
 
     A real biconvex set meets each string eps + Z delta in an initial
-    segment (its complement holds every m delta and is closed), so each
-    progression's whole string is inside: the tail is the progressions'
-    classical parts, and the rest is the head inversions off those parts.
+    segment (its complement holds every m delta and is closed), so the tail
+    is the progressions' classical parts, and the rest the head inversions.
     """
     phis, H = word._structure.phis, len(word.head)
     tail = frozenset(phi.classical for phi in phis[H:])
-    return tail, frozenset(phi for phi in phis[:H] if phi.classical not in tail)
+    return tail, Counter(phi.classical for phi in phis[:H] if phi.classical not in tail)
 
 
 def classify_word(word: InfiniteWord) -> WordClass:
     """Canonical parameters (K, u, y) of the word's inversion set, read off
-    ``_inversion_parts``; a failure is an internal fault, a RuntimeError."""
+    ``_inversion_strings``; a failure is an internal fault, a RuntimeError."""
     try:
-        return WordClass(_parameters(word.sub, *_inversion_parts(word)))
+        return WordClass(_parameters(word.sub, *_inversion_strings(word)))
     except NotBiconvexError as exc:
         raise RuntimeError(f"word classification failed: {exc}") from exc
 
 
 def words_equivalent(a: InfiniteWord, b: InfiniteWord) -> bool:
     """Whether two words have the same inversion set (the same class): the
-    same tail and the same finite part."""
+    same tail and the same head lengths off it."""
     if a.sub is not b.sub:
         raise ValueError("words live over different subsystems")
-    return _inversion_parts(a) == _inversion_parts(b)
+    return _inversion_strings(a) == _inversion_strings(b)
 
 
 def orbit_invariant(word: InfiniteWord) -> tuple[int, ...]:

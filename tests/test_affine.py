@@ -10,6 +10,7 @@ from weylwords.finweyl import from_word, identity, inversion_set
 from weylwords.affine import (
     AffineRoot,
     Letter,
+    _inverted_levels,
     _step,
     _walk,
     affine_add,
@@ -161,10 +162,14 @@ def test_inversion_set_rejects_outsiders():
         affine_length(translation(A2, (0, 1)), half)
 
 
-@pytest.mark.parametrize("label,max_len", [("A1", 6), ("A2", 5), ("C2", 5)])
+@pytest.mark.parametrize("label,max_len", [("A1", 6), ("A2", 5), ("C2", 5), ("B2", 5), ("G2", 5),
+                                           ("A3", 3), ("B3", 3)])
 def test_closed_form_inversions_match_word_formula(label, max_len):
     # The level-bound membership rule is derived, so cross-check it against
-    # the inversion-set formula evaluated on BFS reduced words.
+    # the inversion-set formula evaluated on BFS reduced words.  The rule
+    # reads both strings of +-eps off one pairing and the sign of w(eps) off
+    # heights, so B2, G2 and B3, with two root lengths, are in the sweep; the
+    # strings of x^-1, read off x alone, must spell the reversed word's set.
     rs = build_root_system(label)
     full = sub_system(rs, rs.index_set)
     dist = bfs_elements(full, max_len)
@@ -175,6 +180,10 @@ def test_closed_form_inversions_match_word_formula(label, max_len):
         assert len(set(values)) == len(values)
         assert frozenset(values) == affine_inversion_set(x, full)
         assert affine_length(x, full) == d
+        inverse = frozenset(AffineRoot(m, eps) for eps, ms in
+                            _inverted_levels(x, full, of_inverse=True) for m in ms)
+        assert inverse == affine_inversion_set(x.inverse, full)
+        assert inverse == frozenset(inversions_by_letter_formula(full, list(word[::-1])))
 
 
 def test_reduced_word_example_translation():
@@ -384,6 +393,24 @@ def test_element_from_affine_inversions_exactly_on_inversion_sets(label):
         for beta in non_positive:
             with pytest.raises(ValueError):
                 element_from_affine_inversions(F | {beta}, full)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_element_from_affine_inversions_needs_initial_segments(label):
+    # Lifting the top level of one string of N(x) by one keeps every count per
+    # string but leaves a gap, or on a string of one level a missing first
+    # level: no such set is an inversion set, though the counts match one.
+    rs = build_root_system(label)
+    full = sub_system(rs, rs.index_set)
+    lifted = 0
+    for x in bfs_elements(full, 4):
+        F = affine_inversion_set(x, full)
+        for eps, ms in _inverted_levels(x, full):
+            top = AffineRoot(ms[-1], eps)
+            with pytest.raises(ValueError, match="^set is not an affine inversion set$"):
+                element_from_affine_inversions(F - {top} | {AffineRoot(top.level + 1, eps)}, full)
+            lifted += len(ms) > 1
+    assert lifted
 
 
 def test_bfs_lengths_match_inversion_counts():

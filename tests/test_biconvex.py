@@ -214,6 +214,70 @@ def test_realize_lists_no_inversion_set(monkeypatch):
     assert len(params) == 226
 
 
+def test_parametrize_lists_no_member(monkeypatch):
+    # parametrize and the finite case of classify_biconvex read each finite
+    # slot's length off its mask; neither lists a member of the window.
+    params = [(param, _depth(param)) for label in ("A2", "B2", "G2")
+              for rs in [build_root_system(label)] for J in filter(None, _subsets(rs.index_set))
+              for param in _params_for(rs, J, 2)]
+    windows = [realize(param, depth) for param, depth in params]
+
+    def no_members(*args):
+        raise AssertionError("a window listed its members")
+
+    monkeypatch.setattr(WindowSet, "_members", no_members)
+    for (param, _), window in zip(params, windows):
+        assert parametrize(window) == param
+        witness = param if param.names_infinite_set else param.y
+        assert classify_biconvex(window)[1] == witness
+        assert classify_biconvex(window.complement())[1] == witness
+    assert len(params) == 226
+
+
+def test_parametrize_errors_keep_their_precedence():
+    # The tail is factored first, then the finite part is read, then every
+    # tail slot must hold its whole window.  A finite slot at level 1 only is
+    # not an initial segment; a missing top level of a tail slot is a hole.
+    W = realize(make_param(A2, (1, 2), (1,), [2], (0, 0), [1]), 3)
+    assert W.tail == {(0, 1), (-1, 0)} and W.finite_part == {AffineRoot(0, (1, 1))}
+    hole = AffineRoot(W.cutoff, (-1, 0))
+    shifted = W.elements - {AffineRoot(0, (1, 1)), hole} | {AffineRoot(1, (1, 1))}
+    window = WindowSet(sub=W.sub, cutoff=W.cutoff, elements=shifted, tail=W.tail)
+    with pytest.raises(NotBiconvexError, match=re.escape(
+            "finite part is not an inversion set: set is not an affine inversion set")):
+        parametrize(window)
+    bad_tail = WindowSet(sub=W.sub, cutoff=W.cutoff, tail={(1, 0), (-1, 0)},
+                         elements=tower(A2, {(1, 0)}, 3) | {AffineRoot(1, (1, 1))})
+    with pytest.raises(NotBiconvexError, match="^tail support is not pointed biclosed"):
+        parametrize(bad_tail)
+    one_fault = WindowSet(sub=W.sub, cutoff=W.cutoff, elements=W.elements - {hole}, tail=W.tail)
+    with pytest.raises(NotBiconvexError, match="does not round-trip"):
+        parametrize(one_fault)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_membership_reads_one_bit_and_lists_no_member(label):
+    # Up to the cutoff, membership is one bit of one slot's mask: no member is
+    # listed, and the answers agree with the members listed afterwards.  Every
+    # root of the system (those of the window's slots, their negatives and, for
+    # a proper J, roots with no slot) and the imaginary part, at levels -1 to
+    # cutoff + 1, on realized windows and their complements.
+    rs = build_root_system(label)
+    parts = (None, *rs.roots)
+    checked = 0
+    for J in filter(None, _subsets(rs.index_set)):
+        for param in _params_for(rs, J, 2):
+            for window in (realize(param, 2), realize(param, 2).complement()):
+                levels = range(-1, window.cutoff + 2)
+                answers = [AffineRoot(m, c) in window for c in parts for m in levels]
+                assert "elements" not in vars(window)
+                beyond = lambda c: window.imaginary_tail if c is None else c in window.tail
+                assert answers == [AffineRoot(m, c) in window.elements if m <= window.cutoff
+                                   else beyond(c) for c in parts for m in levels]
+                checked += 1
+    assert checked == {"A2": 120, "B2": 142, "G2": 190}[label]
+
+
 @pytest.mark.parametrize("y", [lift(from_word(A2, [1])), translation(A2, (1, 0))],
                          ids=["positive-root", "negative-root"])
 def test_realize_refuses_a_u_that_moves_a_sign_of_phi_k(y):
