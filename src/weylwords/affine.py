@@ -13,8 +13,11 @@ simple reflection s_j, Affine(c) is the reflection in delta minus the
 highest root of the c-th component of J.  Letter order is all classical
 letters (by index) before all affine ones; greedy descents use that order.
 Every walk through letters (``_walk``) multiplies by one letter at a time
-on the right, in O(rank^2) per letter and by one rule for every letter: x s
-sends alpha_k to x(alpha_k) - <alpha_k, alpha_s-check> x(alpha_s).  Reduced
+on the right, by one rule for every letter: x s sends alpha_k to x(alpha_k)
+- <alpha_k, alpha_s-check> x(alpha_s).  The walk keeps the images and levels
+in local lists and builds one element at its end, so a letter costs only
+the images it reads (the support of alpha_s, one image for a classical
+letter) and the rows it rewrites (where its Cartan row is nonzero).  Reduced
 words, and elements read off inversion sets, come from one descent walk
 over the letters' Cartan matrix from 2 rho - 2 sum N(x), as in ``finweyl``.
 """
@@ -43,6 +46,7 @@ from .cartan import (
 )
 from .finweyl import (
     WeylElement,
+    _rewrite,
     from_word,
     identity,
     in_subgroup,
@@ -207,6 +211,8 @@ class _LetterData(NamedTuple):
     root: AffineRoot  # alpha_s
     row: tuple[int, ...]  # <alpha_t, alpha_s-check> for the letters t in order
     simple_row: tuple[int, ...]  # <alpha_k, alpha_s-check> for k = 1 .. rank
+    support: tuple[tuple[int, int], ...]  # (k - 1, c) for each coefficient c != 0 of alpha_s
+    touched: tuple[tuple[int, int], ...]  # (k - 1, a) for each entry a != 0 of simple_row
 
 
 @lru_cache(maxsize=None)
@@ -218,10 +224,13 @@ def _letter_table(sub: SubSystem) -> dict[Letter, _LetterData]:
     table = {}
     for letter, root in roots.items():
         coroot = rs.coroot_coords(root.classical)
+        simple_row = tuple(rs.coroot_pairing(alpha, coroot) for alpha in rs.simple_roots)
         table[letter] = _LetterData(
             root,
             tuple(rs.coroot_pairing(r.classical, coroot) for r in roots.values()),
-            tuple(rs.coroot_pairing(alpha, coroot) for alpha in rs.simple_roots),
+            simple_row,
+            tuple((k, c) for k, c in enumerate(root.classical) if c),
+            tuple((k, a) for k, a in enumerate(simple_row) if a),
         )
     return table
 
@@ -248,27 +257,46 @@ def _letter_data(sub: SubSystem, letter: Letter) -> _LetterData:
 
 
 def _step(x: AffineElement, sub: SubSystem, letter: Letter) -> tuple[AffineRoot, AffineElement]:
-    """x(alpha_s) and x s for the letter's reflection s.  Classical and affine
-    letters alike, x s sends alpha_k to x(alpha_k) - <alpha_k, alpha_s-check>
-    x(alpha_s): the finite rule, plus one level per image."""
-    data = _letter_data(sub, letter)
-    pivot = x.act(data.root)
-    level, moved = pivot
-    levels = x.levels if not level else tuple(
-        v - a * level for v, a in zip(x.levels, data.simple_row)
-    )
-    return pivot, AffineElement(levels, x.finite._times_reflection(moved, data.simple_row))
+    """x(alpha_s) and x s for the letter's reflection s: a walk of one letter."""
+    pivots, end = _walk(sub, (letter,), x)
+    return pivots[0], end
 
 
 def _walk(sub: SubSystem, letters, x: AffineElement | None = None) -> tuple[list, AffineElement]:
     """Step x (the identity when None) through the letters: the pivots, each
     the element so far applied to the next letter's root, and the end element.
-    The pivots of a reduced word are its inversion set, in order."""
-    x, pivots = affine_identity(sub.rs) if x is None else x, []
+    The pivots of a reduced word are its inversion set, in order.
+
+    The images and levels are rewritten in place, and one element is built
+    at the end.  Classical and affine letters alike, x s sends alpha_k to
+    x(alpha_k) - <alpha_k, alpha_s-check> x(alpha_s): ``finweyl._rewrite``,
+    plus one level per image.  So a letter costs the images its root's
+    support reads, for the pivot, and the images its Cartan row touches."""
+    x = affine_identity(sub.rs) if x is None else x
+    table, pivots = _letter_table(sub), []
+    levels, images = list(x.levels), list(x.finite.images)
     for letter in letters:
-        pivot, x = _step(x, sub, letter)
-        pivots.append(pivot)
-    return pivots, x
+        data = table.get(letter) or _letter_data(sub, letter)
+        support = data.support
+        k, c = support[0]
+        level, moved = data.root.level + c * levels[k], images[k]
+        if c != 1 or len(support) > 1:  # alpha_s is not simple: sum its support's images
+            moved = [c * v for v in moved]
+            for k, c in support[1:]:
+                level += c * levels[k]
+                moved = [p + c * v for p, v in zip(moved, images[k])]
+            moved = tuple(moved)
+        pivots.append(AffineRoot(level, moved))
+        _rewrite(images, data.touched, moved)
+        if level:
+            for k, a in data.touched:
+                levels[k] -= a * level
+    if not pivots:  # keep x, with its cached inverse and reduced word
+        return pivots, x
+    levels = tuple(levels)
+    if levels == x.levels:  # share the unchanged tuple, as balls keep many elements
+        levels = x.levels
+    return pivots, AffineElement(levels, WeylElement(sub.rs, tuple(images)))
 
 
 def from_letters(sub: SubSystem, word) -> AffineElement:

@@ -7,9 +7,14 @@ descent walk on the pairings of w(2 rho) = 2 rho - 2 sum N(w) with the
 simple coroots.  Greedy algorithms always pick the smallest simple index
 first, so every output is deterministic.
 
-Tails u(Phi^-_J minus Phi_K) and the factorization of a pointed biclosed
-set into (K, u) are kept in two bounded memos, of ``TAIL_MEMO_SIZE``
-entries each: a miss runs the reconstruction, and a failure is never kept.
+A pointed biclosed set P = u(Phi^-_J minus Phi_K) factors by one descent
+walk on its sum: -sum P = u(2 rho_J - 2 rho_K), a dominant vector moved by
+u, whose stabilizer in W_J is W_K (Humphreys, *Reflection Groups and
+Coxeter Groups*, 1.10-1.12).  The walk from its pairings with J's simple
+coroots spells u, the minimal representative of u W_K, and ends at 2 rho_J
+- 2 rho_K, which is zero exactly on K's coroots.  Tails and factorizations
+are kept in two bounded memos, of ``TAIL_MEMO_SIZE`` entries each: a miss
+runs the walk, and a failure is never kept.
 """
 
 from __future__ import annotations
@@ -23,11 +28,13 @@ from .cartan import (
     RootSystem,
     SubSystem,
     _descent_walk,
+    _dominant_walk,
     add,
     check_subset,
     complement_roots,
     is_positive,
     negate,
+    sub_system,
 )
 
 
@@ -61,17 +68,8 @@ class WeylElement:
         return WeylElement(self.rs, tuple(self.apply(img) for img in other.images))
 
     def _times_simple(self, i: int) -> WeylElement:
-        """self * s_i, which sends alpha_j to self(alpha_j) - a[i][j] self(alpha_i)."""
-        return self._times_reflection(self.images[i - 1], self.rs.cartan[i - 1])
-
-    def _times_reflection(self, pivot, pairs) -> WeylElement:
-        """self * s for a reflection s with self(alpha_s) = pivot and
-        <alpha_j, alpha_s-check> = pairs[j]: alpha_j goes to self(alpha_j) -
-        pairs[j] pivot.  The one product rule of both Weyl groups."""
-        return WeylElement(self.rs, tuple(
-            tuple(x - a * p for x, p in zip(img, pivot)) if a else img
-            for img, a in zip(self.images, pairs)
-        ))
+        """self * s_i: a walk of one letter."""
+        return _times_word(self, (i,))
 
     def _simple_times(self, i: int) -> WeylElement:
         """s_i * self, which applies s_i to each image."""
@@ -132,10 +130,44 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     return _generators(rs)[_index(rs, i)]
 
 
-def from_word(rs: RootSystem, word) -> WeylElement:
-    w = identity(rs)
+@lru_cache(maxsize=None)
+def _cartan_support(rs: RootSystem) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per simple reflection s_i, the (j - 1, a[i][j]) with a[i][j] != 0."""
+    return tuple(tuple((k, a) for k, a in enumerate(row) if a) for row in rs.cartan)
+
+
+def _rewrite(images: list, touched, pivot) -> None:
+    """The one product rule of both Weyl groups, in place: for pivot =
+    x(alpha_s), x s sends alpha_k to x(alpha_k) - a pivot, for each
+    (k - 1, a) in touched with a = <alpha_k, alpha_s-check> != 0.
+    ``affine._walk`` adds one level per image."""
+    for k, a in touched:
+        images[k] = tuple([x - a * p for x, p in zip(images[k], pivot)])
+
+
+def _times_word(w: WeylElement, word) -> WeylElement:
+    """w times the simple reflections of the word, left to right, stepped in
+    place by ``_rewrite``: a letter rewrites only the images its Cartan row
+    touches."""
+    rs, images = w.rs, list(w.images)
+    rows = _cartan_support(rs)
     for i in word:
-        w = w._times_simple(_index(rs, i))
+        _rewrite(images, rows[_index(rs, i) - 1], images[i - 1])
+    images = tuple(images)
+    # An unmoved w is kept, with its cached word and inverse (the identity's, say).
+    return w if images == w.images else WeylElement(rs, images)
+
+
+def from_word(rs: RootSystem, word) -> WeylElement:
+    return _times_word(identity(rs), word)
+
+
+def _with_word(rs: RootSystem, word: tuple[int, ...]) -> WeylElement:
+    """from_word for a word that already is the element's greedy
+    left-descent word, as ``WeylElement.word`` computes it: that word is
+    kept, so reading it (or the inverse) walks no second descent."""
+    w = from_word(rs, word)
+    w.__dict__["word"] = word
     return w
 
 
@@ -287,6 +319,11 @@ def push_negative(P, sub: SubSystem) -> WeylElement:
     return w
 
 
+def _cartan_on(sub: SubSystem) -> list[list[int]]:
+    """The Cartan matrix restricted to J, rows and columns in J's order."""
+    return [[sub.rs.cartan[i - 1][j - 1] for j in sub.J] for i in sub.J]
+
+
 def element_from_inversions(F, sub: SubSystem) -> WeylElement:
     """The unique element of W_J whose inversion set is F: the descent walk
     over J from 2 rho - 2 sum F spells its reduced word, as w(2 rho) =
@@ -297,7 +334,7 @@ def element_from_inversions(F, sub: SubSystem) -> WeylElement:
     total = tuple(map(sum, zip(*F)))
     steps = _descent_walk(
         [2 - 2 * rs.simple_coroot_pairing(total, j) for j in J],
-        [[rs.cartan[i - 1][j - 1] for j in J] for i in J],
+        _cartan_on(sub),
     )
     if steps is None:
         raise ValueError("set is not an inversion set")
@@ -330,12 +367,17 @@ def factor_pointed_biclosed(P, sub: SubSystem):
     """Write a pointed biclosed set as u applied to the negative roots
     outside K, for a unique K inside J and minimal representative u.
 
-    Returns (K, u), deciding by reconstruction: u has inversion set P & Phi+,
-    K is the j in J with u(alpha_j) outside +-P, and P is accepted iff
-    tail_roots(K, u) is P.  (=>) P = u(Phi^-_J minus Phi_K) with u in W^J_K
-    puts u(Phi^-_K) in Phi-, so P & Phi+ = N(u): u and then K are read back
-    and the round trip holds.  (<=) Every u(Phi^-_J minus Phi_K), u in W_J,
-    is pointed biclosed.  The last ``TAIL_MEMO_SIZE`` distinct (P, J) are
+    Returns (K, u), deciding by one descent walk on the sum of P.  For P =
+    u(Phi^-_J minus Phi_K), -sum P = u(2 rho_J - 2 rho_K), and v = 2 rho_J -
+    2 rho_K pairs to 0 with the coroots of K and to at least 2 with the
+    other coroots of J: v is dominant for W_J, with stabilizer W_K.  So the
+    walk from <-sum P, alpha_j-check> over J's Cartan rows spells u, the
+    shortest element of u W_K, and ends at v, which is zero exactly on K.
+    Whatever P is, the walk ends at a dominant vector, and K (its zeros)
+    and u (minimal for K) are read off it; P is accepted iff |P| =
+    |Phi^-_J minus Phi_K| and tail_roots(K, u) is P.  (=>) the walk reads
+    P's own K and u back.  (<=) Every u(Phi^-_J minus Phi_K), u in W_J, is
+    pointed biclosed.  The last ``TAIL_MEMO_SIZE`` distinct (P, J) are
     memoized; failures are not.
     """
     return _factor_cached(frozenset(P), sub)
@@ -345,13 +387,18 @@ def factor_pointed_biclosed(P, sub: SubSystem):
 def _factor_cached(P: frozenset[Root], sub: SubSystem):
     if not P <= sub.root_set:
         raise ValueError("subset contains vectors outside the subsystem")
-    try:
-        u = element_from_inversions(frozenset(b for b in P if is_positive(b)), sub)
-    except ValueError:
-        pass
-    else:
-        sym = P | frozenset(negate(r) for r in P)
-        K = tuple(j for j in sub.J if u.images[j - 1] not in sym)
+    rs, J = sub.rs, sub.J
+    total = [*map(sum, zip(*P))]
+    steps, m = _dominant_walk(
+        [-rs.simple_coroot_pairing(total, j) for j in J],
+        _cartan_on(sub),
+    )
+    K = tuple([j for j, c in zip(J, m) if not c])
+    # |Phi^-_J minus Phi_K| = |Phi^+_J| - |Phi^+_K|, from two cached subsystems.
+    if len(P) == len(sub.positives) - len(sub_system(rs, K).positives):
+        # The walk took u's left descents, smallest first, as ``word`` does,
+        # since v pairs positively with every positive coroot outside K.
+        u = _with_word(rs, tuple([J[s] for s in steps]))
         if tail_roots(sub, K, u) == P:
             return K, u
     raise ValueError("set is not pointed and biclosed in the subsystem")

@@ -63,6 +63,30 @@ def letter_element(sub, letter):
     return AffineElement(tuple(levels), WeylElement(rs, tuple(images)))
 
 
+def affine_reflect(gram, root, v):
+    """s_root(v) = v - <v, root-check> root for affine roots given as (level,
+    classical) pairs: the pairing reads the classical parts only, from the
+    Gram form, as delta pairs to 0 with everything."""
+    (m, b), (n, c) = root, v
+    k = 2 * gram_pairing(gram, c, b) / gram_pairing(gram, b, b)
+    assert k.denominator == 1, (root, v)
+    return n - int(k) * m, tuple(x - int(k) * y for x, y in zip(c, b))
+
+
+def reflection_word(gram, roots, simples):
+    """For the product x = s_1 s_2 .. s_n of the reflections in the affine
+    roots beta_1 .. beta_n: the pivots s_1 .. s_(p-1)(beta_p), and x applied
+    to each simple root (0, alpha_k), each reflection applied in turn."""
+
+    def image(prefix, v):
+        for root in reversed(prefix):
+            v = affine_reflect(gram, root, v)
+        return v
+
+    pivots = [image(roots[:p], root) for p, root in enumerate(roots)]
+    return pivots, [image(roots, (0, alpha)) for alpha in simples]
+
+
 def hand_pairing(label, a, b):
     return gram_pairing(HAND_GRAM[label], a, b)
 

@@ -35,7 +35,8 @@ from weylwords.affine import (
 )
 from weylwords.words import InfiniteWord
 
-from oracles import TranslationForm, letter_element, subgroup_by_supports, subsets
+from oracles import (TranslationForm, letter_element, reflection_word,
+                     subgroup_by_supports, subsets)
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -443,6 +444,37 @@ def test_letter_step_matches_the_general_product(sub, data):
     for x in (drawn, coxeter):
         for letter in alphabet:
             assert _step(x, sub, letter)[1] == x * letter_element(sub, letter)
+
+
+WALK_CASES = [("A2", (1, 2)), ("C2", (1, 2)), ("G2", (1, 2)), ("B3", (1, 2, 3)),
+              ("B3", (1, 3)), ("D4", (1, 2, 3, 4)), ("F4", (1, 2, 3, 4))]
+
+
+@pytest.mark.parametrize("label, J", WALK_CASES, ids=[f"{t}-J{''.join(map(str, J))}"
+                                                      for t, J in WALK_CASES])
+def test_walk_matches_products_of_reflections(label, J):
+    # Random words with affine letters: the walk's pivots and end element
+    # against reflections applied one by one from the Gram form; a walk
+    # resumed from its own midpoint, and a single step, agree with it.
+    # B3 with J = {1, 3} has two A1 components, whose affine roots are
+    # delta - alpha_j: one image, with coefficient -1.
+    rs = build_root_system(label)
+    sub = sub_system(rs, J)
+    alphabet, rng = letters_of(sub), random.Random(f"{label}{J}")
+    for _ in range(25):
+        word = [rng.choice(alphabet) for _ in range(rng.randint(0, 11))]
+        word.insert(rng.randint(0, len(word)), Letter("a", len(sub.components)))
+        pivots, images = reflection_word(rs.gram, [letter_root(sub, s) for s in word],
+                                         rs.simple_roots)
+        got, end = _walk(sub, word)
+        assert [tuple(phi) for phi in got] == pivots, word
+        assert list(zip(end.levels, end.finite.images)) == images, word
+        cut = rng.randint(0, len(word) - 1)
+        head, middle = _walk(sub, word[:cut])
+        assert head == got[:cut]
+        assert _walk(sub, word[cut:], middle) == (got[cut:], end)
+        assert _step(middle, sub, word[cut]) == (got[cut], from_letters(sub, word[:cut + 1]))
+        assert _walk(sub, (), middle)[1] is middle  # kept, with its cached inverse and word
 
 
 @pytest.mark.parametrize("label", ["A2", "C2", "G2"])

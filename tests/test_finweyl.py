@@ -418,6 +418,7 @@ def test_from_word_is_the_product_of_simple_reflections(label):
         for i in word:
             folded = folded * simple_reflection(rs, i)
         assert from_word(rs, word) == folded, word
+    assert from_word(rs, ()) is from_word(rs, (1, 1)) is identity(rs)  # shares its caches
     for bad in (0, -1, rs.rank + 1):
         with pytest.raises(ValueError, match=f"index {bad} out of range 1..{rs.rank}"):
             from_word(rs, [1, bad])
@@ -517,6 +518,36 @@ def test_factorization_memos_return_what_a_cold_call_does(label):
                 assert tail_roots(sub, K[::-1], u) == P  # keyed on sorted K
                 assert [factor_pointed_biclosed(P, sub), tail_roots(sub, K, u)] == warm
                 assert P == frozenset(u.apply(r) for r in complement_roots(sub, K, -1))
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4"])
+def test_factorization_round_trips_and_refuses_near_misses(label):
+    # Every tail reads back its own (K, u), with u's reduced word as a fresh
+    # element computes it.  A tail with one root dropped or negated is read
+    # back only when it is itself a tail, and raises the one reason otherwise.
+    rs = build_root_system(label)
+    checked = 0
+    for J in subsets(rs.index_set):
+        sub = sub_system(rs, J)
+        table = {}
+        for K in subsets(J):
+            K = tuple(sorted(K))
+            for u in minimal_coset_reps(sub, K):
+                table[frozenset(u.apply(r) for r in complement_roots(sub, K, -1))] = (K, u)
+        for P, (K, u) in table.items():
+            _factor_cached.cache_clear()
+            got = factor_pointed_biclosed(P, sub)
+            assert got == (K, u) and got[1].word == WeylElement(rs, u.images).word, (J, P)
+            for r in P:
+                for near in (P - {r}, P - {r} | {negate(r)}):
+                    if near in table:
+                        assert factor_pointed_biclosed(near, sub) == table[near]
+                        continue
+                    with pytest.raises(ValueError) as caught:
+                        factor_pointed_biclosed(near, sub)
+                    assert str(caught.value) == NOT_POINTED_BICLOSED
+                    checked += 1
+    assert checked
 
 
 def test_factorization_failures_are_not_memoized():

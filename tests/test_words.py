@@ -24,7 +24,7 @@ from weylwords.affine import (
 from weylwords.biconvex import BiconvexParam, realize
 from weylwords.verify import _action_formula
 from weylwords import affine, biconvex, words
-from weylwords.affine import _step, _walk
+from weylwords.affine import _walk
 from weylwords.words import (
     InfiniteWord,
     _Structure,
@@ -589,15 +589,18 @@ def test_preset_certificates_equal_a_fresh_climb(label, radius):
 
 
 def test_memoized_base_words_make_no_letter_step(monkeypatch):
+    # Every letter step goes through the one walk: count the letters it walks.
     sub = sub_system(build_root_system("B3"), (1, 2, 3))
     translation_word(sub, (2,))
     steps = []
 
-    def counted(*args):
-        steps.append(args)
-        return _step(*args)
+    def counted(sub, letters, *rest):
+        letters = tuple(letters)
+        steps.extend(letters)
+        return _walk(sub, letters, *rest)
 
-    monkeypatch.setattr(affine, "_step", counted)
+    for module in (affine, words):
+        monkeypatch.setattr(module, "_walk", counted)
     word = translation_word(sub, (2,))
     assert steps == []
     InfiniteWord(sub, (), word.period)  # the counter sees a real climb
