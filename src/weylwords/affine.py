@@ -20,6 +20,9 @@ the images it reads (the support of alpha_s, one image for a classical
 letter) and the rows it rewrites (where its Cartan row is nonzero).  Reduced
 words, and elements read off inversion sets, come from one descent walk
 over the letters' Cartan matrix from 2 rho - 2 sum N(x), as in ``finweyl``.
+The element reader and the word action walk a sum through the last
+``WALK_MEMO_SIZE`` sums' descent and letter walks (``_walk_of_sum``); the
+memo keeps no verdict, and every read checks its own strings.
 """
 
 from __future__ import annotations
@@ -235,17 +238,43 @@ def _letter_table(sub: SubSystem) -> dict[Letter, _LetterData]:
     return table
 
 
-def _walk_letters(sub: SubSystem, counted) -> tuple[Letter, ...] | None:
-    """The descent walk from 2 rho - 2 sum N, N given as (count, classical
-    part) pairs: delta pairs to 0 with every coroot, so levels never enter."""
-    total = [0] * sub.rs.rank
+def _counted_sum(rank: int, counted) -> tuple[int, ...]:
+    """The classical part of sum N, N given as (count, classical part) pairs."""
+    total = [0] * rank
     for n, eps in counted:
-        total = [t + n * c for t, c in zip(total, eps)]
+        for k, c in enumerate(eps):
+            if c:
+                total[k] += n * c
+    return tuple(total)
+
+
+def _walk_letters(sub: SubSystem, total) -> tuple[Letter, ...] | None:
+    """The descent walk from 2 rho - 2 sum N, given the classical part of
+    sum N: delta pairs to 0 with every coroot, so levels never enter."""
     table = _letter_table(sub)
     letters, data = tuple(table), table.values()
     m = [2 - 2 * sum(map(mul, total, d.simple_row)) for d in data]
     steps = _descent_walk(m, [d.row for d in data])
     return None if steps is None else tuple([letters[s] for s in steps])
+
+
+# Bound of the sum-walk memo below.  Sweeps read one y for every (J, u) in a
+# row, so a few recent sums suffice.
+WALK_MEMO_SIZE = 16
+
+
+@lru_cache(maxsize=WALK_MEMO_SIZE)
+def _walk_of_sum(sub: SubSystem, total: tuple[int, ...]):
+    """The descent walk from 2 rho - 2 total, then ``_walk`` over the letters
+    it spelled: (letters, pivots, end element), or ValueError when the
+    descent does not reach 2 rho (not kept).  It holds no verdict: a caller
+    checks that the pivots are the set it summed.  Memoized for the last
+    ``WALK_MEMO_SIZE`` distinct (J, total)."""
+    letters = _walk_letters(sub, total)
+    if letters is None:
+        raise ValueError("descent walk did not reach 2 rho")
+    pivots, end = _walk(sub, letters)
+    return letters, tuple(pivots), end
 
 
 def _letter_data(sub: SubSystem, letter: Letter) -> _LetterData:
@@ -402,7 +431,8 @@ def _inverted_strings(x: AffineElement, sub: SubSystem, of_inverse: bool = False
 def affine_reduced_word(x: AffineElement, sub: SubSystem) -> tuple[Letter, ...]:
     """Reduced word by greedy left descent in canonical letter order: the
     descent walk from x's inversions, counted level by level."""
-    word = _walk_letters(sub, ((len(ms), eps) for eps, ms in _inverted_levels(x, sub)))
+    counted = ((len(ms), eps) for eps, ms in _inverted_levels(x, sub))
+    word = _walk_letters(sub, _counted_sum(sub.rs.rank, counted))
     if word is None:
         raise RuntimeError("descent walk of an affine element did not reach 2 rho")
     return word
@@ -411,10 +441,15 @@ def affine_reduced_word(x: AffineElement, sub: SubSystem) -> tuple[Letter, ...]:
 def _element_of_strings(sub: SubSystem, strings: dict) -> AffineElement:
     """The x whose N(x) meets each string eps + Z delta in strings[eps] levels,
     or ValueError.  The descent walk's pivots are N(x), initial segments, so
-    initial segments of these lengths are N(x) iff the pivots count the same."""
-    word = _walk_letters(sub, ((n, e) for e, n in strings.items()))
-    pivots, x = _walk(sub, word or ())
-    if word is None or strings != Counter(phi.classical for phi in pivots):
+    initial segments of these lengths are N(x) iff the pivots count the same.
+    The walk comes from the sum memo, and every read checks its own strings
+    against the pivots: another set with the same sum is still refused."""
+    total = _counted_sum(sub.rs.rank, ((n, e) for e, n in strings.items()))
+    try:
+        _, pivots, x = _walk_of_sum(sub, total)
+    except ValueError:
+        pivots = None
+    if pivots is None or strings != Counter(phi.classical for phi in pivots):
         raise ValueError("set is not an affine inversion set")
     return x
 

@@ -175,10 +175,15 @@ def _dominant_walk(m, cartan) -> tuple[list[int], list[int]]:
     (Humphreys, *Reflection Groups and Coxeter Groups*, 1.10-1.12).
     """
     m, steps = list(m), []
-    while (s := next((s for s, c in enumerate(m) if c < 0), -1)) >= 0:
+    while True:
+        for s, c in enumerate(m):
+            if c < 0:
+                break
+        else:
+            return steps, m
         steps.append(s)
-        m = [c - m[s] * row[s] for c, row in zip(m, cartan)]
-    return steps, m
+        pivot = m[s]
+        m = [c - pivot * row[s] for c, row in zip(m, cartan)]
 
 
 def _descent_walk(m, cartan) -> list[int] | None:

@@ -173,6 +173,8 @@ def _with_word(rs: RootSystem, word: tuple[int, ...]) -> WeylElement:
 
 def inversion_set(w: WeylElement, sub: SubSystem) -> frozenset[Root]:
     """N(w): the positive roots of the subsystem sent negative by w^-1."""
+    if w.rs is not sub.rs:
+        raise ValueError("element and subsystem live over different root systems")
     return frozenset(b for b in sub.positives if not is_positive(w.inverse.apply(b)))
 
 
@@ -181,8 +183,11 @@ def in_subgroup(w: WeylElement, sub: SubSystem) -> bool:
 
     Exactly when every w(alpha_i) - alpha_i lies in the span of alpha_J:
     such a w fixes a weight orthogonal to alpha_J and positive on every
-    other simple root, and that weight's stabilizer is W_J.
+    other simple root, and that weight's stabilizer is W_J.  An element
+    over another root system lies in no subgroup of this one.
     """
+    if w.rs is not sub.rs:
+        return False
     outside = [k for k in range(w.rs.rank) if k + 1 not in sub.J]
     return all(
         img[k] == (k == i) for i, img in enumerate(w.images) for k in outside

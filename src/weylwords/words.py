@@ -27,9 +27,10 @@ from .affine import (
     AffineElement,
     AffineRoot,
     Letter,
+    _counted_sum,
     _inverted_levels,
     _walk,
-    _walk_letters,
+    _walk_of_sum,
     affine_reduced_word,
     from_letters,
     letter_from_json,
@@ -231,30 +232,32 @@ def act_on_word(x: AffineElement, word: InfiniteWord) -> InfiniteWord:
     parts sum to w(phi_1 + ... + phi_p0 - sum n_x(eps) eps), w the finite part
     of x: all the descent walk for h reads.
 
-    Only h is climbed.  The new prefix of length |h| + q is x z_(p0+q), so
-    the rest of the certificate is transported (see ``_Structure``).  A
-    transported inversion that is not positive, or a repeated one, is a
-    broken invariant, raised as RuntimeError.
+    Only h is climbed, through the sum memo ``affine._walk_of_sum``: a sum
+    seen recently is not walked again.  The new prefix of length |h| + q is
+    x z_(p0+q), so the rest of the certificate is transported (see
+    ``_Structure``).  A transported inversion that is not positive, or a
+    repeated one, is a broken invariant, raised as RuntimeError.
     """
     sub = word.sub
     inverted = dict(_inverted_levels(x, sub, of_inverse=True))  # N(x^-1), string by string
     tail, head = _inversion_strings(word)
     negative = sum(len(ms) if e in tail else min(len(ms), head[e]) for e, ms in inverted.items())
-    total = [-sum(len(ms) * eps[i] for eps, ms in inverted.items()) for i in range(sub.rs.rank)]
+    total = _counted_sum(sub.rs.rank, ((-len(ms), eps) for eps, ms in inverted.items()))
     p0 = 0
     while negative:
         p0 += 1
         phi = inversion_at(word, p0)
         total = add(total, phi.classical)
         negative -= phi.level in inverted.get(phi.classical, ())
-    new_head = _walk_letters(sub, [(1, x.finite.apply(total))])
-    if new_head is None:
-        raise RuntimeError("descent walk of the acted head did not reach 2 rho")
+    try:
+        new_head, pivots, _ = _walk_of_sum(sub, x.finite.apply(total))
+    except ValueError:
+        raise RuntimeError("descent walk of the acted head did not reach 2 rho") from None
     st, H, n = word._structure, len(word.head), len(word.period)
     shift = max(p0 - H, 0) % n
     period = word.period[shift:] + word.period[:shift]
     slopes = st.slopes[shift:] + st.slopes[:shift]
-    phis = _walk(sub, new_head)[0]
+    phis = list(pivots)  # the memo's tuple stays as it is
     last = p0 + len(word.head[p0:]) + len(st.phis) - H  # inversion H' + d*n
     phis.extend(x.act(inversion_at(word, p)) for p in range(p0 + 1, last + 1))
     if not all(phi.is_positive for phi in phis) or len(set(phis)) != len(phis):

@@ -1,5 +1,7 @@
 import random
-from itertools import combinations
+from array import array
+from itertools import combinations, product
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +35,7 @@ from weylwords.affine import (
     tower,
     translation,
 )
+from weylwords import affine
 from weylwords.words import InfiniteWord
 
 from oracles import (TranslationForm, letter_element, reflection_word,
@@ -412,6 +415,80 @@ def test_element_from_affine_inversions_needs_initial_segments(label):
                 element_from_affine_inversions(F - {top} | {AffineRoot(top.level + 1, eps)}, full)
             lifted += len(ms) > 1
     assert lifted
+
+
+def _read_strings(sub, strings):
+    """The element read off string lengths, or the text of its ValueError."""
+    try:
+        return affine._element_of_strings(sub, strings)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _check_walk_memo(label, box=(0, 1, 2), seed=28):
+    """Read every string-length vector over the roots of the full subsystem,
+    entries in box, once right after clearing the sum memo and once warm:
+    sum by sum in a seeded shuffled order, so every vector after the first
+    of its sum finds that sum's walk in the memo, valid or not, unless its
+    descent fails (a failure is not kept).  Both reads must give the same
+    element or the same error text.  Returns the numbers of vectors and of
+    vectors read as an element."""
+    rs = build_root_system(label)
+    sub = sub_system(rs, rs.index_set)
+    memo = affine._walk_of_sum
+    # A vector is its index in base len(box), split into two halves of the
+    # roots: each half's strings and sum are listed once.
+    halves = []
+    for part in (sub.roots[:len(sub.roots) // 2], sub.roots[len(sub.roots) // 2:]):
+        table = []
+        for entries in product(box, repeat=len(part)):
+            strings = {eps: n for eps, n in zip(part, entries) if n}
+            table.append((strings, tuple(sum(n * e[k] for e, n in strings.items())
+                                         for k in range(rs.rank))))
+        halves.append(table)
+    low, high = halves
+
+    def vector(i):
+        (a, s), (b, t) = high[i // len(low)], low[i % len(low)]
+        return {**a, **b}, tuple(map(add, s, t))
+
+    cold, by_sum = [], {}
+    for i in range(len(low) * len(high)):
+        strings, total = vector(i)
+        memo.cache_clear()
+        cold.append(_read_strings(sub, strings))
+        by_sum.setdefault(total, array("l")).append(i)
+    rng = random.Random(seed)
+    groups = list(by_sum.values())
+    rng.shuffle(groups)
+    hits = memo.cache_info().hits
+    for group in groups:
+        group = list(group)
+        rng.shuffle(group)
+        for i in group:
+            assert _read_strings(sub, vector(i)[0]) == cold[i], (label, vector(i)[0])
+    assert memo.cache_info().hits > hits
+    return len(cold), sum(not isinstance(got, str) for got in cold)
+
+
+@pytest.mark.parametrize("label,counts", [("A2", (729, 37)), ("B2", (6561, 49))])
+def test_walk_memo_never_changes_a_read(label, counts):
+    # The memo keeps walks, not verdicts: a vector whose sum a valid vector
+    # shares is refused on a hit as on a miss.  The accepted counts are the
+    # reader's before the memo.
+    assert _check_walk_memo(label) == counts
+
+
+def test_a_hit_on_another_sets_walk_is_refused():
+    # N(s1 s2) = {a1, a1+a2} and {a1, d+a1, a2} have one sum, 2a1 + a2.
+    a1, a2, a12 = (1, 0), (0, 1), (1, 1)
+    affine._walk_of_sum.cache_clear()
+    x = affine._element_of_strings(A2_FULL, {a1: 1, a12: 1})
+    assert x == lift(from_word(A2, (1, 2)))
+    with pytest.raises(ValueError, match="^set is not an affine inversion set$"):
+        affine._element_of_strings(A2_FULL, {a1: 2, a2: 1})
+    assert affine._walk_of_sum.cache_info().hits == 1
+    assert affine._element_of_strings(A2_FULL, {a1: 1, a12: 1}) is x
 
 
 def test_bfs_lengths_match_inversion_counts():

@@ -738,6 +738,36 @@ def test_tail_memos_stay_bounded_over_a_roundtrip_sweep():
         assert info.currsize <= 16 and info.hits > 0
 
 
+def test_walk_memo_stays_bounded_over_a_roundtrip_sweep():
+    affine._walk_of_sum.cache_clear()
+    result = check_parametrization_roundtrip(labels=("B3",), max_y=1)
+    assert result.passed and result.checked == 485
+    info = affine._walk_of_sum.cache_info()
+    assert info.maxsize == affine.WALK_MEMO_SIZE == 16
+    assert info.currsize <= 16 and info.hits > 0
+
+
+def test_reparametrizing_a_window_walks_no_letter(monkeypatch):
+    # The y-reader walks its letters through ``_walk``: count the letters.
+    rs = build_root_system("B3")
+    param = make_param(rs, (1, 2, 3), (1, 2), [3], (1, 0, 0), [2])
+    window = realize(param, 2)
+    affine._walk_of_sum.cache_clear()
+    assert parametrize(window) == param
+    steps, walk = [], affine._walk
+
+    def counted(sub, letters, *rest):
+        letters = tuple(letters)
+        steps.extend(letters)
+        return walk(sub, letters, *rest)
+
+    monkeypatch.setattr(affine, "_walk", counted)
+    assert parametrize(window) == param and steps == []
+    other = make_param(rs, (1, 2, 3), (1, 2), [3], (0, 2, 0), [1, 2])
+    assert parametrize(realize(other, 2)) == other
+    assert len(steps) == affine.affine_length(other.y, sub_system(rs, (1, 2))) > 0
+
+
 def test_enumerate_leaves_no_garbage():
     enumerate_biconvex(A2_FULL, 1, 10)  # build the window tables first
     gc.collect()

@@ -9,8 +9,12 @@ import pytest
 from weylwords.cartan import build_root_system, complement_roots, sub_system
 from weylwords.finweyl import (
     classify_subset,
+    coset_decompose,
     factor_pointed_biclosed,
+    from_word,
     identity,
+    in_subgroup,
+    inversion_set,
     minimal_coset_reps,
     weyl_elements,
 )
@@ -127,3 +131,38 @@ def test_g2_word_round_trip():
         assert realize(param, cutoff).truncate(cutoff) == limit_inversions(
             base, cutoff
         )
+
+
+A1 = build_root_system("A1")
+A2 = build_root_system("A2")
+B2 = build_root_system("B2")
+A1_FULL = sub_system(A1, (1,))
+
+
+@pytest.mark.parametrize("call,text", [
+    (lambda: act_on_word(translation(A2, (1, 0)), translation_word(A1_FULL, ())),
+     "element is not in the subgroup for J"),
+    (lambda: affine_length(translation(A2, (1, 0)), A1_FULL),
+     "element is not in the subgroup for J"),
+    (lambda: coset_decompose(from_word(A2, (1,)), A1_FULL, (1,)),
+     "element does not lie in the subgroup for J"),
+    (lambda: inversion_set(from_word(A2, (1, 2)), A1_FULL),
+     "element and subsystem live over different root systems"),
+    (lambda: BiconvexParam(sub=sub_system(A2, (1, 2)), K=(), u=identity(B2),
+                           y=affine_identity(A2)),
+     "u is not in the finite Weyl group of J"),
+    (lambda: BiconvexParam(sub=sub_system(A2, (1, 2)), K=(1,), u=identity(A2),
+                           y=translation(B2, (1, 0))),
+     "y is not in the subgroup attached to K"),
+], ids=["act", "length", "coset", "inversions", "param-u", "param-y"])
+def test_elements_over_another_root_system_are_refused(call, text):
+    # Images over another root system can look like members of a subgroup
+    # here; every entry point refuses them with its own text.
+    with pytest.raises(ValueError, match=f"^{text}$"):
+        call()
+
+
+def test_no_subgroup_holds_an_element_of_another_root_system():
+    # A2's s1 moves the simple roots only along alpha_1, as A1's s1 does.
+    assert not in_subgroup(from_word(A2, (1,)), A1_FULL)
+    assert in_subgroup(from_word(A1, (1,)), A1_FULL)

@@ -607,6 +607,26 @@ def test_memoized_base_words_make_no_letter_step(monkeypatch):
     assert len(steps) == len(word._structure.phis)
 
 
+def test_walk_memo_never_changes_an_action():
+    # Every structure word acted on by its subsystem's radius-2 ball: once
+    # right after clearing the sum memo, then twice in a row in a seeded
+    # shuffled order with the memo warm.  Heads, periods and certificates agree.
+    pairs = [(x, word) for word in STRUCTURE_WORDS for x in bfs_elements(word.sub, 2)]
+    cold = []
+    for x, word in pairs:
+        affine._walk_of_sum.cache_clear()
+        acted = act_on_word(x, word)
+        cold.append((acted.head, acted.period, acted._structure))
+    order = list(range(len(pairs)))
+    random.Random(28).shuffle(order)
+    hits = affine._walk_of_sum.cache_info().hits
+    for i in order:
+        for _ in range(2):
+            acted = act_on_word(*pairs[i])
+            assert (acted.head, acted.period, acted._structure) == cold[i], pairs[i]
+    assert affine._walk_of_sum.cache_info().hits >= hits + len(pairs)
+
+
 @pytest.mark.parametrize("phis", [
     (AffineRoot(1, (-1,)), AffineRoot(1, (-1,))),
     (AffineRoot(1, (-1,)), AffineRoot(-1, (1,))),
