@@ -14,12 +14,14 @@ highest root of the c-th component of J.  Letter order is all classical
 letters (by index) before all affine ones; greedy descents use that order.
 Every walk through letters (``_walk``) multiplies by one letter at a time
 on the right, by one rule for every letter: x s sends alpha_k to x(alpha_k)
-- <alpha_k, alpha_s-check> x(alpha_s).  The walk keeps the images and levels
-in local lists and builds one element at its end, so a letter costs only
-the images it reads (the support of alpha_s, one image for a classical
-letter) and the rows it rewrites (where its Cartan row is nonzero).  Reduced
-words, and elements read off inversion sets, come from one descent walk
-over the letters' Cartan matrix from 2 rho - 2 sum N(x), as in ``finweyl``.
+- <alpha_k, alpha_s-check> x(alpha_s).  It is the one route for right
+products by letters: a Cayley-ball step is a walk of one letter.  The walk
+keeps the images and levels in local lists and builds one element at its
+end, so a letter costs only the images it reads (the support of alpha_s,
+one image for a classical letter) and the rows it rewrites (where its
+Cartan row is nonzero).  Reduced words, and elements read off inversion
+sets, come from one descent walk over the letters' Cartan matrix from
+2 rho - 2 sum N(x), as in ``finweyl``.
 The element reader and the word action walk a sum through the last
 ``WALK_MEMO_SIZE`` sums' descent and letter walks (``_walk_of_sum``); the
 memo keeps no verdict, and every read checks its own strings.
@@ -218,24 +220,30 @@ class _LetterData(NamedTuple):
     touched: tuple[tuple[int, int], ...]  # (k - 1, a) for each entry a != 0 of simple_row
 
 
+class _LetterTable(NamedTuple):
+    data: dict[Letter, _LetterData]
+    letters: tuple[Letter, ...]  # in canonical order
+    rows: tuple[tuple[int, ...], ...]  # the letters' Cartan matrix: each letter's row
+
+
 @lru_cache(maxsize=None)
-def _letter_table(sub: SubSystem) -> dict[Letter, _LetterData]:
+def _letter_table(sub: SubSystem) -> _LetterTable:
     """Each letter's root and Cartan rows, built once per subsystem.  The
     affine letter's coroot pairs with classical vectors as -theta-check does."""
     rs = sub.rs
     roots = {letter: letter_root(sub, letter) for letter in letters_of(sub)}
-    table = {}
+    data = {}
     for letter, root in roots.items():
         coroot = rs.coroot_coords(root.classical)
         simple_row = tuple(rs.coroot_pairing(alpha, coroot) for alpha in rs.simple_roots)
-        table[letter] = _LetterData(
+        data[letter] = _LetterData(
             root,
             tuple(rs.coroot_pairing(r.classical, coroot) for r in roots.values()),
             simple_row,
             tuple((k, c) for k, c in enumerate(root.classical) if c),
             tuple((k, a) for k, a in enumerate(simple_row) if a),
         )
-    return table
+    return _LetterTable(data, tuple(data), tuple(d.row for d in data.values()))
 
 
 def _counted_sum(rank: int, counted) -> tuple[int, ...]:
@@ -252,10 +260,9 @@ def _walk_letters(sub: SubSystem, total) -> tuple[Letter, ...] | None:
     """The descent walk from 2 rho - 2 sum N, given the classical part of
     sum N: delta pairs to 0 with every coroot, so levels never enter."""
     table = _letter_table(sub)
-    letters, data = tuple(table), table.values()
-    m = [2 - 2 * sum(map(mul, total, d.simple_row)) for d in data]
-    steps = _descent_walk(m, [d.row for d in data])
-    return None if steps is None else tuple([letters[s] for s in steps])
+    m = [2 - 2 * sum(map(mul, total, d.simple_row)) for d in table.data.values()]
+    steps = _descent_walk(m, table.rows)
+    return None if steps is None else tuple([table.letters[s] for s in steps])
 
 
 # Bound of the sum-walk memo below.  Sweeps read one y for every (J, u) in a
@@ -277,20 +284,6 @@ def _walk_of_sum(sub: SubSystem, total: tuple[int, ...]):
     return letters, tuple(pivots), end
 
 
-def _letter_data(sub: SubSystem, letter: Letter) -> _LetterData:
-    data = _letter_table(sub).get(letter)
-    if data is None:
-        letter_root(sub, letter)  # raises the reason the letter is not in J
-        raise ValueError(f"unknown letter {letter}")
-    return data
-
-
-def _step(x: AffineElement, sub: SubSystem, letter: Letter) -> tuple[AffineRoot, AffineElement]:
-    """x(alpha_s) and x s for the letter's reflection s: a walk of one letter."""
-    pivots, end = _walk(sub, (letter,), x)
-    return pivots[0], end
-
-
 def _walk(sub: SubSystem, letters, x: AffineElement | None = None) -> tuple[list, AffineElement]:
     """Step x (the identity when None) through the letters: the pivots, each
     the element so far applied to the next letter's root, and the end element.
@@ -300,12 +293,16 @@ def _walk(sub: SubSystem, letters, x: AffineElement | None = None) -> tuple[list
     at the end.  Classical and affine letters alike, x s sends alpha_k to
     x(alpha_k) - <alpha_k, alpha_s-check> x(alpha_s): ``finweyl._rewrite``,
     plus one level per image.  So a letter costs the images its root's
-    support reads, for the pivot, and the images its Cartan row touches."""
+    support reads, for the pivot, and the images its Cartan row touches.
+    A letter outside the subsystem's alphabet raises ValueError, naming why."""
     x = affine_identity(sub.rs) if x is None else x
-    table, pivots = _letter_table(sub), []
+    table, pivots = _letter_table(sub).data, []
     levels, images = list(x.levels), list(x.finite.images)
     for letter in letters:
-        data = table.get(letter) or _letter_data(sub, letter)
+        data = table.get(letter)
+        if data is None:
+            letter_root(sub, letter)  # raises the reason the letter is not in J
+            raise ValueError(f"unknown letter {letter}")
         support = data.support
         k, c = support[0]
         level, moved = data.root.level + c * levels[k], images[k]
@@ -485,7 +482,7 @@ class _Ball:
             new = []
             for x in self.frontier:
                 for letter in self.letters:
-                    y = _step(x, self.sub, letter)[1]
+                    y = _walk(self.sub, (letter,), x)[1]
                     if y not in self.dist:
                         self.dist[y] = self.radius
                         new.append(y)

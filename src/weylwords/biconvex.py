@@ -417,13 +417,14 @@ def enumerate_biconvex(
     Depth-first search over the window in height order, so each root's
     membership is forced (or contradicted) by decisions already made on
     its summands.  Refuses windows larger than ``window_limit`` with a
-    size report.
+    size report, counted before the window is built: every root of J at
+    each level 1..cutoff, J's positive roots at level 0, and cutoff
+    imaginary roots.
     """
+    size = (len(sub.roots) + 1) * cutoff + len(sub.positives)
+    if cutoff >= 0 and size > window_limit:  # a negative cutoff is refused by affine_window
+        raise ValueError(f"window has {size} roots, above the limit {window_limit}")
     window = affine_window(sub, cutoff)
-    if len(window) > window_limit:
-        raise ValueError(
-            f"window has {len(window)} roots, above the limit {window_limit}"
-        )
     pair_masks: list[list[int]] = [[] for _ in window]
     for i, j, k in _window_sum_triples(sub, cutoff)[1]:
         pair_masks[k].append(1 << i | 1 << j)

@@ -36,6 +36,16 @@ def _chain_edges(rank: int) -> list[tuple[int, int]]:
     return [(i, i + 1) for i in range(1, rank)]
 
 
+def _canonical_label(label: str) -> str:
+    """The type label without case, surrounding space or leading zeros of
+    its rank (``"a02"`` is ``"A2"``); ``cartan_matrix`` checks the rest."""
+    label = label.strip().upper()
+    digits = label[1:]
+    if digits[:1] == "0" and label[0] in _RANK_RANGE and digits.isascii() and digits.isdigit():
+        return f"{label[0]}{int(digits)}"
+    return label
+
+
 def cartan_matrix(label: str) -> tuple[tuple[int, ...], ...]:
     """Return the Cartan matrix of the finite type named by ``label``.
 
@@ -44,9 +54,10 @@ def cartan_matrix(label: str) -> tuple[tuple[int, ...], ...]:
     Labels look like ``"A2"``, ``"C2"``, ``"G2"``, ``"E8"``.
     """
     label = label.strip().upper()
-    if len(label) < 2 or label[0] not in _RANK_RANGE or not label[1:].isdigit():
+    family, digits = label[:1], label[1:]
+    if family not in _RANK_RANGE or not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"unrecognized type label {label!r}")
-    family, rank = label[0], int(label[1:])
+    rank = int(digits)
     lo, hi = _RANK_RANGE[family]
     if rank < lo or (hi is not None and rank > hi):
         raise ValueError(f"rank {rank} out of range for family {family}")
@@ -354,10 +365,11 @@ def build_root_system(source) -> RootSystem:
 
     Explicit matrices are validated (integrality, sign pattern,
     symmetrizability, positive definite symmetrization, connectedness) and
-    rejected otherwise.  Label-built systems are cached and shared.
+    rejected otherwise.  Label-built systems are cached and shared under
+    the canonical label (``"a02"`` builds ``"A2"``'s object).
     """
     if isinstance(source, str):
-        return _build_by_label(source)
+        return _build_by_label(_canonical_label(source))
     try:
         matrix = tuple(tuple(operator.index(x) for x in row) for row in source)
     except TypeError as exc:
@@ -437,23 +449,14 @@ def check_subset(sub: SubSystem, K) -> tuple[int, ...]:
 def complement_roots(sub: SubSystem, K, sign: int) -> tuple[Root, ...]:
     """Roots of the subsystem J whose support meets J difference K.
 
-    ``sign`` selects the positive (+1) or negative (-1) half.  Empty exactly
-    when K covers all of J.  K is checked on every call; the roots are
-    memoized for the last ``COMPLEMENT_MEMO_SIZE`` distinct (J, K, sign).
+    ``sign`` selects the positive (+1) or negative (-1) half, in the
+    subsystem's root order.  Phi_K is exactly the roots supported on K
+    (Humphreys, *Reflection Groups and Coxeter Groups*, 1.10), so these are
+    the roots of that half outside K's cached root set.  Empty exactly when
+    K covers all of J.  K is checked on every call.
     """
-    return _complement_roots_cached(sub, check_subset(sub, K), sign > 0)
-
-
-# Bound of the complement memo, which serves misses of the tail memo.  One
-# verify-sweep round reads 115 distinct (J, K, sign) in 977 calls, and a
-# query-mix round 51 to 58 in about 250, so at 128 every miss is a first read.
-COMPLEMENT_MEMO_SIZE = 128
-
-
-@lru_cache(maxsize=COMPLEMENT_MEMO_SIZE)
-def _complement_roots_cached(sub: SubSystem, K: tuple[int, ...], positive: bool):
-    outside = frozenset(sub.J) - frozenset(K)
-    return tuple([r for r in sub.roots if is_positive(r) == positive and support(r) & outside])
+    inside = sub_system(sub.rs, check_subset(sub, K)).root_set
+    return tuple([r for r in (sub.positives if sign > 0 else sub.negatives) if r not in inside])
 
 
 def root_system_to_json(rs: RootSystem) -> dict:

@@ -72,8 +72,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _count(text: str) -> int:
-    """A non-negative integer option value."""
-    if not text.isdecimal():
+    """A non-negative integer option value, in ASCII digits."""
+    if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 

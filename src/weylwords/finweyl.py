@@ -67,20 +67,15 @@ class WeylElement:
             raise ValueError("cannot multiply elements over different root systems")
         return WeylElement(self.rs, tuple(self.apply(img) for img in other.images))
 
-    def _times_simple(self, i: int) -> WeylElement:
-        """self * s_i: a walk of one letter."""
-        return _times_word(self, (i,))
-
     def _simple_times(self, i: int) -> WeylElement:
         """s_i * self, which applies s_i to each image."""
         return WeylElement(self.rs, _reflect(self.rs, self.images, i))
 
     @cached_property
     def inverse(self) -> WeylElement:
-        w = identity(self.rs)
-        for i in self.word:
-            w = w._simple_times(i)
-        return w
+        """The reversed reduced word, walked in place.  It is reduced but
+        generally not the inverse's greedy word, so it is not kept."""
+        return from_word(self.rs, self.word[::-1])
 
     @cached_property
     def word(self) -> tuple[int, ...]:
@@ -242,7 +237,7 @@ def coset_decompose(w: WeylElement, sub: SubSystem, K):
         raise ValueError("element does not lie in the subgroup for J")
     v, lower = w, identity(w.rs)
     while k := next((k for k in K if not is_positive(v.images[k - 1])), 0):
-        v, lower = v._times_simple(k), lower._simple_times(k)
+        v, lower = _times_word(v, (k,)), lower._simple_times(k)
     if v.length + lower.length != w.length:
         raise RuntimeError("coset split lengths do not add")
     return v, lower
@@ -346,7 +341,7 @@ def element_from_inversions(F, sub: SubSystem) -> WeylElement:
     w, pivots = identity(rs), set()
     for s in steps:
         pivots.add(w.images[J[s] - 1])
-        w = w._times_simple(J[s])
+        w = _times_word(w, (J[s],))
     if pivots != F:
         raise ValueError("set is not an inversion set")
     return w

@@ -13,7 +13,6 @@ from weylwords.affine import (
     AffineRoot,
     Letter,
     _inverted_levels,
-    _step,
     _walk,
     affine_add,
     affine_identity,
@@ -520,7 +519,7 @@ def test_letter_step_matches_the_general_product(sub, data):
     assert any(coxeter.translation)
     for x in (drawn, coxeter):
         for letter in alphabet:
-            assert _step(x, sub, letter)[1] == x * letter_element(sub, letter)
+            assert _walk(sub, (letter,), x)[1] == x * letter_element(sub, letter)
 
 
 WALK_CASES = [("A2", (1, 2)), ("C2", (1, 2)), ("G2", (1, 2)), ("B3", (1, 2, 3)),
@@ -550,7 +549,8 @@ def test_walk_matches_products_of_reflections(label, J):
         head, middle = _walk(sub, word[:cut])
         assert head == got[:cut]
         assert _walk(sub, word[cut:], middle) == (got[cut:], end)
-        assert _step(middle, sub, word[cut]) == (got[cut], from_letters(sub, word[:cut + 1]))
+        (pivot,), step = _walk(sub, (word[cut],), middle)
+        assert (pivot, step) == (got[cut], from_letters(sub, word[:cut + 1]))
         assert _walk(sub, (), middle)[1] is middle  # kept, with its cached inverse and word
 
 
@@ -594,7 +594,7 @@ def _paired_ball(label, radius):
         new = []
         for x in frontier:
             for letter, g in gens.items():
-                y = _step(x, full, letter)[1]
+                y = _walk(full, (letter,), x)[1]
                 if y not in ball:
                     ball[y] = form.mul(ball[x], g)
                     new.append(y)

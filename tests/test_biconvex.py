@@ -686,6 +686,33 @@ def test_enumerate_refuses_oversized_windows():
         enumerate_biconvex(A2_FULL, 6, 2, window_limit=24)
 
 
+def test_enumerate_counts_its_window_before_building_it(monkeypatch):
+    # |Phi_J| c + |Phi^+_J| + c is the window's size on every J (the empty
+    # one too) of these types and every c <= 6: the refusal names it exactly
+    # with no window built, and a limit of that size goes on to build one.
+    sizes = {}
+    for label in ("A1", "A2", "B2", "C2", "G2", "A3", "B3", "D4"):
+        rs = build_root_system(label)
+        for sub in (sub_system(rs, J) for J in _subsets(rs.index_set)):
+            for c in range(7):
+                sizes[sub, c] = len(affine_window(sub, c))
+    assert len(sizes) == 350
+
+    def built(sub, cutoff):
+        raise AssertionError("window built")
+
+    monkeypatch.setattr(biconvex, "affine_window", built)
+    for (sub, c), size in sizes.items():
+        with pytest.raises(ValueError) as refused:
+            enumerate_biconvex(sub, c, 1, window_limit=size - 1)
+        assert str(refused.value) == f"window has {size} roots, above the limit {size - 1}"
+        with pytest.raises(AssertionError, match="window built"):
+            enumerate_biconvex(sub, c, 1, window_limit=size)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="^cutoff must be non-negative$"):
+        enumerate_biconvex(A2_FULL, -1, 1, window_limit=-100)
+
+
 def test_enumerate_matches_pair_predicate():
     # The DFS agrees with filtering all subsets by the pair test.
     from itertools import combinations

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from weylwords.cartan import (
+    _build_by_label,
     add,
     build_root_system,
     cartan_adjugate,
@@ -182,6 +183,28 @@ def test_bad_labels_rejected():
             build_root_system(label)
 
 
+@pytest.mark.parametrize("spelling", ["a2", " A2", "A02", "a02"])
+def test_label_spellings_share_the_canonical_system(spelling):
+    rs = build_root_system(spelling)
+    assert rs is build_root_system("A2")
+    assert rs.label == "A2"
+
+
+def test_label_spellings_add_no_cache_entry():
+    build_root_system("A2")
+    entries = _build_by_label.cache_info().currsize
+    for spelling in ("a2", " A2", "A02", "a02", "a002\n"):
+        build_root_system(spelling)
+    assert _build_by_label.cache_info().currsize == entries
+
+
+@pytest.mark.parametrize("label", ["A\uff12", "A\u0662", "B\u00b2", "E\uff16"])
+def test_label_rank_takes_ascii_digits_only(label):
+    # Fullwidth, Arabic-Indic and superscript digits pass str.isdigit.
+    with pytest.raises(ValueError, match="unrecognized type label"):
+        build_root_system(label)
+
+
 def test_sub_system_a2_full():
     rs = build_root_system("A2")
     sub = sub_system(rs, {1, 2})
@@ -267,6 +290,21 @@ def test_complement_roots_examples():
     assert complement_roots(sub, {1, 2}, -1) == ()
     assert complement_roots(sub, {1, 2}, +1) == ()
     assert set(complement_roots(sub, set(), -1)) == set(sub.negatives)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "G2", "F4"])
+def test_complement_roots_are_the_roots_of_j_whose_support_meets_j_minus_k(label):
+    # The exact tuple, in the subsystem's root order, for every (J, K, sign).
+    rs = build_root_system(label)
+    from oracles import subsets
+
+    for J in subsets(rs.index_set):
+        sub = sub_system(rs, J)
+        for K in subsets(J):
+            for sign in (+1, -1):
+                expected = tuple(r for r in sub.roots
+                                 if (height(r) > 0) == (sign > 0) and support(r) - K)
+                assert complement_roots(sub, K, sign) == expected, (J, K, sign)
 
 
 def test_complement_roots_rejects_bad_k():

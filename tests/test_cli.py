@@ -67,6 +67,22 @@ def test_weyl_out_of_range_index_is_usage_error(capsys, word):
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
 
+def test_type_label_is_printed_canonically(capsys):
+    code, data, _ = run_json(capsys, "weyl", "--type", "a02", "--word", "1")
+    assert code == 0
+    assert data["type"] == "A2"
+
+
+@pytest.mark.parametrize("argv", [
+    ("weyl", "--type", "A\uff12", "--word", "1"),
+    ("roots", "--type", "A2", "--cutoff", "\uff12"),
+], ids=["type-rank", "cutoff"])
+def test_non_ascii_digits_are_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
 A2_WORD = '{"J":[1,2],"head":[],"period":[{"c":1},{"c":2},{"a":1}]}'
 
 

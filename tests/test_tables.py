@@ -20,6 +20,7 @@ from weylwords.biconvex import _window_sum_triples, is_biconvex_window, realize
 from weylwords.cartan import build_root_system, cartan_adjugate, sub_system
 from weylwords.finweyl import (
     WeylElement,
+    _times_word,
     from_word,
     identity,
     simple_reflection,
@@ -169,7 +170,7 @@ def test_products_with_simple_reflections_and_inverses(label):
     rs = build_root_system(label)
     for w in weyl_elements(sub_system(rs, rs.index_set)):
         for i in rs.index_set:
-            assert w._times_simple(i) == w * simple_reflection(rs, i)
+            assert _times_word(w, (i,)) == w * simple_reflection(rs, i)
         assert (w * w.inverse).is_identity
         assert from_word(rs, w.word) == w
         assert w.inverse.length == w.length
