@@ -316,7 +316,7 @@ def cmd_verify(args) -> int:
     suite = SUITES[args.suite]
     params = inspect.signature(suite).parameters
     kwargs = {}
-    if args.type:
+    if args.type is not None:  # "" names no type: an error, not the defaults
         kwargs["labels"] = tuple(args.type.split(","))
     if args.len is not None:
         bound = next((p for p in params if p.startswith("max_")), None)

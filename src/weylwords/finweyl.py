@@ -7,6 +7,12 @@ descent walk on the pairings of w(2 rho) = 2 rho - 2 sum N(w) with the
 simple coroots.  Greedy algorithms always pick the smallest simple index
 first, so every output is deterministic.
 
+s_i on roots is read off one table per root system, which holds each
+simple reflection's permutation of the root indices (Casselman, "Machine
+calculations in Weyl groups", *Invent. Math.* 116, 1994); only its
+builder pairs a root with a coroot.  Whole groups and parabolic quotients
+are searched on tuples of those indices, and their elements built once.
+
 A pointed biclosed set P = u(Phi^-_J minus Phi_K) factors by one descent
 walk on its sum: -sum P = u(2 rho_J - 2 rho_K), a dominant vector moved by
 u, whose stabilizer in W_J is W_K (Humphreys, *Reflection Groups and
@@ -94,14 +100,29 @@ class WeylElement:
         return len(self.word)
 
 
-def _reflect(rs: RootSystem, vectors, i: int) -> tuple:
-    """s_i applied to each vector: x loses <x, alpha_i^vee> from coordinate i."""
-    row, k = rs.cartan[i - 1], i - 1
-    out = []
-    for x in vectors:
-        c = sum(map(mul, x, row))
-        out.append(x[:k] + (x[k] - c,) + x[i:] if c else x)
-    return tuple(out)
+@lru_cache(maxsize=None)
+def _reflection_table(rs: RootSystem) -> tuple[dict[Root, int], tuple[tuple[int, ...], ...]]:
+    """Each root's index in ``rs.roots``, and per simple reflection s_i the
+    permutation it makes of those indices.  s_i(beta) = beta - <beta,
+    alpha_i^vee> alpha_i is computed here once per root and i, and nowhere
+    else.  ``rs.roots``
+    is sorted by height, so the negative roots come first: index t is
+    positive exactly when t >= len(rs.roots) // 2."""
+    index = {r: t for t, r in enumerate(rs.roots)}
+    perms = []
+    for k, row in enumerate(rs.cartan):
+        perms.append(tuple([
+            index[r[:k] + (r[k] - sum(map(mul, r, row)),) + r[k + 1:]] for r in rs.roots
+        ]))
+    return index, tuple(perms)
+
+
+def _reflect(rs: RootSystem, roots, i: int) -> tuple:
+    """s_i applied to each root, read off the reflection table: no pairing
+    is computed.  The images are ``rs.roots``' own tuples."""
+    index, perms = _reflection_table(rs)
+    every, p = rs.roots, perms[i - 1]
+    return tuple([every[p[index[r]]] for r in roots])
 
 
 @lru_cache(maxsize=None)
@@ -194,23 +215,36 @@ def _left_search(sub: SubSystem, K) -> tuple[WeylElement, ...]:
     (length, reduced word), no word computed.  Layer l + 1 grows from layer l
     by s_i on the left, i ascending outermost, keeping first finds in W^J_K.
     As ``word`` is greedy left descent and W^J_K is closed under left
-    prefixes, v is first found as s_i (s_i v) for its least left descent i."""
-    e = identity(sub.rs)
-    seen = {e.images: e}  # in discovery order, which is the output order
-    layer, length = [e], 0
+    prefixes, v is first found as s_i (s_i v) for its least left descent i.
+
+    The search runs on tuples of root indices: s_i w is one lookup per
+    image in s_i's permutation of ``_reflection_table``, and w(alpha_k) > 0
+    is an index comparison.  The elements, with their lengths preset (every
+    whole-group listing reads them), are built once at the end."""
+    rs = sub.rs
+    index, perms = _reflection_table(rs)
+    half, K = len(rs.roots) // 2, [k - 1 for k in K]
+    e = identity(rs)
+    start = tuple([index[a] for a in e.images])
+    seen = {start: 0}  # index images -> length, in discovery order: the output order
+    layer, length = [start], 0
     while layer:
         new, length = [], length + 1
         for i in sub.J:
+            p = perms[i - 1]
             for w in layer:
-                v = w._simple_times(i)
-                if v.images not in seen and all(is_positive(v.images[k - 1]) for k in K):
-                    seen[v.images] = v
-                    # Kept fast path: whole-group listings read .length of
-                    # every element, and the layer already knows it.
-                    v.__dict__["length"] = length
+                v = tuple([p[t] for t in w])
+                if v not in seen and all(v[k] >= half for k in K):
+                    seen[v] = length
                     new.append(v)
         layer = new
-    return tuple(seen.values())
+    found, roots = [e], rs.roots
+    for v, length in seen.items():
+        if length:  # the identity is the shared one, listed first
+            w = WeylElement(rs, tuple([roots[t] for t in v]))
+            w.__dict__["length"] = length
+            found.append(w)
+    return tuple(found)
 
 
 @lru_cache(maxsize=None)

@@ -128,10 +128,16 @@ def _proper(J):
 
 
 def _systems(labels):
-    """Each label with its root system and the full subsystem."""
+    """Each canonical label (``"a02"`` is ``"A2"``) with its root system and
+    the full subsystem."""
     for label in labels:
         rs = build_root_system(label)
-        yield label, rs, sub_system(rs, rs.index_set)
+        yield rs.label, rs, sub_system(rs, rs.index_set)
+
+
+def _over(labels) -> str:
+    """The labels as a detail line names them: canonical, comma-separated."""
+    return ", ".join(build_root_system(label).label for label in labels)
 
 
 def _depth(param):
@@ -192,7 +198,7 @@ def check_finite_bijection(
                 yield [] if inv in brute else [
                     f"{label}: inversion set of {x!r} missed by brute force"
                 ]
-    return f"inversion sets vs brute force over {', '.join(labels)}"
+    return f"inversion sets vs brute force over {_over(labels)}"
 
 
 @_suite("subsets")
@@ -232,7 +238,7 @@ def check_subset_classification(labels=("A2", "B2", "C2")):
                             if s in rs.root_set and s not in flags.pointed_part:
                                 bad.append(f"{label} J={J}: mixed sum left pointed part")
                 yield bad
-    return f"all subsets of all subsystems of {', '.join(labels)}"
+    return f"all subsets of all subsystems of {_over(labels)}"
 
 
 @_suite("roundtrip")
@@ -258,7 +264,7 @@ def check_parametrization_roundtrip(labels=("A1", "A2"), max_y=4):
                 if not is_biconvex_window(window, param.sub, window.cutoff):
                     bad.append(f"{label} {param!r}: window {window.cutoff} not biconvex")
                 yield bad
-    return f"all parameters with bounded finite part over {', '.join(labels)}"
+    return f"all parameters with bounded finite part over {_over(labels)}"
 
 
 @_suite("diagram")
@@ -274,7 +280,7 @@ def check_word_diagram(labels=("A1", "A2"), max_y=4):
                     f"{label} {param!r}: word inverts {sorted(map(str, got))}, "
                     f"view holds {sorted(map(str, expected))}"
                 ]
-    return f"word-of-parameters matches views over {', '.join(labels)}"
+    return f"word-of-parameters matches views over {_over(labels)}"
 
 
 @_suite("words")
@@ -295,7 +301,7 @@ def check_translation_words(labels=("A1", "A2", "C2"), cutoff=6):
                 if limit_inversions(word, cutoff) != tail_set(sub, K, identity(rs), cutoff):
                     bad.append(f"{label} J={J} K={K}: wrong inversion limit")
                 yield bad
-    return f"translation words for every proper K over {', '.join(labels)}"
+    return f"translation words for every proper K over {_over(labels)}"
 
 
 def _action_formula(x, word, cutoff):
@@ -332,7 +338,7 @@ def check_action_laws(labels=("A1", "A2"), samples=200, max_x=3, cutoff=6, seed=
             if not words_equivalent(acted, act_on_word(x * y, base)):
                 bad.append(f"{label}: action is not compatible with products")
             yield bad
-    return f"{per_label} random actions per type over {', '.join(labels)}"
+    return f"{per_label} random actions per type over {_over(labels)}"
 
 
 @_suite("orbit")
@@ -371,7 +377,7 @@ def check_orbit_decomposition(labels=("A1", "A2"), samples=100, seed=77):
     if len({c.param for c in classes}) != 2:
         bad.append("A1: orbit of the base class has the wrong size")
     yield bad
-    return f"{samples} random actions per class over {', '.join(labels)}"
+    return f"{samples} random actions per class over {_over(labels)}"
 
 
 @_suite("length")
@@ -383,7 +389,7 @@ def check_length_bfs(labels=("A1", "A2", "C2"), max_length=6):
             yield [] if length == dist else [
                 f"{label}: {x!r} has distance {dist} but length {length}"
             ]
-    return f"lengths to {max_length} over {', '.join(labels)}"
+    return f"lengths to {max_length} over {_over(labels)}"
 
 
 @_suite("four-cases")
@@ -420,7 +426,7 @@ def check_four_cases(labels=("A1", "A2"), cutoff=4, max_y=3):
             yield []
         else:
             yield [f"{label}: non-biconvex window was classified"]
-    return f"windows of all four kinds over {', '.join(labels)}"
+    return f"windows of all four kinds over {_over(labels)}"
 
 
 def run_suite(name: str, **kwargs) -> CheckResult:

@@ -141,3 +141,13 @@ def test_mutated_golden_argv_exits_cleanly(data):
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
+
+
+def test_empty_type_list_is_one_error_line():
+    # "" names no type: an error, not the suite's default labels.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "length", "--type", "", "--len", "2"])
+    lines = err.getvalue().splitlines()
+    assert code == 2 and out.getvalue() == ""
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines

@@ -27,6 +27,8 @@ from weylwords.finweyl import (
     weyl_elements,
     WeylElement,
     _factor_cached,
+    _reflect,
+    _reflection_table,
     _tail_roots_cached,
     _weyl_elements_cached,
 )
@@ -185,6 +187,29 @@ def test_left_step_is_left_product(label):
         for i in rs.index_set:
             assert w._simple_times(i) == simple_reflection(rs, i) * w
 
+
+
+TABLE_TYPES = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("label", TABLE_TYPES)
+def test_reflection_table_matches_the_gram_formula(label):
+    # Each s_i permutes the root indices as the textbook formula moves the
+    # roots, and the negative roots hold the lower half of the indices.
+    rs = build_root_system(label)
+    index, perms = _reflection_table(rs)
+    half = len(rs.roots) // 2
+    assert [index[r] for r in rs.roots] == list(range(len(rs.roots)))
+    assert [t >= half for t in range(len(rs.roots))] == [is_positive(r) for r in rs.roots]
+    assert len(perms) == rs.rank
+    for i, perm in zip(rs.index_set, perms):
+        images = tuple([rs.roots[t] for t in perm])
+        assert images == tuple(gram_reflect(rs.gram, rs.simple_root(i), r) for r in rs.roots), i
+        assert _reflect(rs, rs.roots, i) == images
 
 def test_reflection_in_arbitrary_root():
     # s_1 s_2 s_1 is the reflection in the highest root theta.

@@ -117,3 +117,13 @@ def test_a_failure_without_a_check_fails_even_as_the_last_step(monkeypatch):
     assert not result.passed and result.counterexamples == ["check 0", "uncounted"]
     assert list(inspect.signature(toy).parameters) == ["n"]
     assert toy(n=0).counterexamples == ["uncounted"]
+
+
+def test_details_and_counterexamples_name_types_canonically(monkeypatch, capsys):
+    # A label is echoed as its root system names it, however it was typed.
+    assert main(["verify", "length", "--type", "a02, c2", "--len", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["detail"] == "lengths to 2 over A2, C2"
+    monkeypatch.setattr(verify, "affine_length", lambda x, sub: -1)
+    result = verify.check_length_bfs(labels=("a02",), max_length=1)
+    assert result.detail == "lengths to 1 over A2"
+    assert result.counterexamples and all(c.startswith("A2: ") for c in result.counterexamples)
