@@ -9,10 +9,19 @@ Exit codes: 0 succeeded (verify: all checks passed), 1 a check found a
 counterexample or an input set failed a structural test, 2 usage errors.
 All machine output is JSON; ``--format table`` renders it for humans.
 
-``main`` may be called repeatedly in one process: every call parses with
-one shared parser, built on the first call (``build_parser`` still returns
-a fresh one).  Parsing never writes to that parser, and each call gets its
-own namespace, so no option leaks from one call into the next.
+``main`` may be called repeatedly in one process.  Its parsers are built
+once, on the first call (``build_parser`` still returns a fresh tree): a
+call whose first one or two words name a command (``weyl``, ``biconvex
+realize``, ``verify``, ...) is parsed by that command's own parser alone;
+any other call (an option before the command, ``--help`` on ``weylwords``,
+``biconvex`` or ``word``, an unknown command) goes through the whole tree.
+Parsing never writes to a parser, and each call gets its own namespace, so
+no option leaks from one call into the next.
+
+JSON is written in ``json.dumps(data, indent=2, default=str)``'s layout,
+byte for byte, but not by it: ``indent`` sends ``json.dumps`` to its
+pure-Python encoder, so ``_json`` lays out the containers itself and hands
+the scalars to the C encoder.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .cartan import _json_field, _json_ints, build_root_system, root_system_to_json, sub_system
 from .finweyl import from_word, inversion_set
@@ -126,9 +136,49 @@ def _rational(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+_encode_scalar = json.JSONEncoder(default=str).encode
+
+
+def _json(data, pad="\n") -> str:
+    """``json.dumps(data, indent=2, default=str)``, when every dict key is a
+    str; ``pad`` is a newline and the indent of the line ``data`` starts on.
+    Exact ints, the commonest scalar, are written by ``repr``, as both of
+    json's encoders write them: a call of ``_encode_scalar`` costs about a
+    microsecond."""
+    if isinstance(data, dict):
+        if not data:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(key) + ": "
+            + (repr(value) if type(value) is int else _json(value, inner))
+            for key, value in data.items()
+        ]) + pad + "}"
+    if isinstance(data, (list, tuple)):
+        if not data:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([
+            repr(item) if type(item) is int else _json(item, inner) for item in data
+        ]) + pad + "]"
+    if isinstance(data, str):
+        return encode_basestring_ascii(data)
+    return _encode_scalar(data)
+
+
+def _dumps(data) -> str:
+    """The JSON text of ``data``: ``_json``'s, or for a dict key that is not
+    a str (``encode_basestring_ascii`` refuses it), ``json.dumps``'s own, by
+    json's rule for such keys."""
+    try:
+        return _json(data)
+    except TypeError:
+        return json.dumps(data, indent=2, default=str)
+
+
 def _emit(data, args) -> None:
     if args.format == "json":
-        text = json.dumps(data, indent=2, default=str)
+        text = _dumps(data)
     else:
         text = _as_table(data)
     if args.out:
@@ -343,48 +393,54 @@ def cmd_verify(args) -> int:
     return 0 if result.passed else 1
 
 
-def _command(commands, name, func, help=None, *, typed=True):
-    """A command's parser: the output flags, a required ``--type`` if ``typed``, ``func``."""
-    sub = commands.add_parser(name, help=help)
+def _command(table, commands, words, func, help=None, *, typed=True):
+    """A command's parser: the output flags, a required ``--type`` if ``typed``,
+    ``func``.  It is made under ``commands`` and entered in ``table`` by
+    ``words``, the argv words that name it."""
+    sub = commands.add_parser(words[-1], help=help)
     sub.add_argument("--format", choices=("json", "table"), default=argparse.SUPPRESS)
     sub.add_argument("--out", default=argparse.SUPPRESS)
     if typed:
         sub.add_argument("--type", required=True, type=_root_system)
     sub.set_defaults(func=func)
+    table[words] = sub
     return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The whole parser tree.  Its ``commands`` table holds each command's
+    parser by the tuple of argv words that name it."""
     parser = _Parser(
         prog="weylwords",
         description="Exact computations with affine root systems, biconvex "
         "sets, and infinite reduced words.",
     )
+    parser.commands = table = {}
     parser.add_argument("--format", choices=("json", "table"), default="json")
     parser.add_argument("--out", help="write output to a file instead of stdout")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = _command(commands, "roots", cmd_roots, "root system and window listing")
+    p = _command(table, commands, ("roots",), cmd_roots, "root system and window listing")
     p.add_argument("--J", type=_parse_subset, default=())
     p.add_argument("--cutoff", "-N", type=_cutoff)
 
-    p = _command(commands, "weyl", cmd_weyl, "inspect a finite Weyl element")
+    p = _command(table, commands, ("weyl",), cmd_weyl, "inspect a finite Weyl element")
     p.add_argument("--word", help="comma-separated simple indices")
     p.add_argument("--J", type=_parse_subset, default=())
 
     biconvex = commands.add_parser("biconvex", help="biconvex set operations")
     actions = biconvex.add_subparsers(dest="action", required=True)
-    p = _command(actions, "realize", cmd_realize)
+    p = _command(table, actions, ("biconvex", "realize"), cmd_realize)
     p.add_argument("--param", required=True, help="parameter triple as JSON")
     p.add_argument("--cutoff", "-N", type=_cutoff, default=3)
-    p = _command(actions, "parametrize", cmd_parametrize)
+    p = _command(table, actions, ("biconvex", "parametrize"), cmd_parametrize)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--view", help="view JSON (tail/finite/cutoff); needs --J")
     source.add_argument("--window", help="window JSON (J/elements/tail/cutoff)")
     p.add_argument("--J", type=_parse_subset, default=())
-    p = _command(actions, "classify", cmd_classify_window)
+    p = _command(table, actions, ("biconvex", "classify"), cmd_classify_window)
     p.add_argument("--window", required=True, help="window JSON (J/elements/tail/cutoff)")
-    p = _command(actions, "enumerate", cmd_enumerate)
+    p = _command(table, actions, ("biconvex", "enumerate"), cmd_enumerate)
     p.add_argument("--J", type=_parse_subset, default=())
     p.add_argument("--cutoff", "-N", type=_cutoff, default=2)
     p.add_argument("--max-size", type=_count, default=4)
@@ -392,21 +448,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     word = commands.add_parser("word", help="infinite reduced word operations")
     actions = word.add_subparsers(dest="action", required=True)
-    p = _command(actions, "make", cmd_make)
+    p = _command(table, actions, ("word", "make"), cmd_make)
     p.add_argument("--J", type=_parse_subset, default=())
     p.add_argument("--K", type=_parse_subset, default=())
     p.add_argument("--param", help="make the standard word of this parameter")
     p.add_argument("--cutoff", "-N", type=_cutoff)
-    p = _command(actions, "act", cmd_act)
+    p = _command(table, actions, ("word", "act"), cmd_act)
     p.add_argument("--word", required=True, help="word JSON (J/head/period)")
     p.add_argument("--x", required=True, help="acting element as JSON (lambda/wbar)")
-    p = _command(actions, "equiv", cmd_equiv)
+    p = _command(table, actions, ("word", "equiv"), cmd_equiv)
     p.add_argument("--word", required=True, help="word JSON (J/head/period)")
     p.add_argument("--word2", required=True, help="second word JSON")
-    p = _command(actions, "classify", cmd_classify_word)
+    p = _command(table, actions, ("word", "classify"), cmd_classify_word)
     p.add_argument("--word", required=True, help="word JSON (J/head/period)")
 
-    p = _command(commands, "verify", cmd_verify, "run a verification suite", typed=False)
+    p = _command(table, commands, ("verify",), cmd_verify, "run a verification suite", typed=False)
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--type", help="comma-separated type labels")
     p.add_argument("--len", type=_count, help="main size bound of the suite")
@@ -416,14 +472,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 @lru_cache(maxsize=None)
 def _shared_parser() -> argparse.ArgumentParser:
-    """The parser every ``main`` call reads; built on first use, so that the
-    ``cmd_*`` functions it binds are the module's bindings at that time."""
+    """The parser tree every ``main`` call reads; built on first use, so that
+    the ``cmd_*`` functions it binds are the module's bindings at that time."""
     return build_parser()
 
 
+def _parse(argv) -> argparse.Namespace:
+    """``argv`` parsed by the parser of the command its first one or two words
+    name, starting from the tree's top-level defaults, else by the whole
+    tree.  Either way the namespace is the tree's, less ``command`` and
+    ``action``."""
+    parser = _shared_parser()
+    for depth in (2, 1):
+        command = parser.commands.get(tuple(argv[:depth]))
+        if command is not None:
+            defaults = argparse.Namespace(
+                format=parser.get_default("format"), out=parser.get_default("out"))
+            return command.parse_args(argv[depth:], defaults)
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
+    """Run one CLI call; ``argv`` defaults to ``sys.argv[1:]``.  Returns the
+    exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _shared_parser().parse_args(argv)
+        args = _parse(argv)
         return args.func(args) or 0  # a command that returns nothing succeeded
     except SystemExit as exc:  # --help; a parse error raises UsageError instead
         return 2 if exc.code not in (0, None) else 0

@@ -129,9 +129,10 @@ def _proper(J):
 
 def _systems(labels):
     """Each canonical label (``"a02"`` is ``"A2"``) with its root system and
-    the full subsystem."""
-    for label in labels:
-        rs = build_root_system(label)
+    the full subsystem.  Every label is built before the first is yielded,
+    so a bad one fails the suite before any check runs."""
+    systems = [build_root_system(label) for label in labels]
+    for rs in systems:
         yield rs.label, rs, sub_system(rs, rs.index_set)
 
 

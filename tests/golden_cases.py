@@ -196,14 +196,19 @@ def calls():
     return out
 
 
-def run_cli(argv):
-    """Exit code and parsed JSON stdout of one in-process CLI call."""
+def call_cli(argv):
+    """Exit code, stdout and stderr of one in-process CLI call."""
     from weylwords.cli import main
 
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(list(argv))
-    text = stdout.getvalue()
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def run_cli(argv):
+    """Exit code and parsed JSON stdout of one in-process CLI call."""
+    code, text, _ = call_cli(argv)
     return code, json.loads(text) if text.strip() else None
 
 

@@ -4,9 +4,11 @@ import os
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from weylwords import cli
 from weylwords.affine import MAX_INPUT_LENGTH
@@ -565,8 +567,8 @@ def test_four_cases_windows_reach_the_top_inversion_level(capsys, argv):
     assert data["passed"] is True
 
 
-# One parser serves every main call in a process; no call may leave state
-# behind for the next.
+# One set of parsers serves every main call in a process; no call may leave
+# state behind for the next.
 
 
 def test_table_format_does_not_leak(capsys):
@@ -673,3 +675,49 @@ def test_closed_stdout_ends_quietly():
         os.close(write_end)
     assert done.stderr == ""
     assert done.returncode == 0
+
+
+# The JSON writer against the call whose layout it copies.  Strings carry
+# non-ASCII and control characters and quotes; a Fraction goes through
+# default=str.  A key that is not a str sends the payload to json.dumps,
+# which writes it by json's own rule or raises TypeError.
+
+_STRINGS = st.text() | st.sampled_from(['"', "\\", '\'"', "\x00\x1f\n\t\x7f", "é ü 𝔤 \u2028", ""])
+_SCALARS = (
+    _STRINGS
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.booleans()
+    | st.none()
+    | st.floats()
+    | st.fractions()
+)
+_KEYS = _STRINGS | st.integers() | st.booleans() | st.none() | st.floats() | st.fractions()
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_STRINGS, inner, max_size=4)
+    | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=24,
+)
+
+
+def _text_or_error(write, data):
+    try:
+        return write(data)
+    except TypeError as exc:
+        return TypeError, str(exc)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_PAYLOADS)
+@example({})
+@example(((), [{}], {"a": []}))
+@example({"x": Fraction(-3, 4), "y": [Fraction(2)]})
+@example({1: "one", None: [], True: 1.5, 2.5: {}})
+@example({Fraction(1, 2): 0})
+@example([10**30, -(10**30), float("nan"), float("-inf"), "\u00e9\"\n"])
+def test_json_writer_matches_json_dumps(data):
+    expected = _text_or_error(lambda d: json.dumps(d, indent=2, default=str), data)
+    assert _text_or_error(cli._dumps, data) == expected

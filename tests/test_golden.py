@@ -10,7 +10,7 @@ import pytest
 
 from weylwords.verify import SUITES
 
-from golden_cases import CHECKS_FILE, CLI_FILE, ROOTS_TYPES, calls, run_cli
+from golden_cases import CHECKS_FILE, CLI_FILE, ROOTS_TYPES, call_cli, calls, run_cli
 
 CLI_RECORDS = json.loads(CLI_FILE.read_text())
 CHECKS = json.loads(CHECKS_FILE.read_text())
@@ -45,6 +45,13 @@ def test_golden_argv_lists_match_the_generator():
 @pytest.mark.parametrize("record", CLI_RECORDS, ids=lambda r: " ".join(r["argv"][:3]))
 def test_cli_output_matches_golden(record):
     assert run_cli(record["argv"]) == (record["exit"], record["stdout"])
+
+
+@pytest.mark.parametrize("record", CLI_RECORDS, ids=lambda r: " ".join(r["argv"][:3]))
+def test_cli_stdout_is_json_dumps_byte_for_byte(record):
+    # The records hold parsed JSON; this pins the layout as well.
+    _, out, _ = call_cli(record["argv"])
+    assert out == json.dumps(record["stdout"], indent=2, default=str) + "\n"
 
 
 @pytest.mark.parametrize("name", sorted(CHECKS))
