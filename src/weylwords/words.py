@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import mul
 
 from .cartan import (RootSystem, SubSystem, _json_field, _json_ints, add, cartan_adjugate,
                      check_subset, sub_system)
@@ -112,8 +113,9 @@ class InfiniteWord:
         for p, phi in enumerate(phis, 1):
             if not phi.is_positive:
                 raise ValueError(f"not an infinite reduced word: inversion {p} is negative")
-        shift = end * base.inverse  # the translation z_H pi**d z_H^-1
-        slopes = tuple(shift.act(phi).level - phi.level for phi in phis[H:H + n])
+        shift = end * base.inverse if H else end  # the translation z_H pi**d z_H^-1
+        # shift adds <phi, shift.levels> levels to phi, as AffineElement.act does.
+        slopes = tuple(sum(map(mul, phi.classical, shift.levels)) for phi in phis[H:H + n])
         if min(slopes) < 1 or len(set(phis)) != len(phis):
             raise RuntimeError("certified word has a slope below 1 or a repeated inversion")
         return _Structure(phis=tuple(phis), slopes=slopes)
@@ -161,11 +163,14 @@ def translation_word(sub: SubSystem, K) -> InfiniteWord:
     The translation is the smallest qualifying one (by maximum coefficient,
     then lexicographically) with coroot coordinates c supported on J.  Per
     component of J, with Cartan submatrix A of determinant d, its pairings
-    p with the simple roots give c = adj(A)^T p / d, and adj(A) > 0.  A
-    p_j > d lowered by d keeps c integral and lowers all of it, so the
-    optimum has p = 0 on K and p_j in [1, d] elsewhere.  That box is
-    searched in integers, its last coordinate solved from the integrality
-    congruence: d^(m-1) candidates for a component with m indices outside K.
+    p with the simple roots give c = adj(A)^T p / d, and adj(A) > 0.  The
+    optimum has p = 0 on K and p = 1 + e elsewhere with e >= 0 and
+    |e|_1 <= d - 1: if |e|_1 >= d, two of the d + 1 unit-step prefixes of e
+    share a class of Z^m / A Z^m, so their difference e' <= e is nonzero
+    with A^-1 e' integral, and p - e' is valid with all of c lower.  That
+    box is searched in integers, its last coordinate solved from the
+    integrality congruence: C(d + m - 2, m - 1) candidates for a component
+    with m indices outside K.
     """
     period, structure = _translation_period(sub, check_subset(sub, K))
     return InfiniteWord._certified(sub, (), period, structure)
@@ -205,12 +210,12 @@ def _box_candidates(rs: RootSystem, comp, K) -> list[tuple[int, ...]]:
     d, adj = cartan_adjugate(rs, comp)
     # d*c sums p_j * adj[j]; the last p_j is the least t in [1, d] making it 0 mod d.
     solve = {tuple(-t * a % d for a in adj[last]): t for t in range(d, 0, -1)}
-    nums = [(0,) * len(comp)]
+    nums = [((0,) * len(comp), d - 1)]  # (d*c so far, what |e|_1 has left)
     for x in rest:
-        nums = [tuple(v + p * a for v, a in zip(num, adj[x]))
-                for num in nums for p in range(1, d + 1)]
+        nums = [(tuple(v + p * a for v, a in zip(num, adj[x])), left + 1 - p)
+                for num, left in nums for p in range(1, left + 2)]
     box = []
-    for num in nums:
+    for num, _ in nums:
         t = solve.get(tuple(v % d for v in num))
         if t is not None:
             box.append(tuple((v + t * a) // d for v, a in zip(num, adj[last])))

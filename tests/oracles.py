@@ -289,6 +289,57 @@ def bounded_translation_search(cartan, J, K):
                 return tuple(lam)
 
 
+def exhaustive_box_translation(cartan, J, K):
+    """The translation of the base word for K, by the exhaustive pairing box.
+
+    Per connected component of J meeting J minus K, with Cartan submatrix A
+    of determinant d, lambda's coordinates there are c = A^-T p for the
+    pairing vector p = (<alpha_j, lambda>): p is 0 on K, every p_j outside K
+    but the last is tried in [1, d] (d^(m-1) vectors for m such indices),
+    and the last is the least t in [1, d] that makes c integral.  Every
+    combination of the components' candidates is tried, and the least
+    lambda by maximum coefficient, then lexicographically, is returned.
+    A^-1 is the rational inverse above; the cost grows like d^(m-1).
+    """
+    rest = list(J)
+    comps = []
+    while rest:  # connected components, from the nonzero Cartan entries
+        comp, grow = [], [rest[0]]
+        while grow:
+            j = grow.pop()
+            if j in rest:
+                rest.remove(j)
+                comp.append(j)
+                grow.extend(k for k in rest if cartan[j - 1][k - 1])
+        comps.append(sorted(comp))
+    boxes = []
+    for comp in comps:
+        free = [x for x, j in enumerate(comp) if j not in K]
+        if not free:
+            continue
+        sub = [[cartan[i - 1][j - 1] for j in comp] for i in comp]
+        d = int(fraction_determinant(sub))
+        adj = [[int(d * x) for x in row] for row in fraction_inverse(sub)]
+        box = []
+        for head in product(range(1, d + 1), repeat=len(free) - 1):
+            num = [sum(p * adj[x][i] for p, x in zip(head, free)) for i in range(len(comp))]
+            for t in range(1, d + 1):
+                if all((v + t * a) % d == 0 for v, a in zip(num, adj[free[-1]])):
+                    box.append([(comp[i], (v + t * a) // d)
+                                for i, (v, a) in enumerate(zip(num, adj[free[-1]]))])
+                    break
+        boxes.append(box)
+
+    def assembled(parts):
+        lam = [0] * len(cartan)
+        for part in parts:
+            for j, c in part:
+                lam[j - 1] = c
+        return tuple(lam)
+
+    return min(map(assembled, product(*boxes)), key=lambda lam: (max(lam), lam))
+
+
 def proper_pairs(rank):
     """Every non-empty J in 1..rank with every proper subset K of J, sorted."""
     for J in sorted(map(sorted, subsets(range(1, rank + 1))), key=lambda s: (len(s), s)):

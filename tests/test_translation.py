@@ -1,9 +1,12 @@
 """The base translation of ``translation_word`` against independent routes.
 
-The library searches a bounded box of pairing vectors; these tests hold it
-to the original bounded coefficient search (live on rank <= 3, frozen on
-rank 4), to textbook values, and to the defining pairing conditions on the
-exceptional and rank-5 systems the original search could not reach.
+The library searches the pairing vectors p = 1 + e with e >= 0 and
+|e|_1 <= d - 1 per component of determinant d, C(d + m - 2, m - 1) of them
+for m indices outside K (126 for A5 with K empty, 1,716 for A7).  These
+tests hold it to the exhaustive d^(m-1) box of ``tests/oracles.py`` on every
+(J, K) of rank 5 and on A6, to the original bounded coefficient search
+(live on rank <= 3, frozen on rank 4), to textbook values, and to the
+defining pairing conditions on the exceptional systems.
 """
 
 import pytest
@@ -12,7 +15,7 @@ from weylwords.affine import affine_inversion_set, translation
 from weylwords.cartan import build_root_system, sub_system
 from weylwords.words import _translation_lambda, inversion_at, prefix_element, translation_word
 
-from oracles import bounded_translation_search, proper_pairs, subsets
+from oracles import bounded_translation_search, exhaustive_box_translation, proper_pairs, subsets
 from translation_lambdas import LAMBDAS
 
 
@@ -43,6 +46,19 @@ def test_lambda_matches_frozen_search(label):
     assert len(cases) == 3 ** 4 - 2 ** 4
     for (J, K), lam in cases.items():
         assert _translation_lambda(sub_system(rs, J), K) == lam, (J, K)
+
+
+@pytest.mark.parametrize("label", ["A5", "B5", "C5", "D5"])
+def test_lambda_matches_exhaustive_box(label):
+    rs = build_root_system(label)
+    for J, K in proper_pairs(rs.rank):
+        assert _translation_lambda(sub_system(rs, J), K) == exhaustive_box_translation(
+            rs.cartan, J, K), (J, K)
+
+
+def test_a6_lambda_matches_exhaustive_box():
+    rs, full = _full("A6")
+    assert _translation_lambda(full, ()) == exhaustive_box_translation(rs.cartan, rs.index_set, ())
 
 
 def test_e8_lambda_is_rho_check():
