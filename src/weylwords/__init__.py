@@ -16,13 +16,13 @@ from .finweyl import (WeylElement, classify_subset, coset_decompose,
 from .affine import (AffineElement, AffineRoot, Letter, affine_identity,
                      affine_inversion_set, affine_length, affine_reduced_word,
                      affine_window, bfs_elements, in_weyl_subgroup, letters_of,
-                     tail_set, tower, translation)
+                     tower, translation)
 from .biconvex import (BiconvexParam, NotBiconvexError, WindowSet,
                        classify_biconvex, contained_mod_finite, enumerate_biconvex,
                        is_biconvex_window, parametrize, realize)
 from .words import (InfiniteWord, WordClass, act_on_word, classify_word, inversion_at,
                     limit_inversions, orbit_invariant, prefix_element, translation_word,
-                    word_of_param, words_equivalent)
+                    word_of_param, word_window, words_equivalent)
 from .verify import SUITES, run_suite
 
 __all__ = [
@@ -33,13 +33,13 @@ __all__ = [
     "push_negative", "simple_reflection", "weyl_elements",
     "AffineElement", "AffineRoot", "Letter", "affine_identity",
     "affine_inversion_set", "affine_length", "affine_reduced_word", "affine_window",
-    "bfs_elements", "in_weyl_subgroup", "letters_of", "tail_set", "tower",
+    "bfs_elements", "in_weyl_subgroup", "letters_of", "tower",
     "translation",
     "BiconvexParam", "NotBiconvexError", "WindowSet",
     "classify_biconvex", "contained_mod_finite", "enumerate_biconvex",
     "is_biconvex_window", "parametrize", "realize",
     "InfiniteWord", "WordClass", "act_on_word", "classify_word", "inversion_at",
     "limit_inversions", "orbit_invariant", "prefix_element", "translation_word",
-    "word_of_param", "words_equivalent",
+    "word_of_param", "word_window", "words_equivalent",
     "SUITES", "run_suite",
 ]

@@ -55,7 +55,6 @@ from .finweyl import (
     from_word,
     identity,
     in_subgroup,
-    tail_roots,
 )
 
 
@@ -382,14 +381,6 @@ def tower(rs: RootSystem, P, cutoff: int) -> frozenset[AffineRoot]:
         start = 0 if is_positive(eps) else 1
         out.update(AffineRoot(m, eps) for m in range(start, cutoff + 1))
     return frozenset(out)
-
-
-def tail_set(sub: SubSystem, K, u: WeylElement, cutoff: int) -> frozenset[AffineRoot]:
-    """Truncation of the tail pattern: the tower over u(complement of K).
-
-    Invariant under replacing u by u*v with v generated by K.
-    """
-    return tower(sub.rs, tail_roots(sub, K, u), cutoff)
 
 
 def affine_inversion_set(x: AffineElement, sub: SubSystem) -> frozenset[AffineRoot]:

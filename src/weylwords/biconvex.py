@@ -18,7 +18,8 @@ w = (cutoff + 1).bit_length() + 1.  A real biconvex set meets each string
 eps + Z delta in an initial segment, so the masks are its string lengths,
 windowed.  The window test closes them, ``realize`` and ``parametrize`` write
 and read one length per string, and membership reads one bit.  Only the public
-constructor checks members; ``realize`` and ``complement`` fill their own.
+constructor checks members; ``realize``, ``complement`` and
+``words.word_window`` fill their own.
 """
 
 from __future__ import annotations
@@ -162,10 +163,11 @@ def _field_width(cutoff: int) -> int:
     return (cutoff + 1).bit_length() + 1  # bits per level field: counts cutoff + 1 level sums
 
 
-# Bound of the window-mask memo.  One verify-sweep round reads 119 distinct
-# (J, cutoff) in 10,447 calls, and a query-mix round 80 to 88 in 1,216, so
-# at 128 every miss is a first read.  An entry holds 19 KB (A3) to 353 KB
-# (E8) at the largest cutoff read from outside, 1,000.
+# Bound of the window-mask memo.  One verify-sweep round reads 135 distinct
+# (J, cutoff) in 10,138 calls and misses 135 times, and a query-mix round
+# reads 75 to 89 in 1,024, so at 128 every miss is still a first read.  An
+# entry holds 19 KB (A3) to 353 KB (E8) at the largest cutoff read from
+# outside, 1,000.
 WINDOW_MEMO_SIZE = 128
 
 
@@ -222,8 +224,9 @@ class WindowSet:
     real root belongs iff its classical part is in ``tail``, and an
     imaginary root belongs iff ``imaginary_tail``.  Membership is thus
     answered at any level.  The public constructor checks every member and
-    the tail; ``realize`` and ``complement`` fill masks they have just built
-    through ``_filled``.  Equal fields mean equal member sets.
+    the tail; ``realize``, ``complement`` and ``words.word_window`` fill masks
+    they have just built through ``_filled``.  Equal fields mean equal member
+    sets.
     """
 
     sub: SubSystem
@@ -274,7 +277,7 @@ class WindowSet:
 
     def _members(self, top: int, skip=frozenset()) -> frozenset[AffineRoot]:
         """The members of level at most top whose classical part is not in skip."""
-        w, parts = _window_masks(self.sub, self.cutoff)[0], _class_sum_pairs(self.sub).parts
+        w, parts = _field_width(self.cutoff), _class_sum_pairs(self.sub).parts
         # One pass per slot: every w-th binary digit from the lowest spells the levels.
         return frozenset(AffineRoot(m, part) for part, mask in zip(parts, self._masks)
                          if mask and part not in skip

@@ -37,7 +37,6 @@ from .affine import (
     from_letters,
     letters_of,
     lift,
-    tail_set,
 )
 from .biconvex import (
     BiconvexParam,
@@ -57,6 +56,7 @@ from .words import (
     orbit_invariant,
     translation_word,
     word_of_param,
+    word_window,
     words_equivalent,
 )
 
@@ -268,38 +268,42 @@ def check_parametrization_roundtrip(labels=("A1", "A2"), max_y=4):
     return f"all parameters with bounded finite part over {_over(labels)}"
 
 
+def _listed(window) -> str:
+    """A window as a failure names it: its members, then its tail promise."""
+    return f"{sorted(map(str, window.elements))} with tail {sorted(window.tail)}"
+
+
 @_suite("diagram")
 def check_word_diagram(labels=("A1", "A2"), max_y=4):
-    """The standard word of each parameter inverts exactly its view."""
+    """The standard word of each parameter inverts exactly its view: the
+    word's window equals the realized one, masks and tail promise."""
     for label, rs, _ in _systems(labels):
         for J in filter(None, _subsets(rs.index_set)):
             for param in _params_for(rs, J, max_y, proper_only=True):
                 depth = _depth(param)
-                got = limit_inversions(word_of_param(param), depth)
-                expected = realize(param, depth).truncate(depth)
+                got, expected = word_window(word_of_param(param), depth), realize(param, depth)
                 yield [] if got == expected else [
-                    f"{label} {param!r}: word inverts {sorted(map(str, got))}, "
-                    f"view holds {sorted(map(str, expected))}"
+                    f"{label} {param!r}: word has {_listed(got)}, view has {_listed(expected)}"
                 ]
     return f"word-of-parameters matches views over {_over(labels)}"
 
 
 @_suite("words")
 def check_translation_words(labels=("A1", "A2", "C2"), cutoff=6):
-    """Base words: positive distinct inversions; limit equals the tail."""
+    """Base words: positive distinct inversions; the window is that of (K, e, e)."""
     for label, rs, _ in _systems(labels):
         for J in filter(None, _subsets(rs.index_set)):
             sub = sub_system(rs, J)
             for K in _proper(J):
                 word = translation_word(sub, K)
-                bound = 3 * len(word.period)
-                values = [inversion_at(word, p) for p in range(1, bound + 1)]
+                values = [inversion_at(word, p) for p in range(1, 3 * len(word.period) + 1)]
                 bad = []
                 if not all(v.is_positive for v in values):
                     bad.append(f"{label} J={J} K={K}: negative inversion")
                 if len(set(values)) != len(values):
                     bad.append(f"{label} J={J} K={K}: repeated inversion")
-                if limit_inversions(word, cutoff) != tail_set(sub, K, identity(rs), cutoff):
+                base = BiconvexParam(sub, K, identity(rs), affine_identity(rs))
+                if word_window(word, cutoff) != realize(base, cutoff):
                     bad.append(f"{label} J={J} K={K}: wrong inversion limit")
                 yield bad
     return f"translation words for every proper K over {_over(labels)}"

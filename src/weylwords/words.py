@@ -12,7 +12,11 @@ construction time.
 The inversion set of a word is the union of its prefix inversion sets; it
 is an infinite real biconvex set, and ``classify_word`` computes the
 parameter triple (K, u, y) naming it, which is the canonical form of the
-word's equivalence class.  Classes and the action compare string lengths.
+word's equivalence class.  ``word_window`` reads the set into a window off
+the certificate, one bit per head inversion and one geometric series per
+progression, and ``limit_inversions`` lists that window: it is the one
+route from a certificate to a set.  Classes and the action compare string
+lengths and list nothing.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ from .affine import (
     lift,
     translation,
 )
-from .biconvex import BiconvexParam, NotBiconvexError, _parameters
+from .biconvex import (BiconvexParam, NotBiconvexError, WindowSet, _class_sum_pairs,
+                       _field_width, _parameters)
 
 
 @dataclass(frozen=True)
@@ -141,19 +146,32 @@ def inversion_at(word: InfiniteWord, p: int) -> AffineRoot:
     return AffineRoot(phi.level + m * st.slopes[i % len(word.period)], phi.classical)
 
 
-def limit_inversions(word: InfiniteWord, cutoff: int) -> frozenset[AffineRoot]:
-    """All inversions of the word with level at most the cutoff."""
+def word_window(word: InfiniteWord, cutoff: int) -> WindowSet:
+    """The word's inversion set as a window, filled off its certificate as
+    ``realize`` fills its own: one bit per head inversion, one geometric
+    series per progression (levels m, m + s, ... up to the cutoff), the
+    progressions' classical parts as the tail promise, and the cutoff raised
+    to the top head inversion off the tail."""
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
-    st = word._structure
-    H, n = len(word.head), len(word.period)
-    out = {phi for phi in st.phis[:H] if phi.level <= cutoff}
-    for i, phi in enumerate(st.phis[H:]):
-        out.update(
-            AffineRoot(level, phi.classical)
-            for level in range(phi.level, cutoff + 1, st.slopes[i % n])
-        )
-    return frozenset(out)
+    st, H, n = word._structure, len(word.head), len(word.period)
+    tail = frozenset(phi.classical for phi in st.phis[H:])
+    cutoff = max([cutoff, *(m for m, eps in st.phis[:H] if eps not in tail)])
+    w, slot = _field_width(cutoff), _class_sum_pairs(word.sub).slot
+    masks = [0] * len(slot)
+    for i, (m, eps) in enumerate(st.phis):
+        # Levels m, m + s, ... to the cutoff: one geometric series; a head inversion is one term.
+        s = st.slopes[(i - H) % n]
+        terms = 1 if i < H else (cutoff - m) // s + 1
+        if m <= cutoff:
+            masks[slot[eps]] |= ((1 << s * w * terms) - 1) // ((1 << s * w) - 1) << m * w
+    # Valid by construction: inversions are positive roots of J, all at window levels.
+    return WindowSet._filled(word.sub, cutoff, tuple(masks), tail)
+
+
+def limit_inversions(word: InfiniteWord, cutoff: int) -> frozenset[AffineRoot]:
+    """All inversions of the word with level at most the cutoff."""
+    return word_window(word, cutoff).truncate(cutoff)
 
 
 def translation_word(sub: SubSystem, K) -> InfiniteWord:
@@ -193,33 +211,33 @@ def _translation_lambda(sub: SubSystem, K) -> tuple[int, ...]:
     if set(K) == set(sub.J):
         raise ValueError("K must be a proper subset of J")
     # Components inside K keep c = 0.  The least overall maximum is the largest
-    # per-component one; under it, lexicographic order splits by component.
+    # per-component one; under it, lexicographic order splits by component, so
+    # only a component whose own least maximum is lower reads its box again.
     comps = [comp for comp in sub.components if set(comp) - set(K)]
-    boxes = [_box_candidates(sub.rs, comp, K) for comp in comps]
-    top = max(min(max(c) for c in box) for box in boxes)
-    lam = [0] * sub.rs.rank
-    for comp, box in zip(comps, boxes):
-        for j, c in zip(comp, min(c for c in box if max(c) <= top)):
-            lam[j - 1] = c
-    return tuple(lam)
+    least = [min(_box_candidates(sub.rs, comp, K), key=lambda c: (max(c), c)) for comp in comps]
+    top, coords = max(map(max, least)), {}
+    for comp, c in zip(comps, least):
+        box = _box_candidates(sub.rs, comp, K) if max(c) < top else [c]
+        coords.update(zip(comp, min(c for c in box if max(c) <= top)))
+    return tuple(coords.get(j, 0) for j in range(1, sub.rs.rank + 1))
 
 
-def _box_candidates(rs: RootSystem, comp, K) -> list[tuple[int, ...]]:
-    """Coordinates over a component meeting J minus K of each box candidate."""
+def _box_candidates(rs: RootSystem, comp, K):
+    """Coordinates over a component meeting J minus K of each box candidate,
+    yielded as they are made: the search holds one pending branch per
+    pairing value left to try, not the box."""
     *rest, last = [x for x, j in enumerate(comp) if j not in K]
     d, adj = cartan_adjugate(rs, comp)
     # d*c sums p_j * adj[j]; the last p_j is the least t in [1, d] making it 0 mod d.
     solve = {tuple(-t * a % d for a in adj[last]): t for t in range(d, 0, -1)}
-    nums = [((0,) * len(comp), d - 1)]  # (d*c so far, what |e|_1 has left)
-    for x in rest:
-        nums = [(tuple(v + p * a for v, a in zip(num, adj[x])), left + 1 - p)
-                for num, left in nums for p in range(1, left + 2)]
-    box = []
-    for num, _ in nums:
-        t = solve.get(tuple(v % d for v in num))
-        if t is not None:
-            box.append(tuple((v + t * a) // d for v, a in zip(num, adj[last])))
-    return box
+    stack = [(rest, (0,) * len(comp), d - 1)]  # (indices left, d*c so far, what |e|_1 has left)
+    while stack:
+        xs, num, left = stack.pop()
+        if xs:  # p = 1, 2, ... at xs[0]: each adds its row to d*c again and spends one of |e|_1
+            for left in range(left, -1, -1):
+                stack.append((xs[1:], num := add(num, adj[xs[0]]), left))
+        elif (t := solve.get(tuple([v % d for v in num]))) is not None:
+            yield tuple([(v + t * a) // d for v, a in zip(num, adj[last])])
 
 
 def act_on_word(x: AffineElement, word: InfiniteWord) -> InfiniteWord:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from weylwords.cartan import (build_root_system, cartan_matrix, complement_roots, height,
                               sub_system)
-from weylwords.finweyl import from_word, identity, inversion_set
+from weylwords.finweyl import from_word, identity, inversion_set, tail_roots
 from weylwords.affine import (
     AffineRoot,
     Letter,
@@ -30,7 +30,6 @@ from weylwords.affine import (
     letter_root,
     letters_of,
     lift,
-    tail_set,
     tower,
     translation,
 )
@@ -224,14 +223,15 @@ def test_tower_examples():
         tower(A1, {(2,)}, 1)
 
 
-def test_tail_set_examples():
-    assert tail_set(A1_FULL, (), identity(A1), 3) == {
+def test_tail_tower_examples():
+    # The tail pattern of (K, u) up to a cutoff: the tower over u(Phi_J^- minus Phi_K).
+    assert tower(A1, tail_roots(A1_FULL, (), identity(A1)), 3) == {
         AffineRoot(1, (-1,)),
         AffineRoot(2, (-1,)),
         AffineRoot(3, (-1,)),
     }
-    assert tail_set(A1_FULL, (1,), identity(A1), 5) == frozenset()
-    assert tail_set(A2_FULL, (1,), identity(A2), 1) == {
+    assert tower(A1, tail_roots(A1_FULL, (1,), identity(A1)), 5) == frozenset()
+    assert tower(A2, tail_roots(A2_FULL, (1,), identity(A2)), 1) == {
         AffineRoot(1, (0, -1)),
         AffineRoot(1, (-1, -1)),
     }
@@ -242,9 +242,11 @@ def _upper_tail(sub, K, u, cutoff):
     return tower(sub.rs, {u.apply(r) for r in complement_roots(sub, K, +1)}, cutoff)
 
 
-def test_tail_set_invariant_under_right_k_factor():
+def test_tail_roots_invariant_under_right_k_factor():
     s1 = from_word(A2, [1])
-    assert tail_set(A2_FULL, (1,), identity(A2), 4) == tail_set(A2_FULL, (1,), s1, 4)
+    assert tail_roots(A2_FULL, (1,), identity(A2)) == tail_roots(A2_FULL, (1,), s1)
+    assert (tower(A2, tail_roots(A2_FULL, (1,), identity(A2)), 4)
+            == tower(A2, tail_roots(A2_FULL, (1,), s1), 4))
     assert _upper_tail(A2_FULL, (1,), identity(A2), 4) == _upper_tail(A2_FULL, (1,), s1, 4)
 
 
@@ -260,7 +262,7 @@ def test_split_of_window_by_tails(label):
         for u in minimal_coset_reps(full, K):
             for cutoff in (1, 2, 4):
                 real_window = {b for b in affine_window(full, cutoff) if b.is_real}
-                down = tail_set(full, K, u, cutoff)
+                down = tower(rs, tail_roots(full, K, u), cutoff)
                 up = _upper_tail(full, K, u, cutoff)
                 mid = {
                     AffineRoot(b.level, u.apply(b.classical))
@@ -280,11 +282,11 @@ def test_lower_tail_splits_off_finite_inversions(label):
     for K in [(), (1,), (2,)]:
         for u in minimal_coset_reps(full, K):
             for cutoff in (2, 5):
-                left = tail_set(full, K, u, cutoff)
+                left = tower(rs, tail_roots(full, K, u), cutoff)
                 level0 = {AffineRoot(0, b) for b in inversion_set(u, full)}
                 lifted = {
                     AffineRoot(b.level, u.apply(b.classical))
-                    for b in tail_set(full, K, identity(rs), cutoff)
+                    for b in tower(rs, tail_roots(full, K, identity(rs)), cutoff)
                 }
                 assert left == level0 | lifted
                 assert not (level0 & lifted)

@@ -151,9 +151,8 @@ def test_finite_part_and_complement_match_the_tower_formulas(label):
     # Mask windows answer as the frozenset model: the members are tower(tail)
     # plus the finite part, the complement is taken inside affine_window, and
     # membership beyond the cutoff comes from the tail.  Checked on every
-    # window realized at cutoffs 0..3, each standard word's inversions up to
-    # a level past its certificate with its progressions' parts as the tail,
-    # and their complements.
+    # window realized at cutoffs 0..3, each standard word's window
+    # (``word_window``) a level past its certificate, and their complements.
     rs = build_root_system(label)
     checked = 0
     for J in filter(None, _subsets(rs.index_set)):
@@ -161,12 +160,8 @@ def test_finite_part_and_complement_match_the_tower_formulas(label):
             pairs = [(realize(param, cutoff), _model_of(param, cutoff)) for cutoff in range(4)]
             if param.names_infinite_set:
                 word = words.word_of_param(param)
-                phis = word._structure.phis
-                depth = max(b.level for b in phis) + 1
-                window = WindowSet(sub=param.sub, cutoff=depth,
-                                   elements=words.limit_inversions(word, depth),
-                                   tail=frozenset(b.classical for b in phis[len(word.head):]))
-                pairs.append((window, _model_of(param, depth)))
+                depth = max(b.level for b in word._structure.phis) + 1
+                pairs.append((words.word_window(word, depth), _model_of(param, depth)))
             for window, model in pairs:
                 _check_against_model(window, model)
                 _check_against_model(window.complement(), model.complement())

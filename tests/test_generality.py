@@ -16,6 +16,7 @@ from weylwords.finweyl import (
     in_subgroup,
     inversion_set,
     minimal_coset_reps,
+    tail_roots,
     weyl_elements,
 )
 from weylwords.affine import (
@@ -26,7 +27,7 @@ from weylwords.affine import (
     bfs_elements,
     from_letters,
     letters_of,
-    tail_set,
+    tower,
     translation,
 )
 from weylwords.biconvex import (
@@ -63,8 +64,8 @@ def test_split_translation_words_and_orbits():
         word = translation_word(SPLIT, K)
         assert orbit_invariant(word) == K
         for cutoff in (2, 5):
-            assert limit_inversions(word, cutoff) == tail_set(
-                SPLIT, K, identity(A3), cutoff
+            assert limit_inversions(word, cutoff) == tower(
+                A3, tail_roots(SPLIT, K, identity(A3)), cutoff
             )
 
 

@@ -9,6 +9,8 @@ tests hold it to the exhaustive d^(m-1) box of ``tests/oracles.py`` on every
 defining pairing conditions on the exceptional systems.
 """
 
+import tracemalloc
+
 import pytest
 
 from weylwords.affine import affine_inversion_set, translation
@@ -59,6 +61,24 @@ def test_lambda_matches_exhaustive_box(label):
 def test_a6_lambda_matches_exhaustive_box():
     rs, full = _full("A6")
     assert _translation_lambda(full, ()) == exhaustive_box_translation(rs.cartan, rs.index_set, ())
+
+
+def test_box_search_holds_no_candidate_list():
+    # A8 with K empty has C(15, 7) = 6,435 pairing vectors in its box.  They
+    # are made and compared one at a time: after a first call has filled
+    # CPython's small-tuple free lists, the search's peak allocation is about
+    # 5 KB, and about 210 KB before.  Any list of the candidates is larger:
+    # 2 MB with the partial vectors, 0.7 MB for the candidates alone.
+    _, full = _full("A8")
+    _translation_lambda(full, ())
+    tracemalloc.start()
+    try:
+        lam = _translation_lambda(full, ())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lam == (4, 7, 9, 10, 10, 9, 7, 4)
+    assert peak < 1 << 18, peak
 
 
 def test_e8_lambda_is_rho_check():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylwords.cartan import build_root_system, sub_system
-from weylwords.finweyl import from_word, identity, minimal_coset_reps
+from weylwords.finweyl import from_word, identity, minimal_coset_reps, tail_roots
 from weylwords.affine import (
     AffineRoot,
     Letter,
@@ -18,10 +18,10 @@ from weylwords.affine import (
     letter_root,
     letters_of,
     lift,
-    tail_set,
+    tower,
     translation,
 )
-from weylwords.biconvex import BiconvexParam, realize
+from weylwords.biconvex import BiconvexParam, WindowSet, realize
 from weylwords.verify import _action_formula
 from weylwords import affine, biconvex, words
 from weylwords.affine import _walk
@@ -154,8 +154,8 @@ def test_translation_word_inversions_equal_tail(label):
                 continue
             word = translation_word(sub, tuple(sorted(K)))
             for cutoff in (0, 3, 6):
-                assert limit_inversions(word, cutoff) == tail_set(
-                    sub, tuple(sorted(K)), identity(rs), cutoff
+                assert limit_inversions(word, cutoff) == tower(
+                    rs, tail_roots(sub, tuple(sorted(K)), identity(rs)), cutoff
                 )
 
 
@@ -270,7 +270,7 @@ def test_word_of_param_mixed_case():
     param = BiconvexParam(sub=A2_FULL, K=(1,), u=identity(A2), y=s1_aff)
     word = word_of_param(param)
     for cutoff in (1, 4):
-        expected = set(tail_set(A2_FULL, (1,), identity(A2), cutoff))
+        expected = set(tower(A2, tail_roots(A2_FULL, (1,), identity(A2)), cutoff))
         expected.add(AffineRoot(0, (1, 0)))
         assert limit_inversions(word, cutoff) == expected
 
@@ -422,6 +422,32 @@ def _period_order(word):
     while not power.is_identity:
         order, power = order + 1, power * pi.finite
     return order
+
+
+def _window_by_positions(word, cutoff):
+    """``word_window``'s second route: the inversions listed position by
+    position with ``inversion_at``, through the checked public constructor.
+    The tail is the classical parts of inversions H + 1 .. H + d*n, and the
+    cutoff is raised to the top head inversion off it.  Past position
+    H + m*d*n every inversion has climbed at least m levels, so the first
+    H + d*n*(c + 1) positions hold every inversion up to level c."""
+    H, block = len(word.head), _period_order(word) * len(word.period)
+    tail = frozenset(inversion_at(word, p).classical for p in range(H + 1, H + block + 1))
+    head = [inversion_at(word, p) for p in range(1, H + 1)]
+    top = max([cutoff, *(b.level for b in head if b.classical not in tail)])
+    listed = (inversion_at(word, p) for p in range(1, H + block * (top + 1) + 1))
+    return WindowSet(word.sub, top, [b for b in listed if b.level <= top], tail=tail)
+
+
+def test_word_window_equals_the_positionwise_listing():
+    acted = [word for group in _acted_groups(("A2", "C2", "G2")) for word in group]
+    for word in STRUCTURE_WORDS + acted:
+        for cutoff in (0, 3, 8):
+            assert words.word_window(word, cutoff) == _window_by_positions(word, cutoff), word
+        for read in (words.word_window, limit_inversions):
+            with pytest.raises(ValueError, match="^cutoff must be non-negative$"):
+                read(word, -1)
+    assert len(STRUCTURE_WORDS + acted) == 246
 
 
 def test_structure_words_cover_heads_and_finite_parts_of_higher_order():
