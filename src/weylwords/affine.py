@@ -43,7 +43,6 @@ from .cartan import (
     _descent_walk,
     _json_field,
     _json_ints,
-    cartan_adjugate,
     height,
     is_positive,
     negate,
@@ -152,10 +151,10 @@ class AffineElement:
     @property
     def translation(self) -> tuple[int, ...]:
         """lambda over the simple coroots: lambda_i = <varpi_i, lambda>, with
-        d varpi_i = sum_j column_i[j] alpha_j (see ``_weight_columns``)."""
-        d, columns = _weight_columns(self.rs)
-        pairs = self._pairings()
-        return tuple(sum(map(mul, col, pairs)) // d for col in columns)
+        d varpi_i = sum_j column_i[j] alpha_j (the root system's ``det`` and
+        ``weight_columns``)."""
+        rs, pairs = self.rs, self._pairings()
+        return tuple(sum(map(mul, col, pairs)) // rs.det for col in rs.weight_columns)
 
     def _pairings(self) -> tuple[int, ...]:
         """<alpha_j, lambda>, the level of x-inverse(alpha_j), for each j."""
@@ -180,14 +179,6 @@ class AffineElement:
             return beta
         level = beta.level + sum(map(mul, beta.classical, self.levels))
         return AffineRoot(level, self.finite.apply(beta.classical))
-
-
-@lru_cache(maxsize=None)
-def _weight_columns(rs: RootSystem) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The Cartan determinant d and the simple-root coordinates of d varpi_k
-    for each fundamental weight varpi_k: column k of the adjugate."""
-    d, adj = cartan_adjugate(rs, rs.index_set)
-    return d, tuple(zip(*adj))
 
 
 def affine_identity(rs: RootSystem) -> AffineElement:
@@ -338,7 +329,7 @@ def in_weyl_subgroup(x: AffineElement, sub: SubSystem) -> bool:
     """
     if not in_subgroup(x.finite, sub):
         return False
-    _, columns = _weight_columns(x.rs)
+    columns = x.rs.weight_columns
     return not any(
         sum(map(mul, columns[k - 1], x.levels)) for k in x.rs.index_set if k not in sub.J
     )

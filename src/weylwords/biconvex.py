@@ -326,6 +326,8 @@ def realize(param: BiconvexParam, cutoff: int) -> WindowSet:
     """The biconvex set named by (K, u, y): the tower over the tail
     u(negative roots of J outside K) plus the finite part u(N(y)), at a
     cutoff raised to the top finite level, so the window holds the set."""
+    if cutoff < 0:
+        raise ValueError("cutoff must be non-negative")
     sub, u = param.sub, param.u
     tail = tail_roots(sub, param.K, u)
     # Unchecked: y is in K's subgroup, checked on construction or proved by _trusted's caller.

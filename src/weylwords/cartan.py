@@ -2,9 +2,13 @@
 
 Roots are immutable integer coordinate tuples over the simple basis
 ``alpha_1 .. alpha_l`` (1-based indexing everywhere in the public API).
-Every table is integral: one walk over the simple reflections generates
-each root together with its coroot, and one fraction-free elimination
-decides finite type and gives the Cartan adjugates.  The only rational
+Every table is integral and made once per system, by ``_build``: one walk
+over the simple reflections generates each root with its coroot and keeps
+s_i(beta) as each simple reflection's permutation of the root indices (the
+only place s_i is applied to a root by its pairing), and one fraction-free
+elimination of the Cartan matrix decides finite type and keeps det A and
+the columns of adj A, the fundamental weights.  ``cartan_adjugate``
+eliminates sub-diagrams on demand.  The only rational
 data is the Gram matrix of the bilinear form, normalized so that every
 long root has squared length 2, kept for ``pairing`` and the JSON output.
 All generated root lists are sorted by (height, coordinates) so that
@@ -36,14 +40,18 @@ def _chain_edges(rank: int) -> list[tuple[int, int]]:
     return [(i, i + 1) for i in range(1, rank)]
 
 
-def _canonical_label(label: str) -> str:
-    """The type label without case, surrounding space or leading zeros of
-    its rank (``"a02"`` is ``"A2"``); ``cartan_matrix`` checks the rest."""
+def _parse_label(label: str) -> tuple[str, int]:
+    """The family and rank of a type label, read without case, surrounding
+    space or leading zeros of the rank (``"a02"`` is ``("A", 2)``)."""
     label = label.strip().upper()
-    digits = label[1:]
-    if digits[:1] == "0" and label[0] in _RANK_RANGE and digits.isascii() and digits.isdigit():
-        return f"{label[0]}{int(digits)}"
-    return label
+    family, digits = label[:1], label[1:]
+    if family not in _RANK_RANGE or not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"unrecognized type label {label!r}")
+    rank = int(digits)
+    lo, hi = _RANK_RANGE[family]
+    if rank < lo or (hi is not None and rank > hi):
+        raise ValueError(f"rank {rank} out of range for family {family}")
+    return family, rank
 
 
 def cartan_matrix(label: str) -> tuple[tuple[int, ...], ...]:
@@ -53,15 +61,7 @@ def cartan_matrix(label: str) -> tuple[tuple[int, ...], ...]:
     reflection acts by ``s_i(alpha_j) = alpha_j - a[i][j] alpha_i``.
     Labels look like ``"A2"``, ``"C2"``, ``"G2"``, ``"E8"``.
     """
-    label = label.strip().upper()
-    family, digits = label[:1], label[1:]
-    if family not in _RANK_RANGE or not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"unrecognized type label {label!r}")
-    rank = int(digits)
-    lo, hi = _RANK_RANGE[family]
-    if rank < lo or (hi is not None and rank > hi):
-        raise ValueError(f"rank {rank} out of range for family {family}")
-
+    family, rank = _parse_label(label)
     a = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
 
     def bond(i: int, j: int, aij: int = -1, aji: int = -1) -> None:
@@ -246,6 +246,16 @@ class RootSystem:
     root_set: frozenset[Root] = field(repr=False)
     # Each root's coroot, in coordinates over the simple coroots.
     coroots: dict[Root, tuple[int, ...]] = field(repr=False)
+    # Each root's index in ``roots``, and per simple reflection the
+    # permutation it makes of those indices.  The negative roots come
+    # first: index t is positive exactly when t >= len(roots) // 2.
+    root_index: dict[Root, int] = field(repr=False)
+    reflections: tuple[tuple[int, ...], ...] = field(repr=False)
+    # Per Cartan row i, the (j - 1, a[i][j]) with a[i][j] != 0.
+    cartan_support: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False)
+    # det A, and column k of adj A: the simple-root coordinates of det A varpi_k.
+    det: int = field(repr=False)
+    weight_columns: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @cached_property
     def index_set(self) -> tuple[int, ...]:
@@ -310,27 +320,31 @@ class RootSystem:
         return coords
 
 
-def _generate_roots(matrix) -> dict[Root, tuple[int, ...]]:
-    """Every root with its coroot over the simple coroots, by closing the
-    pairs (alpha_i, alpha_i-check) under s_i(beta)-check = s_i(beta-check).
-    s_i reads Cartan row i on roots and column i on coroots, the roots of
-    the transposed matrix (Bourbaki, Lie VI.1).  A coroot equal to its
-    root is stored as the root itself."""
+def _generate_roots(matrix) -> tuple[dict[Root, tuple[int, ...]], dict[Root, list[Root]]]:
+    """Every root with its coroot over the simple coroots, and with its
+    images s_1(beta) .. s_rank(beta), by closing the pairs (alpha_i,
+    alpha_i-check) under s_i(beta)-check = s_i(beta-check).  s_i reads
+    Cartan row i on roots and column i on coroots, the roots of the
+    transposed matrix (Bourbaki, Lie VI.1).  A coroot equal to its root is
+    stored as the root itself."""
     rank = len(matrix)
     simples = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
     coroots = {alpha: alpha for alpha in simples}
+    images = {}
     frontier = list(simples)
     while frontier:
         beta = frontier.pop()
         check = coroots[beta]
+        images[beta] = moved = []
         for i, row in enumerate(matrix):
             image = beta[:i] + (beta[i] - sum(map(operator.mul, beta, row)),) + beta[i + 1:]
+            moved.append(image)
             if image not in coroots:
                 c = check[i] - sum(x * r[i] for x, r in zip(check, matrix))
                 coroot = check[:i] + (c,) + check[i + 1:]
                 coroots[image] = image if coroot == image else coroot
                 frontier.append(image)
-    return coroots
+    return coroots, images
 
 
 def _build(label: str | None, matrix: tuple[tuple[int, ...], ...]) -> RootSystem:
@@ -340,10 +354,13 @@ def _build(label: str | None, matrix: tuple[tuple[int, ...], ...]) -> RootSystem
     gram = tuple(
         tuple(d[i] * matrix[i][j] for j in range(rank)) for i in range(rank)
     )
-    if _eliminate(matrix) is None:
+    found = _eliminate(matrix)
+    if found is None:
         raise ValueError("Cartan matrix is not of finite type")
-    coroots = _generate_roots(matrix)
+    det, adj = found
+    coroots, images = _generate_roots(matrix)
     roots = tuple(sorted(coroots, key=lambda r: (height(r), r)))
+    index = {r: t for t, r in enumerate(roots)}
     return RootSystem(
         label=label,
         cartan=matrix,
@@ -352,6 +369,11 @@ def _build(label: str | None, matrix: tuple[tuple[int, ...], ...]) -> RootSystem
         roots=roots,
         root_set=frozenset(roots),
         coroots=coroots,
+        root_index=index,
+        reflections=tuple(tuple([index[images[r][i]] for r in roots]) for i in range(rank)),
+        cartan_support=tuple(tuple((k, a) for k, a in enumerate(row) if a) for row in matrix),
+        det=det,
+        weight_columns=tuple(zip(*adj)),
     )
 
 
@@ -369,7 +391,8 @@ def build_root_system(source) -> RootSystem:
     the canonical label (``"a02"`` builds ``"A2"``'s object).
     """
     if isinstance(source, str):
-        return _build_by_label(_canonical_label(source))
+        family, rank = _parse_label(source)
+        return _build_by_label(f"{family}{rank}")
     try:
         matrix = tuple(tuple(operator.index(x) for x in row) for row in source)
     except TypeError as exc:
@@ -382,7 +405,8 @@ class SubSystem:
     """The sub-root-system generated by a subset J of the simple indices.
 
     Carries the irreducible components of J (as index tuples), the highest
-    root of each component, and the ordered root lists.  J may be empty.
+    root of each component, the ordered root lists and the Cartan matrix on
+    J.  J may be empty.
     """
 
     rs: RootSystem
@@ -391,6 +415,8 @@ class SubSystem:
     components: tuple[tuple[int, ...], ...]
     highest_roots: tuple[Root, ...]
     root_set: frozenset[Root] = field(repr=False)
+    # The Cartan matrix restricted to J, rows and columns in J's order.
+    cartan: tuple[tuple[int, ...], ...] = field(repr=False)
 
     @cached_property
     def positives(self) -> tuple[Root, ...]:
@@ -426,6 +452,7 @@ def _sub_system_cached(rs: RootSystem, J: tuple) -> SubSystem:
         components=tuple(comps),
         highest_roots=tuple(highest),
         root_set=frozenset(roots),
+        cartan=tuple(tuple([rs.cartan[i - 1][j - 1] for j in J]) for i in J),
     )
 
 

@@ -7,11 +7,12 @@ descent walk on the pairings of w(2 rho) = 2 rho - 2 sum N(w) with the
 simple coroots.  Greedy algorithms always pick the smallest simple index
 first, so every output is deterministic.
 
-s_i on roots is read off one table per root system, which holds each
-simple reflection's permutation of the root indices (Casselman, "Machine
-calculations in Weyl groups", *Invent. Math.* 116, 1994); only its
-builder pairs a root with a coroot.  Whole groups and parabolic quotients
-are searched on tuples of those indices, and their elements built once.
+s_i on roots is read off the root system's ``reflections``, each simple
+reflection's permutation of the root indices, which ``cartan`` keeps from
+the walk that generated the roots (Casselman, "Machine calculations in
+Weyl groups", *Invent. Math.* 116, 1994): no pairing is computed for it
+here.  Whole groups and parabolic quotients are searched on tuples of
+those indices, and their elements built once.
 
 A pointed biclosed set P = u(Phi^-_J minus Phi_K) factors by one descent
 walk on its sum: -sum P = u(2 rho_J - 2 rho_K), a dominant vector moved by
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import mul
 
 from .cartan import (
     Root,
@@ -100,28 +100,10 @@ class WeylElement:
         return len(self.word)
 
 
-@lru_cache(maxsize=None)
-def _reflection_table(rs: RootSystem) -> tuple[dict[Root, int], tuple[tuple[int, ...], ...]]:
-    """Each root's index in ``rs.roots``, and per simple reflection s_i the
-    permutation it makes of those indices.  s_i(beta) = beta - <beta,
-    alpha_i^vee> alpha_i is computed here once per root and i, and nowhere
-    else.  ``rs.roots``
-    is sorted by height, so the negative roots come first: index t is
-    positive exactly when t >= len(rs.roots) // 2."""
-    index = {r: t for t, r in enumerate(rs.roots)}
-    perms = []
-    for k, row in enumerate(rs.cartan):
-        perms.append(tuple([
-            index[r[:k] + (r[k] - sum(map(mul, r, row)),) + r[k + 1:]] for r in rs.roots
-        ]))
-    return index, tuple(perms)
-
-
 def _reflect(rs: RootSystem, roots, i: int) -> tuple:
-    """s_i applied to each root, read off the reflection table: no pairing
-    is computed.  The images are ``rs.roots``' own tuples."""
-    index, perms = _reflection_table(rs)
-    every, p = rs.roots, perms[i - 1]
+    """s_i applied to each root, read off ``rs.reflections``: no pairing is
+    computed.  The images are ``rs.roots``' own tuples."""
+    every, index, p = rs.roots, rs.root_index, rs.reflections[i - 1]
     return tuple([every[p[index[r]]] for r in roots])
 
 
@@ -146,12 +128,6 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     return _generators(rs)[_index(rs, i)]
 
 
-@lru_cache(maxsize=None)
-def _cartan_support(rs: RootSystem) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per simple reflection s_i, the (j - 1, a[i][j]) with a[i][j] != 0."""
-    return tuple(tuple((k, a) for k, a in enumerate(row) if a) for row in rs.cartan)
-
-
 def _rewrite(images: list, touched, pivot) -> None:
     """The one product rule of both Weyl groups, in place: for pivot =
     x(alpha_s), x s sends alpha_k to x(alpha_k) - a pivot, for each
@@ -166,7 +142,7 @@ def _times_word(w: WeylElement, word) -> WeylElement:
     place by ``_rewrite``: a letter rewrites only the images its Cartan row
     touches."""
     rs, images = w.rs, list(w.images)
-    rows = _cartan_support(rs)
+    rows = rs.cartan_support
     for i in word:
         _rewrite(images, rows[_index(rs, i) - 1], images[i - 1])
     images = tuple(images)
@@ -218,14 +194,13 @@ def _left_search(sub: SubSystem, K) -> tuple[WeylElement, ...]:
     prefixes, v is first found as s_i (s_i v) for its least left descent i.
 
     The search runs on tuples of root indices: s_i w is one lookup per
-    image in s_i's permutation of ``_reflection_table``, and w(alpha_k) > 0
+    image in s_i's permutation ``rs.reflections[i - 1]``, and w(alpha_k) > 0
     is an index comparison.  The elements, with their lengths preset (every
     whole-group listing reads them), are built once at the end."""
     rs = sub.rs
-    index, perms = _reflection_table(rs)
-    half, K = len(rs.roots) // 2, [k - 1 for k in K]
+    perms, half, K = rs.reflections, len(rs.roots) // 2, [k - 1 for k in K]
     e = identity(rs)
-    start = tuple([index[a] for a in e.images])
+    start = tuple([rs.root_index[a] for a in e.images])
     seen = {start: 0}  # index images -> length, in discovery order: the output order
     layer, length = [start], 0
     while layer:
@@ -353,11 +328,6 @@ def push_negative(P, sub: SubSystem) -> WeylElement:
     return w
 
 
-def _cartan_on(sub: SubSystem) -> list[list[int]]:
-    """The Cartan matrix restricted to J, rows and columns in J's order."""
-    return [[sub.rs.cartan[i - 1][j - 1] for j in sub.J] for i in sub.J]
-
-
 def element_from_inversions(F, sub: SubSystem) -> WeylElement:
     """The unique element of W_J whose inversion set is F: the descent walk
     over J from 2 rho - 2 sum F spells its reduced word, as w(2 rho) =
@@ -366,10 +336,7 @@ def element_from_inversions(F, sub: SubSystem) -> WeylElement:
     equals them, and raises ValueError otherwise."""
     F, rs, J = frozenset(F), sub.rs, sub.J
     total = tuple(map(sum, zip(*F)))
-    steps = _descent_walk(
-        [2 - 2 * rs.simple_coroot_pairing(total, j) for j in J],
-        _cartan_on(sub),
-    )
+    steps = _descent_walk([2 - 2 * rs.simple_coroot_pairing(total, j) for j in J], sub.cartan)
     if steps is None:
         raise ValueError("set is not an inversion set")
     w, pivots = identity(rs), set()
@@ -423,10 +390,7 @@ def _factor_cached(P: frozenset[Root], sub: SubSystem):
         raise ValueError("subset contains vectors outside the subsystem")
     rs, J = sub.rs, sub.J
     total = [*map(sum, zip(*P))]
-    steps, m = _dominant_walk(
-        [-rs.simple_coroot_pairing(total, j) for j in J],
-        _cartan_on(sub),
-    )
+    steps, m = _dominant_walk([-rs.simple_coroot_pairing(total, j) for j in J], sub.cartan)
     K = tuple([j for j, c in zip(J, m) if not c])
     # |Phi^-_J minus Phi_K| = |Phi^+_J| - |Phi^+_K|, from two cached subsystems.
     if len(P) == len(sub.positives) - len(sub_system(rs, K).positives):

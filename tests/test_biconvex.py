@@ -115,6 +115,10 @@ def test_window_reaches_its_whole_finite_part():
     assert window.truncate(1) == {AffineRoot(1, (-1,))}
     with pytest.raises(ValueError, match="above the window's cutoff"):
         window.truncate(3)
+    # A negative cutoff is refused whatever y is, before any cutoff raise.
+    for y_lambda in ((0,), (2,)):
+        with pytest.raises(ValueError, match="^cutoff must be non-negative$"):
+            realize(make_param(A1, (1,), (1,), [], y_lambda, []), -1)
 
 
 def test_finite_part_of_a_built_window_matches_realize():

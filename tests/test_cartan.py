@@ -7,6 +7,7 @@ from weylwords.cartan import (
     add,
     build_root_system,
     cartan_adjugate,
+    cartan_matrix,
     complement_roots,
     height,
     negate,
@@ -181,6 +182,14 @@ def test_bad_labels_rejected():
     for label in ("Z9", "A0", "E9", "D3", "B1", "q"):
         with pytest.raises(ValueError):
             build_root_system(label)
+    for label, text in [("B1", "rank 1 out of range for family B"),
+                        ("E9", "rank 9 out of range for family E"),
+                        ("Z9", "unrecognized type label 'Z9'"),
+                        ("A", "unrecognized type label 'A'")]:
+        for reader in (build_root_system, cartan_matrix):
+            with pytest.raises(ValueError) as caught:
+                reader(label)
+            assert str(caught.value) == text, (label, reader)
 
 
 @pytest.mark.parametrize("spelling", ["a2", " A2", "A02", "a02"])
@@ -385,6 +394,8 @@ def test_cartan_adjugate_inverts_with_positive_entries(label, det):
     rs = build_root_system(label)
     d, adj = cartan_adjugate(rs, rs.index_set)
     assert d == det
+    # The build keeps det A and adj A's columns from its own elimination.
+    assert (rs.det, rs.weight_columns) == (d, tuple(zip(*adj)))
     n = rs.rank
     for i in range(n):
         for j in range(n):

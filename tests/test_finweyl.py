@@ -6,6 +6,7 @@ from weylwords import finweyl
 from weylwords.cartan import (
     add,
     build_root_system,
+    cartan_matrix,
     complement_roots,
     is_positive,
     negate,
@@ -28,7 +29,6 @@ from weylwords.finweyl import (
     WeylElement,
     _factor_cached,
     _reflect,
-    _reflection_table,
     _tail_roots_cached,
     _weyl_elements_cached,
 )
@@ -199,9 +199,14 @@ TABLE_TYPES = (
 @pytest.mark.parametrize("label", TABLE_TYPES)
 def test_reflection_table_matches_the_gram_formula(label):
     # Each s_i permutes the root indices as the textbook formula moves the
-    # roots, and the negative roots hold the lower half of the indices.
+    # roots, and the negative roots hold the lower half of the indices.  A
+    # system built from the bare matrix carries the same tables.
     rs = build_root_system(label)
-    index, perms = _reflection_table(rs)
+    index, perms = rs.root_index, rs.reflections
+    bare = build_root_system(cartan_matrix(label))
+    tables = ("root_index", "reflections", "cartan_support", "det", "weight_columns")
+    assert bare is not rs
+    assert [getattr(bare, t) for t in tables] == [getattr(rs, t) for t in tables]
     half = len(rs.roots) // 2
     assert [index[r] for r in rs.roots] == list(range(len(rs.roots)))
     assert [t >= half for t in range(len(rs.roots))] == [is_positive(r) for r in rs.roots]

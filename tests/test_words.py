@@ -405,7 +405,9 @@ def test_classes_read_no_inversion_window(monkeypatch):
         raise AssertionError("a window or a listing was built")
 
     monkeypatch.setattr(words, "limit_inversions", refused)
+    monkeypatch.setattr(words, "word_window", refused)
     monkeypatch.setattr(biconvex.WindowSet, "__init__", refused)
+    monkeypatch.setattr(biconvex.WindowSet, "_filled", refused)
     assert [classify_word(word) for word in STRUCTURE_WORDS] == expected
     for a, b in zip(STRUCTURE_WORDS, STRUCTURE_WORDS[1:] + STRUCTURE_WORDS[:1]):
         if a.sub is b.sub:
