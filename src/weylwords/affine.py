@@ -41,17 +41,13 @@ from .cartan import (
     RootSystem,
     SubSystem,
     _descent_walk,
-    _json_field,
-    _json_ints,
     height,
     is_positive,
     negate,
-    sub_system,
 )
 from .finweyl import (
     WeylElement,
     _rewrite,
-    from_word,
     identity,
     in_subgroup,
 )
@@ -482,48 +478,3 @@ def bfs_elements(sub: SubSystem, max_length: int) -> dict[AffineElement, int]:
     ball.grow(max_length)
     limit = max(max_length, 0)
     return dict(takewhile(lambda item: item[1] <= limit, ball.dist.items()))
-
-
-# ---------------------------------------------------------------------------
-# JSON encodings
-
-def affine_root_to_json(beta: AffineRoot) -> dict:
-    return {
-        "level": beta.level,
-        "classical": None if beta.classical is None else list(beta.classical),
-    }
-
-
-def affine_root_from_json(data: dict) -> AffineRoot:
-    level = _json_field(data, "level", int)
-    classical = None if _json_field(data, "classical") is None else _json_ints(data, "classical")
-    return AffineRoot(level, classical)
-
-
-def letter_to_json(letter: Letter) -> dict:
-    return {letter.kind: letter.index}
-
-
-def letter_from_json(data: dict) -> Letter:
-    kind = next(iter(data)) if type(data) is dict and len(data) == 1 else None
-    if kind not in ("c", "a"):
-        raise ValueError(f"a letter is a JSON object with one field 'c' or 'a', got {data!r}")
-    return Letter(kind, _json_field(data, kind, int))
-
-
-def element_to_json(x: AffineElement) -> dict:
-    return {"lambda": list(x.translation), "wbar": list(x.finite.word)}
-
-
-MAX_INPUT_LENGTH = 10000  # realizing or acting grows with the element's length
-
-
-def element_from_json(rs: RootSystem, data: dict) -> AffineElement:
-    """An element read from outside input, refused when its length over the
-    full system is above ``MAX_INPUT_LENGTH``; the length lists no inversion."""
-    lam, wbar = _json_ints(data, "lambda"), _json_ints(data, "wbar")
-    x = translation(rs, lam) * lift(from_word(rs, wbar))
-    length = affine_length(x, sub_system(rs, rs.index_set))
-    if length > MAX_INPUT_LENGTH:
-        raise ValueError(f"element length {length} is above the limit {MAX_INPUT_LENGTH}")
-    return x

@@ -31,10 +31,7 @@ from typing import NamedTuple
 
 from .cartan import (
     Root,
-    RootSystem,
     SubSystem,
-    _json_field,
-    _json_ints,
     check_subset,
     is_positive,
     sub_system,
@@ -42,7 +39,6 @@ from .cartan import (
 from .finweyl import (
     WeylElement,
     factor_pointed_biclosed,
-    from_word,
     in_subgroup,
     tail_roots,
 )
@@ -52,13 +48,8 @@ from .affine import (
     _element_of_strings,
     _inverted_strings,
     affine_add,
-    affine_root_from_json,
-    affine_root_to_json,
     affine_window,
-    element_from_json,
-    element_to_json,
     in_weyl_subgroup,
-    tower,
 )
 
 
@@ -166,8 +157,9 @@ def _field_width(cutoff: int) -> int:
 # Bound of the window-mask memo.  One verify-sweep round reads 135 distinct
 # (J, cutoff) in 10,138 calls and misses 135 times, and a query-mix round
 # reads 75 to 89 in 1,024, so at 128 every miss is still a first read.  An
-# entry holds 19 KB (A3) to 353 KB (E8) at the largest cutoff read from
-# outside, 1,000.
+# entry is two shared mask integers (1.5 KB each at the largest cutoff read
+# from outside, 1,000) and a tuple of references to them, one per slot: about
+# 3 KB (A3) to 5 KB (E8) in all.
 WINDOW_MEMO_SIZE = 128
 
 
@@ -453,55 +445,3 @@ def enumerate_biconvex(
             stack.append((t + 1, chosen, size))
     results.sort(key=lambda s: (len(s), sorted((b.level, b.classical or ()) for b in s)))
     return results
-
-
-# ---------------------------------------------------------------------------
-# JSON encodings
-
-MAX_INPUT_CUTOFF = 1000  # a window's size grows with its cutoff, even when empty
-
-
-def input_cutoff(cutoff: int) -> int:
-    """A cutoff read from outside input, refused above ``MAX_INPUT_CUTOFF``.
-    Cutoffs the library raises itself, as ``realize`` does, are not bounded."""
-    if cutoff > MAX_INPUT_CUTOFF:
-        raise ValueError(f"cutoff {cutoff} is above the limit {MAX_INPUT_CUTOFF}")
-    return cutoff
-
-
-def param_to_json(param: BiconvexParam) -> dict:
-    return {
-        "J": list(param.sub.J),
-        "K": list(param.K),
-        "u": list(param.u.word),
-        "y": element_to_json(param.y),
-    }
-
-
-def param_from_json(rs: RootSystem, data: dict) -> BiconvexParam:
-    sub = sub_system(rs, _json_ints(data, "J"))
-    return BiconvexParam(
-        sub=sub,
-        K=_json_ints(data, "K"),
-        u=from_word(rs, _json_ints(data, "u")),
-        y=element_from_json(rs, _json_field(data, "y", dict)),
-    )
-
-
-def view_to_json(window: WindowSet) -> dict:
-    finite = sorted(window.finite_part, key=lambda b: (b.level, b.classical or ()))
-    return {
-        "tail": sorted(list(r) for r in window.tail),
-        "finite": [affine_root_to_json(b) for b in finite],
-        "cutoff": window.cutoff,
-    }
-
-
-def view_from_json(rs: RootSystem, J, data: dict) -> WindowSet:
-    """A view's set, checked as outside input; the cutoff is raised to reach
-    every listed finite root."""
-    sub = sub_system(rs, J)
-    tail = frozenset(_json_ints(data, "tail", 2))
-    finite = frozenset(affine_root_from_json(b) for b in _json_field(data, "finite", list))
-    cutoff = input_cutoff(max([_json_field(data, "cutoff", int), *(b.level for b in finite)]))
-    return WindowSet(sub=sub, cutoff=cutoff, elements=tower(rs, tail, cutoff) | finite, tail=tail)

@@ -484,56 +484,3 @@ def complement_roots(sub: SubSystem, K, sign: int) -> tuple[Root, ...]:
     """
     inside = sub_system(sub.rs, check_subset(sub, K)).root_set
     return tuple([r for r in (sub.positives if sign > 0 else sub.negatives) if r not in inside])
-
-
-def root_system_to_json(rs: RootSystem) -> dict:
-    """JSON form: type label, root coordinate lists, exact Gram matrix.
-
-    Rational Gram entries are encoded as [numerator, denominator] pairs,
-    integers stay plain.
-    """
-
-    def enc(x: Fraction):
-        return int(x) if x.denominator == 1 else [x.numerator, x.denominator]
-
-    return {
-        "type": rs.label,
-        "cartan": [list(row) for row in rs.cartan],
-        "roots": [list(r) for r in rs.roots],
-        "gram": [[enc(x) for x in row] for row in rs.gram],
-    }
-
-
-def root_system_from_json(data: dict) -> RootSystem:
-    label = _json_field(data, "type")
-    if label is not None and type(label) is not str:
-        raise ValueError("field 'type' must be a JSON string or null")
-    rs = build_root_system(label or _json_ints(data, "cartan", 2))
-    if rs.roots != _json_ints(data, "roots", 2):
-        raise ValueError("root list does not match the declared type")
-    return rs
-
-
-def _json_field(data, key: str, kind: type | None = None):
-    """Field ``key`` of a JSON object, of type ``kind`` if given (``int``
-    admits no bool or float); ValueError naming the field otherwise."""
-    if type(data) is not dict:
-        raise ValueError(f"expected a JSON object with field {key!r}, got {data!r}")
-    if key not in data:
-        raise ValueError(f"missing field {key!r}")
-    if kind is not None and type(data[key]) is not kind:
-        raise ValueError(f"field {key!r} must be a JSON {kind.__name__}, got {data[key]!r}")
-    return data[key]
-
-
-def _json_ints(data, key: str, depth: int = 1) -> tuple:
-    """Field ``key`` as arrays of JSON integers nested ``depth`` deep, read
-    into tuples; ValueError naming the field otherwise."""
-
-    def read(value, depth):
-        if type(value) is not (list if depth else int):
-            what = "an array" if depth else "a JSON integer"
-            raise ValueError(f"field {key!r} must hold {what} here, got {value!r}")
-        return tuple(read(x, depth - 1) for x in value) if depth else value
-
-    return read(_json_field(data, key), depth)

@@ -5,8 +5,16 @@ Subcommands: ``roots`` (inspect root systems and affine windows), ``weyl``
 classify / enumerate), ``word`` (make / act / equiv / classify), and
 ``verify`` (run an exhaustive verification suite).
 
-Exit codes: 0 succeeded (verify: all checks passed), 1 a check found a
-counterexample or an input set failed a structural test, 2 usage errors.
+This module is the package's only door for outside input.  It holds every
+JSON reader and writer (root systems, affine roots, letters, elements,
+parameters, views, windows and words), every bound on outside input
+(``MAX_INPUT_CUTOFF``, ``MAX_INPUT_LENGTH``, ``MAX_WINDOW_LIMIT``), and the
+mapping from errors to exit codes, made in ``main``: 0 succeeded (verify:
+all checks passed); 1 a verify check found a counterexample, or an input set
+is not biconvex (``NotBiconvexError``, answered as ``{"biconvex": false,
+"reason": ...}``); 2 a usage error, malformed input or input above a bound
+(``UsageError``, ``ValueError``), one ``error:`` line on stderr.  The
+library modules read no JSON, and the bounds hold for outside input only.
 All machine output is JSON; ``--format table`` renders it for humans.
 
 ``main`` may be called repeatedly in one process.  Its parsers are built
@@ -35,44 +43,197 @@ from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
-from .cartan import _json_field, _json_ints, build_root_system, root_system_to_json, sub_system
+from .cartan import RootSystem, build_root_system, sub_system
 from .finweyl import from_word, inversion_set
-from .affine import (
-    affine_root_to_json,
-    affine_root_from_json,
-    affine_window,
-    element_from_json,
-    element_to_json,
-)
-from .biconvex import (
-    NotBiconvexError,
-    WindowSet,
-    classify_biconvex,
-    enumerate_biconvex,
-    input_cutoff,
-    param_from_json,
-    param_to_json,
-    parametrize,
-    realize,
-    view_from_json,
-    view_to_json,
-)
-from .words import (
-    act_on_word,
-    classify_word,
-    limit_inversions,
-    translation_word,
-    word_from_json,
-    word_of_param,
-    word_to_json,
-    words_equivalent,
-)
+from .affine import (AffineElement, AffineRoot, Letter, affine_length, affine_window, lift,
+                     tower, translation)
+from .biconvex import (BiconvexParam, NotBiconvexError, WindowSet, classify_biconvex,
+                       enumerate_biconvex, parametrize, realize)
+from .words import (InfiniteWord, act_on_word, classify_word, limit_inversions,
+                    translation_word, word_of_param, words_equivalent)
 from .verify import SUITES
 
 
 class UsageError(Exception):
     pass
 
+
+# ---------------------------------------------------------------------------
+# Outside input: bounds, and the JSON readers and writers
+
+MAX_INPUT_CUTOFF = 1000  # a window's size grows with its cutoff, even when empty
+MAX_INPUT_LENGTH = 10000  # realizing or acting grows with the element's length
+MAX_WINDOW_LIMIT = 1000  # the window's sum table grows with the square of its size
+
+
+def input_cutoff(cutoff: int) -> int:
+    """A cutoff read from outside input, refused above ``MAX_INPUT_CUTOFF``.
+    Cutoffs the library raises itself, as ``realize`` does, are not bounded."""
+    if cutoff > MAX_INPUT_CUTOFF:
+        raise ValueError(f"cutoff {cutoff} is above the limit {MAX_INPUT_CUTOFF}")
+    return cutoff
+
+
+def _json_field(data, key: str, kind: type | None = None):
+    """Field ``key`` of a JSON object, of type ``kind`` if given (``int``
+    admits no bool or float); ValueError naming the field otherwise."""
+    if type(data) is not dict:
+        raise ValueError(f"expected a JSON object with field {key!r}, got {data!r}")
+    if key not in data:
+        raise ValueError(f"missing field {key!r}")
+    if kind is not None and type(data[key]) is not kind:
+        raise ValueError(f"field {key!r} must be a JSON {kind.__name__}, got {data[key]!r}")
+    return data[key]
+
+
+def _json_ints(data, key: str, depth: int = 1) -> tuple:
+    """Field ``key`` as arrays of JSON integers nested ``depth`` deep, read
+    into tuples; ValueError naming the field otherwise."""
+
+    def read(value, depth):
+        if type(value) is not (list if depth else int):
+            what = "an array" if depth else "a JSON integer"
+            raise ValueError(f"field {key!r} must hold {what} here, got {value!r}")
+        return tuple(read(x, depth - 1) for x in value) if depth else value
+
+    return read(_json_field(data, key), depth)
+
+
+def root_system_to_json(rs: RootSystem) -> dict:
+    """JSON form: type label, root coordinate lists, exact Gram matrix.
+
+    Rational Gram entries are encoded as [numerator, denominator] pairs,
+    integers stay plain.
+    """
+
+    def enc(x: Fraction):
+        return int(x) if x.denominator == 1 else [x.numerator, x.denominator]
+
+    return {
+        "type": rs.label,
+        "cartan": [list(row) for row in rs.cartan],
+        "roots": [list(r) for r in rs.roots],
+        "gram": [[enc(x) for x in row] for row in rs.gram],
+    }
+
+
+def root_system_from_json(data: dict) -> RootSystem:
+    label = _json_field(data, "type")
+    if label is not None and type(label) is not str:
+        raise ValueError("field 'type' must be a JSON string or null")
+    rs = build_root_system(label or _json_ints(data, "cartan", 2))
+    if rs.roots != _json_ints(data, "roots", 2):
+        raise ValueError("root list does not match the declared type")
+    return rs
+
+
+def affine_root_to_json(beta: AffineRoot) -> dict:
+    return {
+        "level": beta.level,
+        "classical": None if beta.classical is None else list(beta.classical),
+    }
+
+
+def affine_root_from_json(data: dict) -> AffineRoot:
+    level = _json_field(data, "level", int)
+    classical = None if _json_field(data, "classical") is None else _json_ints(data, "classical")
+    return AffineRoot(level, classical)
+
+
+def letter_to_json(letter: Letter) -> dict:
+    return {letter.kind: letter.index}
+
+
+def letter_from_json(data: dict) -> Letter:
+    kind = next(iter(data)) if type(data) is dict and len(data) == 1 else None
+    if kind not in ("c", "a"):
+        raise ValueError(f"a letter is a JSON object with one field 'c' or 'a', got {data!r}")
+    return Letter(kind, _json_field(data, kind, int))
+
+
+def element_to_json(x: AffineElement) -> dict:
+    return {"lambda": list(x.translation), "wbar": list(x.finite.word)}
+
+
+def element_from_json(rs: RootSystem, data: dict) -> AffineElement:
+    """An element read from outside input, refused when its length over the
+    full system is above ``MAX_INPUT_LENGTH``; the length lists no inversion."""
+    lam, wbar = _json_ints(data, "lambda"), _json_ints(data, "wbar")
+    x = translation(rs, lam) * lift(from_word(rs, wbar))
+    length = affine_length(x, sub_system(rs, rs.index_set))
+    if length > MAX_INPUT_LENGTH:
+        raise ValueError(f"element length {length} is above the limit {MAX_INPUT_LENGTH}")
+    return x
+
+
+def param_to_json(param: BiconvexParam) -> dict:
+    return {
+        "J": list(param.sub.J),
+        "K": list(param.K),
+        "u": list(param.u.word),
+        "y": element_to_json(param.y),
+    }
+
+
+def param_from_json(rs: RootSystem, data: dict) -> BiconvexParam:
+    sub = sub_system(rs, _json_ints(data, "J"))
+    return BiconvexParam(
+        sub=sub,
+        K=_json_ints(data, "K"),
+        u=from_word(rs, _json_ints(data, "u")),
+        y=element_from_json(rs, _json_field(data, "y", dict)),
+    )
+
+
+def view_to_json(window: WindowSet) -> dict:
+    finite = sorted(window.finite_part, key=lambda b: (b.level, b.classical or ()))
+    return {
+        "tail": sorted(list(r) for r in window.tail),
+        "finite": [affine_root_to_json(b) for b in finite],
+        "cutoff": window.cutoff,
+    }
+
+
+def view_from_json(rs: RootSystem, J, data: dict) -> WindowSet:
+    """A view's set, checked as outside input; the cutoff is raised to reach
+    every listed finite root."""
+    sub = sub_system(rs, J)
+    tail = frozenset(_json_ints(data, "tail", 2))
+    finite = frozenset(affine_root_from_json(b) for b in _json_field(data, "finite", list))
+    cutoff = input_cutoff(max([_json_field(data, "cutoff", int), *(b.level for b in finite)]))
+    return WindowSet(sub=sub, cutoff=cutoff, elements=tower(rs, tail, cutoff) | finite, tail=tail)
+
+
+def _window_from_json(rs: RootSystem, data) -> WindowSet:
+    sub = sub_system(rs, _json_ints(data, "J"))
+    data = {"tail": [], "imaginary_tail": False} | data  # the optional fields
+    return WindowSet(
+        sub=sub,
+        cutoff=input_cutoff(_json_field(data, "cutoff", int)),
+        elements=frozenset(affine_root_from_json(b) for b in _json_field(data, "elements", list)),
+        tail=frozenset(_json_ints(data, "tail", 2)),
+        imaginary_tail=_json_field(data, "imaginary_tail", bool),
+    )
+
+
+def word_to_json(word: InfiniteWord) -> dict:
+    return {
+        "J": list(word.sub.J),
+        "head": [letter_to_json(let) for let in word.head],
+        "period": [letter_to_json(let) for let in word.period],
+    }
+
+
+def word_from_json(rs: RootSystem, data: dict) -> InfiniteWord:
+    return InfiniteWord(
+        sub=sub_system(rs, _json_ints(data, "J")),
+        head=tuple(letter_from_json(d) for d in _json_field(data, "head", list)),
+        period=tuple(letter_from_json(d) for d in _json_field(data, "period", list)),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Options, output and commands
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose parse errors reach ``main`` as one ``error:`` line."""
@@ -94,9 +255,6 @@ def _cutoff(text: str) -> int:
         return input_cutoff(_count(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-MAX_WINDOW_LIMIT = 1000  # the window's sum table grows with the square of its size
 
 
 def _window_limit(text: str) -> int:
@@ -257,18 +415,6 @@ def cmd_weyl(args) -> None:
     )
 
 
-def _window_from_json(rs, data) -> WindowSet:
-    sub = sub_system(rs, _json_ints(data, "J"))
-    data = {"tail": [], "imaginary_tail": False} | data  # the optional fields
-    return WindowSet(
-        sub=sub,
-        cutoff=input_cutoff(_json_field(data, "cutoff", int)),
-        elements=frozenset(affine_root_from_json(b) for b in _json_field(data, "elements", list)),
-        tail=frozenset(_json_ints(data, "tail", 2)),
-        imaginary_tail=_json_field(data, "imaginary_tail", bool),
-    )
-
-
 def cmd_realize(args) -> None:
     param = param_from_json(args.type, _parse_json(args.param, "parameter"))
     window = realize(param, args.cutoff)
@@ -278,7 +424,7 @@ def cmd_realize(args) -> None:
     _emit(data, args)
 
 
-def cmd_parametrize(args) -> int | None:
+def cmd_parametrize(args) -> None:
     if args.view is not None:
         view_data = _parse_json(args.view, "view")
         if not args.J:
@@ -286,21 +432,12 @@ def cmd_parametrize(args) -> int | None:
         source = view_from_json(args.type, args.J, view_data)
     else:
         source = _window_from_json(args.type, _parse_json(args.window, "window"))
-    try:
-        param = parametrize(source)
-    except NotBiconvexError as exc:
-        _emit({"biconvex": False, "reason": str(exc)}, args)
-        return 1
-    _emit(param_to_json(param), args)
+    _emit(param_to_json(parametrize(source)), args)
 
 
-def cmd_classify_window(args) -> int | None:
+def cmd_classify_window(args) -> None:
     window = _window_from_json(args.type, _parse_json(args.window, "window"))
-    try:
-        case, witness = classify_biconvex(window)
-    except NotBiconvexError as exc:
-        _emit({"biconvex": False, "reason": str(exc)}, args)
-        return 1
+    case, witness = classify_biconvex(window)
     payload = {"biconvex": True, "case": case}
     if case in ("a", "b"):
         payload["element"] = element_to_json(witness)
@@ -498,7 +635,11 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse(argv)
-        return args.func(args) or 0  # a command that returns nothing succeeded
+        try:
+            return args.func(args) or 0  # a command that returns nothing succeeded
+        except NotBiconvexError as exc:  # an answer, not an error: its --out may still fail
+            _emit({"biconvex": False, "reason": str(exc)}, args)
+            return 1
     except SystemExit as exc:  # --help; a parse error raises UsageError instead
         return 2 if exc.code not in (0, None) else 0
     except (UsageError, ValueError) as exc:

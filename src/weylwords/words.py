@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import mul
 
-from .cartan import (RootSystem, SubSystem, _json_field, _json_ints, add, cartan_adjugate,
-                     check_subset, sub_system)
+from .cartan import RootSystem, SubSystem, add, cartan_adjugate, check_subset
 from .affine import (
     AffineElement,
     AffineRoot,
@@ -38,8 +37,6 @@ from .affine import (
     _walk_of_sum,
     affine_reduced_word,
     from_letters,
-    letter_from_json,
-    letter_to_json,
     lift,
     translation,
 )
@@ -341,22 +338,3 @@ def word_of_param(param: BiconvexParam) -> InfiniteWord:
         raise ValueError("finite parameters (K = J) name no infinite word")
     base = translation_word(param.sub, param.K)
     return act_on_word(lift(param.u) * param.y, base)
-
-
-# ---------------------------------------------------------------------------
-# JSON encodings
-
-def word_to_json(word: InfiniteWord) -> dict:
-    return {
-        "J": list(word.sub.J),
-        "head": [letter_to_json(let) for let in word.head],
-        "period": [letter_to_json(let) for let in word.period],
-    }
-
-
-def word_from_json(rs: RootSystem, data: dict) -> InfiniteWord:
-    return InfiniteWord(
-        sub=sub_system(rs, _json_ints(data, "J")),
-        head=tuple(letter_from_json(d) for d in _json_field(data, "head", list)),
-        period=tuple(letter_from_json(d) for d in _json_field(data, "period", list)),
-    )

@@ -105,7 +105,7 @@ def _proper_subsets(J):
 
 
 def _window_json(window):
-    from weylwords.affine import affine_root_to_json
+    from weylwords.cli import affine_root_to_json
 
     return json.dumps({
         "J": list(window.sub.J),
@@ -119,14 +119,11 @@ def _window_json(window):
 
 def calls():
     """The fixed CLI argument lists; views and windows come from the library."""
-    from weylwords.affine import affine_inversion_set, element_from_json
-    from weylwords.biconvex import (
-        WindowSet, param_from_json, realize, view_to_json,
-    )
+    from weylwords.affine import affine_inversion_set
+    from weylwords.biconvex import WindowSet, realize
     from weylwords.cartan import build_root_system, sub_system
-    from weylwords.words import (
-        act_on_word, classify_word, translation_word, word_of_param, word_to_json,
-    )
+    from weylwords.cli import element_from_json, param_from_json, view_to_json, word_to_json
+    from weylwords.words import act_on_word, classify_word, translation_word, word_of_param
 
     out = []
     for label in WEYL_WORDS:

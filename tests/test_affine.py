@@ -23,8 +23,6 @@ from weylwords.affine import (
     bfs_elements,
     delta_height,
     element_from_affine_inversions,
-    element_from_json,
-    element_to_json,
     from_letters,
     in_weyl_subgroup,
     letter_root,
@@ -34,6 +32,7 @@ from weylwords.affine import (
     translation,
 )
 from weylwords import affine
+from weylwords.cli import element_from_json, element_to_json
 from weylwords.words import InfiniteWord
 
 from oracles import (TranslationForm, letter_element, reflection_word,

@@ -28,15 +28,12 @@ from weylwords.biconvex import (
     contained_mod_finite,
     enumerate_biconvex,
     is_biconvex_window,
-    param_from_json,
-    param_to_json,
     parametrize,
     realize,
-    view_from_json,
-    view_to_json,
 )
-from weylwords import affine, biconvex, finweyl, words
-from weylwords.cli import _window_from_json, main
+from weylwords import affine, biconvex, cli, finweyl, words
+from weylwords.cli import (_window_from_json, main, param_from_json, param_to_json,
+                           view_from_json, view_to_json)
 from weylwords.verify import _depth, _params_for, _subsets, check_parametrization_roundtrip
 
 from oracles import WindowModel, shi_biconvex
@@ -298,7 +295,7 @@ def test_window_operations_build_no_tower(monkeypatch):
     def no_tower(*args):
         raise AssertionError("tower was called")
 
-    for module in (affine, biconvex):
+    for module in (affine, cli):
         monkeypatch.setattr(module, "tower", no_tower)
     for param, depth in params:
         window = realize(param, depth)

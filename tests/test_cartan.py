@@ -11,11 +11,10 @@ from weylwords.cartan import (
     complement_roots,
     height,
     negate,
-    root_system_from_json,
-    root_system_to_json,
     sub_system,
     support,
 )
+from weylwords.cli import root_system_from_json, root_system_to_json
 from weylwords.finweyl import simple_reflection
 
 from oracles import gram_coroot, gram_reflect, reflection_closure
@@ -126,6 +125,13 @@ def test_coroot_rejects_non_roots():
             rs.coroot_coords(vector)
 
 
+def test_simple_root_index_out_of_range_is_refused():
+    rs = build_root_system("A2")
+    for i in (0, 3):
+        with pytest.raises(ValueError, match=f"^simple root index {i} out of range$"):
+            rs.simple_root(i)
+
+
 def test_coroot_coords_integrality():
     for label in ("B2", "C2", "G2", "F4"):
         rs = build_root_system(label)
@@ -147,6 +153,7 @@ def test_explicit_matrix_accepted():
         [[1, -1], [-1, 2]],         # wrong diagonal
         [[2, -2], [-2, 2]],         # affine (not positive definite)
         [[2, 0], [0, 2]],           # disconnected
+        [],                         # empty
     ],
 )
 def test_invalid_matrices_rejected(matrix):
@@ -362,6 +369,8 @@ def test_json_round_trip_explicit_matrix():
     assert data["type"] is None
     again = root_system_from_json(data)
     assert again.roots == rs.roots and again.gram == rs.gram
+    with pytest.raises(ValueError, match="^root list does not match the declared type$"):
+        root_system_from_json(data | {"roots": data["roots"][1:]})
 
 
 @pytest.mark.parametrize("data, field", [

@@ -10,10 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from weylwords import cli
-from weylwords.affine import MAX_INPUT_LENGTH
-from weylwords.biconvex import MAX_INPUT_CUTOFF
-from weylwords.cli import MAX_WINDOW_LIMIT, main
+from weylwords import cli, run_suite
+from weylwords.cli import MAX_INPUT_CUTOFF, MAX_INPUT_LENGTH, MAX_WINDOW_LIMIT, main
 
 
 def run(capsys, *argv):
@@ -341,6 +339,19 @@ def test_biconvex_parametrize_rejects_non_biconvex(capsys):
     assert data["biconvex"] is False
 
 
+CLASSIFY_NOT_BICONVEX = (
+    "biconvex", "classify", "--type", "A2", "--window",
+    json.dumps({"J": [1, 2], "cutoff": 2, "elements": [{"level": 0, "classical": [1, 1]}]}),
+)
+
+
+def test_biconvex_classify_rejects_non_biconvex(capsys):
+    code, data, err = run_json(capsys, *CLASSIFY_NOT_BICONVEX)
+    assert (code, err) == (1, "")
+    assert data == {"biconvex": False,
+                    "reason": "not a finite inversion set: set is not an affine inversion set"}
+
+
 def test_biconvex_enumerate_example(capsys):
     code, data, _ = run_json(
         capsys, "biconvex", "enumerate", "--type", "A1", "--cutoff", "1",
@@ -509,6 +520,14 @@ def test_out_into_a_missing_directory_is_one_error_line(tmp_path, capsys):
     assert str(target) in err and not target.parent.exists()
 
 
+def test_a_refusal_into_a_missing_directory_is_one_error_line(tmp_path, capsys):
+    # The exit-1 answer fails at the output file like any other: exit 2.
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, *CLASSIFY_NOT_BICONVEX, "--out", str(target))
+    _one_error_line(code, out, err)
+    assert str(target) in err and not target.parent.exists()
+
+
 def test_verify_suite_passes(capsys):
     code, data, err = run_json(
         capsys, "verify", "length", "--type", "A1", "--len", "4"
@@ -520,6 +539,8 @@ def test_verify_suite_passes(capsys):
 
 def test_verify_unknown_suite_is_usage_error(capsys):
     assert run(capsys, "verify", "nonsense")[0] == 2
+    with pytest.raises(ValueError, match="^unknown suite 'nonsense'; choose from"):
+        run_suite("nonsense")
 
 
 def test_table_format(capsys):

@@ -32,6 +32,7 @@ from weylwords.affine import (
 )
 from weylwords.biconvex import (
     BiconvexParam,
+    contained_mod_finite,
     is_biconvex_window,
     parametrize,
     realize,
@@ -155,7 +156,17 @@ A1_FULL = sub_system(A1, (1,))
     (lambda: BiconvexParam(sub=sub_system(A2, (1, 2)), K=(1,), u=identity(A2),
                            y=translation(B2, (1, 0))),
      "y is not in the subgroup attached to K"),
-], ids=["act", "length", "coset", "inversions", "param-u", "param-y"])
+    (lambda: translation(A2, (1, 0)) * translation(A1, (1,)),
+     "cannot multiply elements over different root systems"),
+    (lambda: words_equivalent(translation_word(A1_FULL, ()),
+                              translation_word(sub_system(A2, (1, 2)), ())),
+     "words live over different subsystems"),
+    (lambda: contained_mod_finite(
+        BiconvexParam(sub=A1_FULL, K=(), u=identity(A1), y=affine_identity(A1)),
+        BiconvexParam(sub=sub_system(A2, (1, 2)), K=(), u=identity(A2), y=affine_identity(A2))),
+     "parameters live over different subsystems"),
+], ids=["act", "length", "coset", "inversions", "param-u", "param-y", "mul", "equiv",
+        "contained"])
 def test_elements_over_another_root_system_are_refused(call, text):
     # Images over another root system can look like members of a subgroup
     # here; every entry point refuses them with its own text.

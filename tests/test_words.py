@@ -36,11 +36,10 @@ from weylwords.words import (
     orbit_invariant,
     prefix_element,
     translation_word,
-    word_from_json,
     word_of_param,
-    word_to_json,
     words_equivalent,
 )
+from weylwords.cli import word_from_json, word_to_json
 
 from oracles import letter_element, subsets
 
@@ -58,6 +57,11 @@ def test_prefix_and_inversion_examples():
     assert inversion_at(A1_BASE, 1) == AffineRoot(1, (-1,))
     assert inversion_at(A1_BASE, 2) == AffineRoot(2, (-1,))
     assert prefix_element(A1_BASE, 2) == translation(A1, (1,))
+    for read in (A1_BASE.letter_at, lambda p: inversion_at(A1_BASE, p)):
+        with pytest.raises(ValueError, match="^positions are 1-based$"):
+            read(0)
+    with pytest.raises(ValueError, match="^prefix length must be non-negative$"):
+        prefix_element(A1_BASE, -1)
 
 
 def test_prefix_far_out_matches_direct_product():
