@@ -138,7 +138,10 @@ class AffineElement:
         return self.finite.rs
 
     def __repr__(self) -> str:
-        return f"AffineElement(t{list(self.translation)}, {self.finite!r})"
+        try:
+            return f"AffineElement(t{list(self.translation)}, {self.finite!r})"
+        except ValueError:  # lambda off the coroot lattice: name the stored levels
+            return f"AffineElement(levels={list(self.levels)}, {self.finite!r})"
 
     @property
     def is_identity(self) -> bool:
@@ -148,9 +151,13 @@ class AffineElement:
     def translation(self) -> tuple[int, ...]:
         """lambda over the simple coroots: lambda_i = <varpi_i, lambda>, with
         d varpi_i = sum_j column_i[j] alpha_j (the root system's ``det`` and
-        ``weight_columns``)."""
-        rs, pairs = self.rs, self._pairings()
-        return tuple(sum(map(mul, col, pairs)) // rs.det for col in rs.weight_columns)
+        ``weight_columns``).  ValueError when lambda is not in the coroot
+        lattice, as for the length-zero elements of the extended group."""
+        d, pairs = self.rs.det, self._pairings()
+        scaled = [sum(map(mul, col, pairs)) for col in self.rs.weight_columns]
+        if any(v % d for v in scaled):
+            raise ValueError("translation is not in the coroot lattice")
+        return tuple(v // d for v in scaled)
 
     def _pairings(self) -> tuple[int, ...]:
         """<alpha_j, lambda>, the level of x-inverse(alpha_j), for each j."""
@@ -319,16 +326,21 @@ def in_weyl_subgroup(x: AffineElement, sub: SubSystem) -> bool:
     """Membership in the subgroup generated by the subsystem's letters.
 
     Holds exactly when the finite part w is generated by J and lambda is
-    supported on J.  Such a w fixes each fundamental weight varpi_k with k
-    outside J, so x(d varpi_k) has level -d lambda_k: lambda is read off
-    without being derived.
+    in J's coroot lattice.  x(d varpi_k) has level -d <w varpi_k, lambda>,
+    which d divides for every k exactly when lambda is in the coroot
+    lattice (w permutes it).  Such a w fixes varpi_k for k outside J, where
+    the level is -d lambda_k and must vanish.  So lambda is read off without
+    being derived, and the length-zero elements of the extended group
+    (lambda a coweight off the coroot lattice) are refused.
     """
     if not in_subgroup(x.finite, sub):
         return False
-    columns = x.rs.weight_columns
-    return not any(
-        sum(map(mul, columns[k - 1], x.levels)) for k in x.rs.index_set if k not in sub.J
-    )
+    d, J = x.rs.det, sub.J
+    for k, column in enumerate(x.rs.weight_columns, 1):
+        level = sum(map(mul, column, x.levels))
+        if level % d if k in J else level:
+            return False
+    return True
 
 
 def delta_height(rs: RootSystem) -> int:

@@ -131,9 +131,10 @@ def _class_sum_pairs(sub: SubSystem) -> _ClassSums:
 
 @lru_cache(maxsize=None)
 def _window_sum_triples(sub: SubSystem, cutoff: int):
-    """The level-bounded window's root-to-index map, and every index triple
-    (i, j, k) with i <= j and window[i] + window[j] = window[k], read off
-    the class sum pairs at every pair of levels."""
+    """The level-bounded window's root-to-index map, in window order (so its
+    keys are the window ``enumerate_biconvex`` searches), and every index
+    triple (i, j, k) with i <= j and window[i] + window[j] = window[k], read
+    off the class sum pairs at every pair of levels."""
     window = affine_window(sub, cutoff)
     index = {beta: t for t, beta in enumerate(window)}
     table = _class_sum_pairs(sub)
@@ -409,39 +410,56 @@ def classify_biconvex(B: WindowSet):
 def enumerate_biconvex(
     sub: SubSystem, cutoff: int, max_size: int, *, window_limit: int = 64
 ):
-    """All window subsets of size at most max_size passing the pair test.
+    """All window subsets of size at most max_size passing the pair test,
+    sorted by size, then by their members' (level, classical part).
 
-    Depth-first search over the window in height order, so each root's
-    membership is forced (or contradicted) by decisions already made on
-    its summands.  Refuses windows larger than ``window_limit`` with a
-    size report, counted before the window is built: every root of J at
-    each level 1..cutoff, J's positive roots at level 0, and cutoff
-    imaginary roots.
+    Depth-first search over members, chosen in window (height) order, so
+    summands always come before their sums.  A branch carries its members
+    and ``need``, the mask of their sums not yet chosen: each pending sum
+    lies ahead, so the next member may go anywhere from the current index
+    up to the lowest pending sum, skipping only indices no sum owes.  A
+    candidate is accepted when each of its summand pairs meets the members
+    (the complement stays closed), and then owes its sums with each member
+    and with itself; a branch with nothing owed is closed, and a result.
+    The window and its sum triples come from ``_window_sum_triples``; the
+    per-index lists are built per call.  Refuses windows larger than
+    ``window_limit`` with a size report, counted before the window is
+    built: every root of J at each level 1..cutoff, J's positive roots at
+    level 0, and cutoff imaginary roots.
     """
     size = (len(sub.roots) + 1) * cutoff + len(sub.positives)
     if cutoff >= 0 and size > window_limit:  # a negative cutoff is refused by affine_window
         raise ValueError(f"window has {size} roots, above the limit {window_limit}")
-    window = affine_window(sub, cutoff)
-    pair_masks: list[list[int]] = [[] for _ in window]
-    for i, j, k in _window_sum_triples(sub, cutoff)[1]:
-        pair_masks[k].append(1 << i | 1 << j)
+    index, triples = _window_sum_triples(sub, cutoff)
+    window = [*index]
+    summands: list[list[int]] = [[] for _ in window]  # k: the mask of each pair summing to k
+    sums: list[list[tuple[int, int]]] = [[] for _ in window]  # j: (bit i, bit k), i <= j, i + j = k
+    for i, j, k in triples:
+        summands[k].append(1 << i | 1 << j)
+        sums[j].append((1 << i, 1 << k))
 
-    # Each pending branch is (next index, members chosen so far as a bit
-    # mask, their count); an explicit stack keeps no closure alive after.
+    # Each pending branch is (first index left, members as a bit mask and as
+    # roots, the mask of sums owed); an explicit stack keeps no closure alive.
     results: list[frozenset[AffineRoot]] = []
-    stack = [(0, 0, 0)]
+    stack: list[tuple[int, int, tuple[AffineRoot, ...], int]] = [(0, 0, (), 0)]
     while stack:
-        t, chosen, size = stack.pop()
-        if t == len(window):
-            results.append(frozenset(b for i, b in enumerate(window) if chosen >> i & 1))
+        t, chosen, members, need = stack.pop()
+        if not need:
+            results.append(frozenset(members))
+        if len(members) >= max_size:
             continue
-        forced_in = any(chosen & p == p for p in pair_masks[t])
-        forced_out = any(not chosen & p for p in pair_masks[t])
-        if forced_in and forced_out:
-            continue
-        if not forced_out and size < max_size:
-            stack.append((t + 1, chosen | 1 << t, size + 1))
-        if not forced_in:
-            stack.append((t + 1, chosen, size))
+        # One past the lowest owed index: a branch that passes it has lost it.
+        stop = (need & -need).bit_length() if need else len(window)
+        for k in range(t, stop):
+            for pair in summands[k]:
+                if not chosen & pair:
+                    break
+            else:
+                bit = 1 << k
+                grown, owed = chosen | bit, need & ~bit
+                for summand, total in sums[k]:
+                    if grown & summand:
+                        owed |= total
+                stack.append((k + 1, grown, (*members, window[k]), owed))
     results.sort(key=lambda s: (len(s), sorted((b.level, b.classical or ()) for b in s)))
     return results

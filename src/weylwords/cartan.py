@@ -8,7 +8,8 @@ s_i(beta) as each simple reflection's permutation of the root indices (the
 only place s_i is applied to a root by its pairing), and one fraction-free
 elimination of the Cartan matrix decides finite type and keeps det A and
 the columns of adj A, the fundamental weights.  ``cartan_adjugate``
-eliminates sub-diagrams on demand.  The only rational
+reads those back on the whole diagram and eliminates sub-diagrams on
+demand.  The only rational
 data is the Gram matrix of the bilinear form, normalized so that every
 long root has squared length 2, kept for ``pairing`` and the JSON output.
 All generated root lists are sorted by (height, coordinates) so that
@@ -164,7 +165,11 @@ def cartan_adjugate(rs: RootSystem, indices) -> tuple[int, list[list[int]]]:
     """Determinant d and adjugate d*A^-1 of the Cartan submatrix A on indices.
 
     For a connected index set every adjugate entry is positive (Lusztig-Tits).
+    On the whole index set these are the build's own, kept as ``det`` and
+    ``weight_columns`` (adj A's columns), and nothing is eliminated again.
     """
+    if tuple(indices) == rs.index_set:
+        return rs.det, [list(row) for row in zip(*rs.weight_columns)]
     idx = [i - 1 for i in indices]
     found = _eliminate([[rs.cartan[i][j] for j in idx] for i in idx])
     if found is None:

@@ -452,17 +452,16 @@ def cmd_enumerate(args) -> None:
         sub_system(rs, args.J or rs.index_set), args.cutoff, args.max_size,
         window_limit=args.window_limit,
     )
+    # Each member root's place, JSON and text once: sets list roots by (level, classical).
+    roots = sorted({b for s in sets for b in s}, key=lambda b: (b.level, b.classical or ()))
+    place = {b: n for n, b in enumerate(roots)}
+    as_json = {b: affine_root_to_json(b) for b in roots}
+    text = {b: str(b) for b in roots}
     _emit(
         {
             "count": len(sets),
-            "sets": [
-                [
-                    affine_root_to_json(b)
-                    for b in sorted(s, key=lambda b: (b.level, b.classical or ()))
-                ]
-                for s in sets
-            ],
-            "printed": [sorted(str(b) for b in s) for s in sets],
+            "sets": [[as_json[b] for b in sorted(s, key=place.__getitem__)] for s in sets],
+            "printed": [sorted(map(text.__getitem__, s)) for s in sets],
         },
         args,
     )

@@ -311,10 +311,8 @@ def check_translation_words(labels=("A1", "A2", "C2"), cutoff=6):
 
 def _action_formula(x, word, cutoff):
     sub = word.sub
-    rs = sub.rs
-    shift = max(
-        (abs(rs.coroot_pairing(eps, x.translation)) for eps in sub.roots), default=0
-    )
+    rs, lam = sub.rs, x.translation  # a property that derives lambda: read it once
+    shift = max((abs(rs.coroot_pairing(eps, lam)) for eps in sub.roots), default=0)
     source = limit_inversions(word, cutoff + shift)
     moved = {x.act(b) for b in source}
     omega = {b for b in moved if not b.is_positive}

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylwords.cartan import (build_root_system, cartan_matrix, complement_roots, height,
-                              sub_system)
-from weylwords.finweyl import from_word, identity, inversion_set, tail_roots
+                              negate, sub_system)
+from weylwords.finweyl import from_word, identity, inversion_set, tail_roots, weyl_elements
 from weylwords.affine import (
+    AffineElement,
     AffineRoot,
     Letter,
     _inverted_levels,
@@ -32,6 +33,7 @@ from weylwords.affine import (
     translation,
 )
 from weylwords import affine
+from weylwords.biconvex import BiconvexParam
 from weylwords.cli import element_from_json, element_to_json
 from weylwords.words import InfiniteWord
 
@@ -619,6 +621,43 @@ def test_image_form_matches_translation_form(label):
                 assert x.act(AffineRoot(m, eps)) == form.act(ox, m, eps), (x, m, eps)
         for y, oy in ball.items():
             assert _same(x * y, form, form.mul(ox, oy))
+
+
+def _length_zero(label):
+    """pi = t_{varpi_j-check} w0^{I - j} w0 for the first minuscule j (alpha_j
+    has coefficient 1 in theta): an element of the extended affine Weyl
+    group whose lambda is a coweight off the coroot lattice.  Its levels
+    -<w alpha_k, varpi_j-check> are minus the alpha_j coordinates of w's images."""
+    rs = build_root_system(label)
+    theta = rs.roots[-1]
+    j = next(j for j in rs.index_set if theta[j - 1] == 1)
+
+    def longest(J):
+        return max(weyl_elements(sub_system(rs, J)), key=lambda w: w.length)
+
+    w = longest([i for i in rs.index_set if i != j]) * longest(rs.index_set)
+    return rs, AffineElement(tuple(-img[j - 1] for img in w.images), w)
+
+
+@pytest.mark.parametrize("label", ["A2", "D4"])
+def test_length_zero_elements_are_refused(label):
+    rs, pi = _length_zero(label)
+    full = sub_system(rs, rs.index_set)
+    # pi permutes the simple affine roots, so it has length zero but is not e.
+    simple = {AffineRoot(0, a) for a in rs.simple_roots} | {AffineRoot(1, negate(rs.roots[-1]))}
+    assert {pi.act(b) for b in simple} == simple and not pi.is_identity
+    if label == "A2":
+        assert pi == AffineElement((0, 1), from_word(rs, [1, 2]))
+    assert not in_weyl_subgroup(pi, full)
+    with pytest.raises(ValueError, match="^y is not in the subgroup attached to K$"):
+        BiconvexParam(full, rs.index_set, identity(rs), pi)
+    with pytest.raises(ValueError, match="^element is not in the subgroup for J$"):
+        affine_length(pi, full)
+    with pytest.raises(ValueError, match="^translation is not in the coroot lattice$"):
+        pi.translation
+    assert repr(pi) == f"AffineElement(levels={list(pi.levels)}, {pi.finite!r})"
+    # Its square is in the coroot lattice again only where Omega has order 2.
+    assert in_weyl_subgroup(pi * pi, full) == (label == "D4")
 
 
 @pytest.mark.parametrize("label", ["A2", "C2", "G2", "A3"])

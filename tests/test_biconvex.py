@@ -36,7 +36,7 @@ from weylwords.cli import (_window_from_json, main, param_from_json, param_to_js
                            view_from_json, view_to_json)
 from weylwords.verify import _depth, _params_for, _subsets, check_parametrization_roundtrip
 
-from oracles import WindowModel, shi_biconvex
+from oracles import WindowModel, biconvex_by_closure, shi_biconvex
 
 A1 = build_root_system("A1")
 A2 = build_root_system("A2")
@@ -699,12 +699,15 @@ def test_enumerate_counts_its_window_before_building_it(monkeypatch):
 
     monkeypatch.setattr(biconvex, "affine_window", built)
     for (sub, c), size in sizes.items():
+        # The window comes with its sum table: with that memo empty, a build shows.
+        biconvex._window_sum_triples.cache_clear()
         with pytest.raises(ValueError) as refused:
             enumerate_biconvex(sub, c, 1, window_limit=size - 1)
         assert str(refused.value) == f"window has {size} roots, above the limit {size - 1}"
         with pytest.raises(AssertionError, match="window built"):
             enumerate_biconvex(sub, c, 1, window_limit=size)
     monkeypatch.undo()
+    biconvex._window_sum_triples.cache_clear()
     with pytest.raises(ValueError, match="^cutoff must be non-negative$"):
         enumerate_biconvex(A2_FULL, -1, 1, window_limit=-100)
 
@@ -721,6 +724,31 @@ def test_enumerate_matches_pair_predicate():
                 expected.add(frozenset(combo))
     got = set(enumerate_biconvex(A1_FULL, 2, 2))
     assert got == expected
+
+
+@pytest.mark.parametrize("label, cutoff, max_size", [
+    ("A1", 3, None),  # the imaginary roots: delta + delta = 2 delta, a pair with i = j
+    ("A2", 1, None),
+    ("B2", 1, 3),
+    ("G2", 1, 3),
+])
+def test_enumerate_matches_the_closure_oracle_in_order(label, cutoff, max_size):
+    # Every subset (or every one of at most max_size roots) against the
+    # definition: the same sets, in the documented order.
+    rs = build_root_system(label)
+    full = sub_system(rs, rs.index_set)
+    window = affine_window(full, cutoff)
+    max_size = len(window) if max_size is None else max_size
+    expected = sorted(
+        (frozenset(S) for n in range(max_size + 1) for S in combinations(window, n)
+         if biconvex_by_closure(S, window)),
+        key=lambda S: (len(S), sorted((b.level, b.classical or ()) for b in S)))
+    assert enumerate_biconvex(full, cutoff, max_size) == expected
+    assert len({len(S) for S in expected}) > 2  # more than the empty set and single roots
+
+
+def test_enumerate_below_size_zero_answers_as_size_zero():
+    assert enumerate_biconvex(A2_FULL, 1, -1) == enumerate_biconvex(A2_FULL, 1, 0) == [frozenset()]
 
 
 def test_json_round_trips():
